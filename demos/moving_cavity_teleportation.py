@@ -9,7 +9,7 @@ the total fidelity.
 
 import numpy as np
 
-from rqi import boson, teleport
+from rqi import boson, entanglement, teleport
 
 r, k, kp = 0.5, 1, 3
 h = np.sqrt(0.06)
@@ -36,5 +36,5 @@ scen = teleport.TeleportScenario(
     segment=boson.TrajectorySegment(((0.1, 0.9),)),
 )
 state = teleport.transformed_resource_state(scen)
-print(f"\nnu- direct {teleport.smallest_pt_eigenvalue(state):.8f} vs closed "
+print(f"\nnu- direct {entanglement.smallest_pt_eigenvalue(state):.8f} vs closed "
       f"{teleport.optimal_fidelity_corrected(scen)['nu_minus']:.8f} (difference is O(h^4))")

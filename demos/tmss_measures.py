@@ -12,11 +12,9 @@ from rqi import entanglement, gaussian
 
 for r in (0.1, 0.3, 0.5, 1.0):
     state = gaussian.two_mode_squeezed_state(r)
-    nus_pt = gaussian.symplectic_spectrum(
-        gaussian.partial_transpose(state, 1).covariance, basis=gaussian.COMPLEX
-    )
     print(f"r = {r}")
-    print(f"  PT symplectic spectrum  {nus_pt}  (exp(-2r) = {np.exp(-2*r):.6f})")
+    print(f"  smallest PT symplectic eigenvalue {entanglement.smallest_pt_eigenvalue(state):.6f}"
+          f"  (exp(-2r) = {np.exp(-2*r):.6f})")
     print(f"  entropy of entanglement {entanglement.entropy_of_entanglement(state, [0]):.8f}")
     print(f"  negativity              {entanglement.negativity_gaussian(state):.8f}"
           f"  closed form {(np.exp(2*r)-1)/2:.8f}")

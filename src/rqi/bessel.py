@@ -12,31 +12,22 @@ argument never overflows; K uses its real integral representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import loggamma
 
 
-@dataclass(frozen=True)
-class BesselEvalConfig:
-    """Evaluation knobs: series / integral crossover, tolerances, term cap."""
-
-    series_cutoff: float = 30.0
-    quad_tol: float = 1e-11
-    max_terms: int = 2000
-
-    def __post_init__(self):
-        if self.quad_tol <= 0:
-            raise ValueError("quadrature tolerance must be positive")
+# power-series cap and relative size of the last kept term for I_{i nu}
+I_MAX_TERMS = 2000
+I_TAIL_TOL = 1e-16
+# absolute and relative tolerance of the K_{i nu} integral
+K_QUAD_TOL = 1e-11
+# absolute tolerance on the Rindler frequencies
+ROOT_XTOL = 1e-10
 
 
-DEFAULT_EVAL = BesselEvalConfig()
-
-
-def bessel_I_imag_order_scaled(nu, x, max_terms=2000, tol=1e-16):
+def bessel_I_imag_order_scaled(nu, x):
     """I_{i nu}(x) as (mantissa, log_scale) with value = mantissa * exp(log_scale).
 
     Power series sum_k (x/2)^(2k + i nu) / (k! Gamma(k + 1 + i nu)); all terms
@@ -46,36 +37,36 @@ def bessel_I_imag_order_scaled(nu, x, max_terms=2000, tol=1e-16):
     if x <= 0:
         raise ValueError("argument must be positive")
     lx = np.log(x / 2.0)
-    k = np.arange(max_terms)
+    k = np.arange(I_MAX_TERMS)
     logs = (2 * k + 1j * nu) * lx - loggamma(k + 1.0) - loggamma(k + 1.0 + 1j * nu)
     re = np.real(logs)
     # terms decay once k >> x; clip the tail for speed
     peak = int(np.argmax(re))
-    last = min(max_terms, max(peak + 80, int(2 + x) + 80))
+    last = min(I_MAX_TERMS, max(peak + 80, int(2 + x) + 80))
     logs = logs[:last]
     re = re[:last]
     top = re.max()
     terms = np.exp(logs - top)
     total = terms.sum()
-    if last >= max_terms and abs(terms[-1]) > tol * abs(total):
-        raise RuntimeError("Bessel series did not converge; increase max_terms")
+    if last >= I_MAX_TERMS and abs(terms[-1]) > I_TAIL_TOL * abs(total):
+        raise RuntimeError(f"Bessel series did not converge within {I_MAX_TERMS} terms")
     return total, float(top)
 
 
-def bessel_I_imag_order(nu, x, max_terms=2000):
+def bessel_I_imag_order(nu, x):
     """I_{i nu}(x) for real nu, x > 0 (complex valued).
 
     Satisfies I_{-i nu}(x) = conj(I_{i nu}(x)) for real x.  Raises instead of
     overflowing when the unscaled value exceeds float range; use the scaled
     variant in that regime.
     """
-    mant, scale = bessel_I_imag_order_scaled(nu, x, max_terms=max_terms)
+    mant, scale = bessel_I_imag_order_scaled(nu, x)
     if scale > 700.0:
         raise OverflowError("I_{i nu}(x) exceeds float range; use the scaled variant")
     return mant * np.exp(scale)
 
 
-def bessel_K_imag_order(nu, x, quad_tol=1e-11):
+def bessel_K_imag_order(nu, x):
     """K_{i nu}(x) = int_0^inf exp(-x cosh t) cos(nu t) dt, real for real inputs."""
     if x <= 0:
         raise ValueError("argument must be positive")
@@ -85,32 +76,13 @@ def bessel_K_imag_order(nu, x, quad_tol=1e-11):
         lambda t: np.exp(-x * np.cosh(t)) * np.cos(nu * t),
         0.0,
         t_max,
-        epsabs=quad_tol,
-        epsrel=quad_tol,
+        epsabs=K_QUAD_TOL,
+        epsrel=K_QUAD_TOL,
         limit=200,
     )
-    if err > 100 * max(quad_tol, abs(val) * quad_tol):
+    if err > 100 * max(K_QUAD_TOL, abs(val) * K_QUAD_TOL):
         raise RuntimeError("K integral failed to converge")
     return val
-
-
-def bessel_K_imag_order_series(nu, x):
-    """K_{i nu}(x) via the reflection combination of I_{+-i nu} (series route).
-
-    K_{i nu}(x) = -pi Im[I_{i nu}(x)] / sinh(pi nu); the nu -> 0 limit is
-    handled by the integral representation instead.
-    """
-    if abs(nu) < 1e-8:
-        return bessel_K_imag_order(nu, x)
-    val = bessel_I_imag_order(nu, x)
-    return float(-np.pi * val.imag / np.sinh(np.pi * nu))
-
-
-def bessel_K_auto(nu, x, config=DEFAULT_EVAL):
-    """K_{i nu}(x) with the configured series / integral crossover."""
-    if x <= config.series_cutoff and abs(nu) >= 1e-8:
-        return bessel_K_imag_order_series(nu, x)
-    return bessel_K_imag_order(nu, x, quad_tol=config.quad_tol)
 
 
 def rindler_boundary_function(omega, chi_minus, chi_plus, kappa):
@@ -124,7 +96,7 @@ def rindler_boundary_function(omega, chi_minus, chi_plus, kappa):
     return float(np.imag(np.conj(lo) * hi))
 
 
-def find_rindler_frequency(chi_minus, chi_plus, kappa, bracket, xtol=1e-10):
+def find_rindler_frequency(chi_minus, chi_plus, kappa, bracket):
     """Root of F(Omega) inside `bracket` (must contain a sign change)."""
     f = lambda w: rindler_boundary_function(w, chi_minus, chi_plus, kappa)
     a, b = bracket
@@ -135,10 +107,10 @@ def find_rindler_frequency(chi_minus, chi_plus, kappa, bracket, xtol=1e-10):
         return float(b)
     if fa * fb > 0:
         raise ValueError("bracket does not contain a sign change")
-    return float(brentq(f, a, b, xtol=xtol, rtol=1e-14))
+    return float(brentq(f, a, b, xtol=ROOT_XTOL, rtol=1e-14))
 
 
-def rindler_frequencies(chi_minus, chi_plus, kappa, n_roots, xtol=1e-10):
+def rindler_frequencies(chi_minus, chi_plus, kappa, n_roots):
     """First `n_roots` positive roots Omega_1 < Omega_2 < ... of F(Omega).
 
     The scan step is half the asymptotic root spacing pi / log(chi+/chi-), so
@@ -159,7 +131,7 @@ def rindler_frequencies(chi_minus, chi_plus, kappa, n_roots, xtol=1e-10):
         if f_prev == 0.0:
             roots.append(w_prev)
         elif f_prev * f_here < 0:
-            roots.append(find_rindler_frequency(chi_minus, chi_plus, kappa, (w_prev, w), xtol=xtol))
+            roots.append(find_rindler_frequency(chi_minus, chi_plus, kappa, (w_prev, w)))
         w_prev, f_prev = w, f_here
         w += step
         guard += 1

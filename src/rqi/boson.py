@@ -25,16 +25,20 @@ accelerated motion.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import gaussian
+from . import entanglement, gaussian
 from .gaussian import COMPLEX, CovarianceState, SymplecticMap
 
 
 class PerturbativeValidityWarning(UserWarning):
     """First-order treatment pushed outside its comfort zone."""
+
+
+# N |B_kk'| at or above this makes the linear-growth negativity unreliable
+NB_VALIDITY_BOUND = 0.1
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,6 @@ class BogoCoefficients:
 
     alpha1: np.ndarray
     beta1: np.ndarray
-    order0: str = field(default="identity", compare=False)
 
 
 def mode_frequencies(config):
@@ -229,11 +232,7 @@ def segment_negativity_exact(config, segment, k, kp, repetitions=1, coeffs=None)
     smap = compose_segment(config, segment, coeffs=coeffs)
     power = np.linalg.matrix_power(smap.matrix, repetitions)
     smap_n = SymplecticMap(config.n_max, COMPLEX, power, check_tol=max(1e-6, smap.check_tol * repetitions**2))
-    state = two_mode_reduced_state(smap_n, k, kp)
-    tilde = gaussian.partial_transpose(state, mode=1)
-    nus = gaussian.symplectic_spectrum(tilde.covariance, basis=COMPLEX)
-    nu_min = float(nus.min())
-    return max((1.0 - nu_min) / (2.0 * nu_min), 0.0)
+    return entanglement.negativity_gaussian(two_mode_reduced_state(smap_n, k, kp))
 
 
 def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
@@ -251,9 +250,9 @@ def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
     resonant, residual = resonance_check(config, segment, k, kp, tol=tol)
     _, b = segment_blocks(smap)
     b_kkp = abs(b[k - 1, kp - 1])
-    if repetitions * b_kkp >= 0.1:
+    if repetitions * b_kkp >= NB_VALIDITY_BOUND:
         warnings.warn(
-            f"N |B^(1)| h = {repetitions * b_kkp:.3g} >= 0.1; perturbative result unreliable",
+            f"N |B^(1)| h = {repetitions * b_kkp:.3g} >= {NB_VALIDITY_BOUND}; perturbative result unreliable",
             PerturbativeValidityWarning,
             stacklevel=2,
         )

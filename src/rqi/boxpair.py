@@ -47,6 +47,13 @@ class BoxScenario:
             raise ValueError("atom speed must satisfy 0 < v < 1")
         if self.h < 0.0 or self.h > 2.0 * self.v + 1e-12:
             raise ValueError("acceleration limited to 0 <= h <= 2v")
+        if self.n_cut < 1:
+            raise ValueError("mode truncation needs n_cut >= 1")
+        if self.n_quad < 1:
+            raise ValueError("overlap quadrature needs n_quad >= 1")
+        if self.n_y < self.n_cut + 2:
+            # the finite-difference solve has n_y - 2 interior points, one per mode at least
+            raise ValueError("spectrum grid needs n_y >= n_cut + 2")
 
     @property
     def gamma(self):
@@ -102,6 +109,9 @@ def solve_rindler_spectrum(scenario, engine="fd"):
             raise ValueError(f"unknown engine {engine!r}")
         for n in range(1, n_cut + 1):
             u = prof[n - 1]
+            # fix the sign so the first lobe is positive
+            if u[np.argmax(np.abs(u) > 1e-3 * np.abs(u).max())] < 0:
+                u = -u
             i_chi = np.trapezoid(u * u, y)
             norm = 1.0 / np.sqrt(om[n - 1] * i_chi)
             omegas[n - 1, m - 1] = om[n - 1]
@@ -122,11 +132,7 @@ def _fd_modes(y, kappa_m, n_cut):
     omegas = np.sqrt(vals)
     prof = np.zeros((n_cut, y.size))
     for n in range(n_cut):
-        vec = vecs[:, n]
-        # fix the sign so the first lobe is positive
-        if vec[np.argmax(np.abs(vec) > 1e-3 * np.abs(vec).max())] < 0:
-            vec = -vec
-        prof[n, 1:-1] = vec / np.sqrt(dy)  # continuum normalisation of the grid vector
+        prof[n, 1:-1] = vecs[:, n] / np.sqrt(dy)  # continuum normalisation of the grid vector
     return omegas, prof
 
 
@@ -136,10 +142,7 @@ def _bessel_modes(y, chi_minus, chi_plus, kappa_m, n_cut):
     chis = np.exp(y)
     prof = np.empty((n_cut, y.size))
     for n in range(n_cut):
-        u = bessel_mod.rindler_mode_profile(chis, chi_minus, kappa_m, omegas[n])
-        if u[np.argmax(np.abs(u) > 1e-3 * np.abs(u).max())] < 0:
-            u = -u
-        prof[n] = u
+        prof[n] = bessel_mod.rindler_mode_profile(chis, chi_minus, kappa_m, omegas[n])
     return omegas, prof
 
 
@@ -176,21 +179,16 @@ def _integrate_terms(terms, extra_phase, z1, z2):
     return total
 
 
-def alice_overlap(n, m, scenario):
-    """F^A_nm: closed form (Alice is inertial; zero for even n)."""
-    if n % 2 == 0:
-        return 0.0 + 0.0j
-    omega = np.sqrt((n * np.pi) ** 2 + scenario.kappa_m(m) ** 2)
-    norm = np.sqrt(2.0 / omega)
-    terms = _lambda_exponential_terms(m, scenario)
-    extra = omega / scenario.v  # exp(i omega gamma tau) = exp(i omega zeta / v)
-    val = _integrate_terms(terms, extra, -1.5, -0.5) / (scenario.v * scenario.gamma)
-    return norm * np.sin(n * np.pi / 2.0) * val
+# zeta = v gamma tau while the atom crosses each box; Rob's box is inertial at h = 0
+ALICE_ZETA = (-1.5, -0.5)
+ROB_ZETA = (-0.5, 0.5)
 
 
-def rob_overlap_inertial(n, m, scenario):
-    """F^R_nm at h = 0: closed form f_nm (1 - (-1)^m exp(i g_nm)) structure.
+def inertial_overlap(n, m, scenario, zeta):
+    """F_nm of an inertial box crossed for zeta in `zeta`: closed form, zero for even n.
 
+    `zeta` is ALICE_ZETA for Alice and ROB_ZETA for Rob at h = 0, where the
+    overlap has the f_nm (1 - (-1)^m exp(i g_nm)) structure with
     g_nm = (gap sqrt(1 - v^2) - omega_nm) / v; constructive resonances sit at
     |1 - (-1)^m exp(i g)| = 2.
     """
@@ -199,9 +197,14 @@ def rob_overlap_inertial(n, m, scenario):
     omega = np.sqrt((n * np.pi) ** 2 + scenario.kappa_m(m) ** 2)
     norm = np.sqrt(2.0 / omega)
     terms = _lambda_exponential_terms(m, scenario)
-    extra = omega / scenario.v
-    val = _integrate_terms(terms, extra, -0.5, 0.5) / (scenario.v * scenario.gamma)
+    extra = omega / scenario.v  # exp(i omega gamma tau) = exp(i omega zeta / v)
+    val = _integrate_terms(terms, extra, *zeta) / (scenario.v * scenario.gamma)
     return norm * np.sin(n * np.pi / 2.0) * val
+
+
+def _inertial_overlaps(scenario, zeta):
+    n = scenario.n_cut
+    return np.array([[inertial_overlap(i + 1, j + 1, scenario, zeta) for j in range(n)] for i in range(n)])
 
 
 def resonance_phase(n, m, scenario):
@@ -218,10 +221,7 @@ def rob_overlap_quadrature(scenario, spectrum=None):
     zero (the atom has exited through the trailing wall).
     """
     if scenario.h == 0.0:
-        n = scenario.n_cut
-        return np.array(
-            [[rob_overlap_inertial(i + 1, j + 1, scenario) for j in range(n)] for i in range(n)]
-        )
+        return _inertial_overlaps(scenario, ROB_ZETA)
     if spectrum is None:
         spectrum = solve_rindler_spectrum(scenario)
     t = scenario.t_half
@@ -248,47 +248,32 @@ def rob_overlap_quadrature(scenario, spectrum=None):
 
 
 def alice_overlaps(scenario):
-    n = scenario.n_cut
-    return np.array([[alice_overlap(i + 1, j + 1, scenario) for j in range(n)] for i in range(n)])
-
-
-def overlap_amplitudes(scenario, spectrum=None):
-    """(F^A, F^R) emission-amplitude matrices indexed [n-1, m-1]."""
-    return alice_overlaps(scenario), rob_overlap_quadrature(scenario, spectrum=spectrum)
+    """F^A matrix indexed [n-1, m-1] (Alice is inertial)."""
+    return _inertial_overlaps(scenario, ALICE_ZETA)
 
 
 def cavity_entanglement(scenario, spectrum=None, return_details=False):
     """Entropy of entanglement of Rob's reduced state (natural log).
 
-    rho_R = (sum |F^A|^2) (+) F F+ renormalised by its trace; the excitation
-    block is rank one, but the entropy is computed from the full eigenvalue
-    spectrum.  A vanishing trace (no emission amplitude) returns zero with a
-    flag.
+    rho_R = (sum |F^A|^2) (+) F F+ renormalised by its trace.  The excitation
+    block is rank one, so the spectrum is {p_alice, p_rob} and the entropy is
+    their binary entropy.  A vanishing trace (no emission amplitude) returns
+    zero with a flag.
     """
     f_alice = alice_overlaps(scenario)
     f_rob = rob_overlap_quadrature(scenario, spectrum=spectrum)
     p0 = float(np.sum(np.abs(f_alice) ** 2))
-    fvec = f_rob.ravel()
-    rho = np.zeros((fvec.size + 1, fvec.size + 1), dtype=complex)
-    rho[0, 0] = p0
-    rho[1:, 1:] = np.outer(fvec, fvec.conj())
-    trace = float(np.real(np.trace(rho)))
+    p1 = float(np.sum(np.abs(f_rob) ** 2))
+    trace = p0 + p1
     if trace < 1e-300:
         result = {"entropy": 0.0, "flagged": True, "p_alice": 0.0, "p_rob": 0.0}
-        return (result, f_alice, f_rob) if return_details else result
-    rho /= trace
-    evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -1e-10:
-        raise RuntimeError("reduced state came out non-positive")
-    evals = np.clip(evals, 0.0, None)
-    evals = evals[evals > 1e-16]
-    entropy = float(-np.sum(evals * np.log(evals)))
-    result = {
-        "entropy": entropy,
-        "flagged": False,
-        "p_alice": p0 / trace,
-        "p_rob": 1.0 - p0 / trace,
-    }
+    else:
+        result = {
+            "entropy": binary_entropy(p0 / trace),
+            "flagged": False,
+            "p_alice": p0 / trace,
+            "p_rob": 1.0 - p0 / trace,
+        }
     return (result, f_alice, f_rob) if return_details else result
 
 

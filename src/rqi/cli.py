@@ -4,7 +4,8 @@ Every command reads an optional JSON config (``--config file.json``) whose
 keys must match the command's parameters; command-line flags override file
 values.  Numeric payloads are written with 17 significant digits so reruns
 are bit-identical.  ``--check`` executes the command's invariant suite
-instead of producing data.
+instead of producing data.  ``RQI_THREADS`` (a positive integer, clamped to
+the CPU count) sets the worker threads of the grid sweeps.
 
 Exit codes: 0 ok, 2 config error, 3 numeric failure / invariant violation.
 """
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -65,10 +65,15 @@ def grid_values(spec):
 
 
 def n_workers():
+    """Worker threads from RQI_THREADS (default 1), at most one per CPU."""
+    text = os.environ.get("RQI_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("RQI_THREADS", "1")))
+        workers = int(text)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"RQI_THREADS must be a positive integer, got {text!r}")
+    return min(workers, os.cpu_count() or 1)
 
 
 def parallel_map(func, items):
@@ -79,7 +84,7 @@ def parallel_map(func, items):
         return list(pool.map(func, items))
 
 
-def merge_config(defaults, args, parser_keys):
+def merge_config(defaults, args):
     """defaults < json file < explicit flags; unknown json keys rejected."""
     params = dict(defaults)
     path = getattr(args, "config", None)
@@ -93,29 +98,28 @@ def merge_config(defaults, args, parser_keys):
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         params.update(file_params)
-    for key in parser_keys:
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in defaults:
+        val = getattr(args, key, None)
         if val is not None:
             params[key] = val
     return params
 
 
 # --------------------------------------------------------------------------
-# commands
+# commands: each returns (CSV header or None, rows, summary extras)
 
 
-def cmd_measures(params, out_prefix):
+def cmd_measures(params):
     r = float(params["r"])
     if params["state"] != "tmss":
         raise ConfigError("only the 'tmss' state family is implemented")
     state = gaussian.two_mode_squeezed_state(r)
-    payload = {
+    extras = {
         "entropy": entanglement.entropy_of_entanglement(state, [0]),
         "negativity": entanglement.negativity_gaussian(state),
         "log_negativity": entanglement.log_negativity_gaussian(state),
     }
-    write_summary(out_prefix + ".json", {"command": "measures", "params": params, **payload})
-    return payload
+    return None, None, extras
 
 
 def check_measures(params):
@@ -128,7 +132,7 @@ def check_measures(params):
     return bool(ok)
 
 
-def cmd_resonance_sweep(params, out_prefix):
+def cmd_resonance_sweep(params):
     cfg = boson.BosonCavityConfig(
         mass=float(params["mass"]), n_max=int(params["n_max"]), h=float(params["h"])
     )
@@ -138,7 +142,6 @@ def cmd_resonance_sweep(params, out_prefix):
     tau2 = grid_values(params["tau2"])
     coeffs = boson.bogo_first_order(cfg)
     rows = []
-    warn_flags = 0
 
     def one(t1):
         local = []
@@ -147,23 +150,12 @@ def cmd_resonance_sweep(params, out_prefix):
             local.append((t1, t2, 2.0 * reps * b))
         return local
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for chunk in parallel_map(one, tau1):
-            rows.extend(chunk)
-        warn_flags = len(caught)
-    write_csv(out_prefix + ".csv", ["tau1", "tau2", "nu_correction"], rows)
-    write_summary(
-        out_prefix + ".json",
-        {
-            "command": "resonance-sweep",
-            "params": params,
-            "rows": len(rows),
-            "validity_warnings": warn_flags,
-            "n_max_h": cfg.n_max * abs(cfg.h),
-        },
-    )
-    return rows
+    for chunk in parallel_map(one, tau1):
+        rows.extend(chunk)
+    # rows where resonance_negativity would warn: nu_correction = 2 N |B|
+    flagged = sum(1 for _, _, nu in rows if nu / 2.0 >= boson.NB_VALIDITY_BOUND)
+    extras = {"validity_warnings": flagged, "n_max_h": cfg.n_max * abs(cfg.h)}
+    return ["tau1", "tau2", "nu_correction"], rows, extras
 
 
 def check_resonance_sweep(params):
@@ -178,7 +170,7 @@ def check_resonance_sweep(params):
     return bool(ok)
 
 
-def cmd_teleport_fidelity(params, out_prefix):
+def cmd_teleport_fidelity(params):
     r, k, kp = float(params["r"]), int(params["k"]), int(params["kp"])
     n_max = int(params["n_max"])
     taus = grid_values(params["tau"])
@@ -192,19 +184,9 @@ def cmd_teleport_fidelity(params, out_prefix):
             f0, f2 = teleport.fidelity_expansion(scen)
             opt = teleport.optimal_fidelity_corrected(scen)
             rows.append((tau, h, f0 - f2 * h * h, opt["fidelity"]))
-    write_csv(out_prefix + ".csv", ["tau", "a", "fidelity", "fidelity_opt"], rows)
     h_max = float(np.max(hs))
-    write_summary(
-        out_prefix + ".json",
-        {
-            "command": "teleport-fidelity",
-            "params": params,
-            "rows": len(rows),
-            "n_max_h": n_max * h_max,
-            "perturbative_ok": n_max * h_max < 1.0,
-        },
-    )
-    return rows
+    extras = {"n_max_h": n_max * h_max, "perturbative_ok": n_max * h_max < 1.0}
+    return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras
 
 
 def check_teleport_fidelity(params):
@@ -212,12 +194,12 @@ def check_teleport_fidelity(params):
     seg = boson.TrajectorySegment(((cfg.h, 0.9),))
     scen = teleport.TeleportScenario(r=0.5, k=1, kp=3, config=cfg, segment=seg)
     state = teleport.transformed_resource_state(scen)
-    nu_direct = teleport.smallest_pt_eigenvalue(state)
+    nu_direct = entanglement.smallest_pt_eigenvalue(state)
     nu_closed = teleport.optimal_fidelity_corrected(scen)["nu_minus"]
     return abs(nu_direct - nu_closed) < 5e-4
 
 
-def cmd_fermion_negativity(params, out_prefix):
+def cmd_fermion_negativity(params):
     us = grid_values(params["u"])
     n_side = int(params["n_side"])
     svals = (0.0, 0.25, 0.5, 0.75)
@@ -233,21 +215,11 @@ def cmd_fermion_negativity(params, out_prefix):
             for k in (1, -1):
                 row.append(fermion.f_k(cfg, 2.0 * u * cfg.delta, k, bogo=bogos[s]))
         rows.append(tuple(row))
-    write_csv(out_prefix + ".csv", header, rows)
     # convergence probe: window doubling at a generic point
     probe_small = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=n_side), 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
-    write_summary(
-        out_prefix + ".json",
-        {
-            "command": "fermion-negativity",
-            "params": params,
-            "rows": len(rows),
-            "window_doubling_shift": abs(probe_big - probe_small),
-            "converged": abs(probe_big - probe_small) < 1e-6,
-        },
-    )
-    return rows
+    shift = abs(probe_big - probe_small)
+    return header, rows, {"window_doubling_shift": shift, "converged": shift < 1e-6}
 
 
 def check_fermion_negativity(params):
@@ -258,7 +230,7 @@ def check_fermion_negativity(params):
     return bool(ok)
 
 
-def cmd_oneway_surface(params, out_prefix):
+def cmd_oneway_surface(params):
     us = grid_values(params["u"])
     vs = grid_values(params["v"])
     cfg = fermion.FermionCavityConfig(s=float(params["s"]), n_side=int(params["n_side"]))
@@ -271,11 +243,7 @@ def cmd_oneway_surface(params, out_prefix):
     rows = []
     for chunk in parallel_map(one, us):
         rows.extend(chunk)
-    write_csv(out_prefix + ".csv", ["u", "v", "f_oneway"], rows)
-    write_summary(
-        out_prefix + ".json", {"command": "oneway-surface", "params": params, "rows": len(rows)}
-    )
-    return rows
+    return ["u", "v", "f_oneway"], rows, {}
 
 
 def check_oneway_surface(params):
@@ -285,7 +253,7 @@ def check_oneway_surface(params):
     return bool(ok)
 
 
-def cmd_detector_rate(params, out_prefix):
+def cmd_detector_rate(params):
     gaps = grid_values(params["gap"])
     profile = _build_profile(params)
     rows = []
@@ -298,11 +266,7 @@ def cmd_detector_rate(params, out_prefix):
         else:
             raise ConfigError("trajectory must be 'inertial' or 'accelerated'")
         rows.append((gap, rate))
-    write_csv(out_prefix + ".csv", ["gap", "rate"], rows)
-    write_summary(
-        out_prefix + ".json", {"command": "detector-rate", "params": params, "rows": len(rows)}
-    )
-    return rows
+    return ["gap", "rate"], rows, {}
 
 
 def _build_profile(params):
@@ -325,7 +289,7 @@ def check_detector_rate(params):
     return bool(ok)
 
 
-def cmd_nonpert_evolve(params, out_prefix):
+def cmd_nonpert_evolve(params):
     basis = nonpert.detector_field_basis()
     schedule = nonpert.detector_example_schedule(
         basis, coupling=float(params["coupling"]), t_mod=np.sqrt(float(params["t_sq"])), gap=float(params["gap"])
@@ -340,32 +304,22 @@ def cmd_nonpert_evolve(params, out_prefix):
         nd = nonpert.detector_number_expectation(gammas[i])
         rows.append((t, nd, *factors[:, i]))
     header = ["tau", "n_d"] + [f"F{j+1}" for j in range(basis.dim)]
-    write_csv(out_prefix + ".csv", header, rows)
     final_f = factors[:, -1]
-    write_summary(
-        out_prefix + ".json",
-        {
-            "command": "nonpert-evolve",
-            "params": params,
-            "rows": len(rows),
-            "zero_factors": [basis.labels[j] for j in range(basis.dim) if abs(final_f[j]) < 1e-10],
-        },
-    )
-    return rows
+    zero_factors = [basis.labels[j] for j in range(basis.dim) if abs(final_f[j]) < 1e-10]
+    return header, rows, {"zero_factors": zero_factors}
 
 
 def check_nonpert_evolve(params):
     basis = nonpert.detector_field_basis()
     schedule = nonpert.detector_example_schedule(basis, coupling=0.3, t_mod=2.0, gap=2 * np.pi)
     times, factors, gammas = nonpert.evolve_state(basis, schedule, (0.0, 8.0), t_eval=[0.0, 4.0, 8.0])
-    k = gaussian.kay(2)
     s = nonpert.evolution_operator(basis, factors[:, -1])
-    ok = np.abs(s @ k @ s.conj().T - k).max() < 1e-8
+    ok = gaussian.symplectic_defect(s, gaussian.COMPLEX) < 1e-8
     ok &= abs(np.real(np.linalg.det(gammas[-1])) - 1.0) < 1e-8
     return bool(ok)
 
 
-def cmd_box_entangle(params, out_prefix):
+def cmd_box_entangle(params):
     hs = grid_values(params["h"])
     kappas = grid_values(params["kappa"])
     scen_base = dict(
@@ -374,30 +328,22 @@ def cmd_box_entangle(params, out_prefix):
         epsilon=float(params["epsilon"]),
         n_cut=int(params["n_cut"]),
     )
+    try:  # the truncation is user input: reject it here, not mid-sweep
+        boxpair.BoxScenario(n_cut=scen_base["n_cut"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     def one(h):
         out = []
         for kap in kappas:
             scen = boxpair.BoxScenario(h=float(h), kappa=float(kap), **scen_base)
-            if h == 0.0:
-                f_a = boxpair.alice_overlaps(scen)
-                f_r = boxpair.rob_overlap_quadrature(scen)
-                p0 = float(np.sum(np.abs(f_a) ** 2))
-                p1 = float(np.sum(np.abs(f_r) ** 2))
-                ent = boxpair.binary_entropy(p0 / (p0 + p1))
-            else:
-                ent = boxpair.cavity_entanglement(scen)["entropy"]
-            out.append((h, kap, ent))
+            out.append((h, kap, boxpair.cavity_entanglement(scen)["entropy"]))
         return out
 
     rows = []
     for chunk in parallel_map(one, hs):
         rows.extend(chunk)
-    write_csv(out_prefix + ".csv", ["h", "kappa", "entropy"], rows)
-    write_summary(
-        out_prefix + ".json", {"command": "box-entangle", "params": params, "rows": len(rows)}
-    )
-    return rows
+    return ["h", "kappa", "entropy"], rows, {}
 
 
 def check_box_entangle(params):
@@ -509,8 +455,6 @@ def build_parser():
             flag = "--" + key.replace("_", "-")
             if isinstance(val, dict) or val is None:
                 p.add_argument(flag, type=json.loads, default=None, dest=key)
-            elif isinstance(val, bool):
-                p.add_argument(flag, type=lambda s: s.lower() in ("1", "true", "yes"), default=None, dest=key)
             elif isinstance(val, int):
                 p.add_argument(flag, type=int, default=None, dest=key)
             elif isinstance(val, float):
@@ -525,7 +469,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     run, check, defaults = COMMANDS[args.command]
     try:
-        params = merge_config(defaults, args, defaults.keys())
+        params = merge_config(defaults, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -539,7 +483,12 @@ def main(argv=None):
         return 0 if ok else 3
     out_prefix = args.out or args.command.replace("-", "_")
     try:
-        run(params, out_prefix)
+        header, rows, extras = run(params)
+        summary = {"command": args.command, "params": params}
+        if header is not None:
+            write_csv(out_prefix + ".csv", header, rows)
+            summary["rows"] = len(rows)
+        write_summary(out_prefix + ".json", {**summary, **extras})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

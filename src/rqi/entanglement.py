@@ -55,7 +55,8 @@ def entropy_of_entanglement(state, partition, check_tol=1e-9):
     return 0.5 * (ent_a + ent_b)
 
 
-def _smallest_pt_eigenvalue(state):
+def smallest_pt_eigenvalue(state):
+    """nu~: smallest symplectic eigenvalue of the partially transposed two-mode state."""
     if state.n_modes != 2:
         raise ValueError("negativity measures are defined for two-mode states here")
     tilde = gaussian.partial_transpose(state, mode=1)
@@ -65,13 +66,13 @@ def _smallest_pt_eigenvalue(state):
 
 def negativity_gaussian(state):
     """max[(1 - nu~)/(2 nu~), 0] with nu~ the smallest PT symplectic eigenvalue."""
-    nu = _smallest_pt_eigenvalue(state)
+    nu = smallest_pt_eigenvalue(state)
     return max((1.0 - nu) / (2.0 * nu), 0.0)
 
 
 def log_negativity_gaussian(state):
     """max[-log(nu~), 0] (natural log)."""
-    nu = _smallest_pt_eigenvalue(state)
+    nu = smallest_pt_eigenvalue(state)
     return max(-np.log(nu), 0.0)
 
 
@@ -145,10 +146,3 @@ def log_negativity_density_matrix(rho, dims, subsystem=1, base=2.0):
     pt = partial_transpose_dm(np.asarray(rho, dtype=complex), dims, subsystem)
     w = np.linalg.eigvalsh(pt)
     return float(np.log(np.sum(np.abs(w))) / np.log(base))
-
-
-def entropy_eigenvalues(probs, base=np.e):
-    """Shannon entropy of a probability vector (0 log 0 := 0)."""
-    p = np.asarray(probs, dtype=float)
-    p = p[p > EIG_ZERO_TOL]
-    return float(-np.sum(p * np.log(p)) / np.log(base))

@@ -1,9 +1,10 @@
 """Dirac-cavity Bogoliubov coefficients and perturbative entanglement degradation.
 
-A massless Dirac field in a cavity of length `delta` with boundary parameters
-(s, theta) has frequencies omega_n = (n + s) pi / delta, n in Z; n >= 0 are
-particles and n < 0 antiparticles.  The s = 0 zero mode is handled as the
-s -> 0+ limit (all quantities below are continuous there).
+A massless Dirac field in a cavity of length `delta` with boundary parameter
+s has frequencies omega_n = (n + s) pi / delta, n in Z; n >= 0 are particles
+and n < 0 antiparticles.  The second boundary parameter theta cancels from
+every implemented observable and is not modelled.  The s = 0 zero mode is
+handled as the s -> 0+ limit (all quantities below are continuous there).
 
 The acceleration expansion of the mode-matching matrix A reads
 
@@ -27,14 +28,9 @@ from .boson import PerturbativeValidityWarning
 
 @dataclass(frozen=True)
 class FermionCavityConfig:
-    """Cavity and truncation parameters for the Dirac treatment.
-
-    `theta` enters no implemented observable (it cancels from all printed
-    formulas); it is stored for completeness only.
-    """
+    """Cavity and truncation parameters for the Dirac treatment."""
 
     s: float = 0.0
-    theta: float = 0.0
     delta: float = 1.0
     h: float = 1e-2
     n_side: int = 200  # mode window [-n_side, n_side]
@@ -104,20 +100,18 @@ def dirac_bogo(config):
     return DiracBogo(modes=modes, a1=a1_entry(m, n, config.s), a2=a2_entry(m, n, config.s))
 
 
-def compose_I_to_III(config, bogo, tau1, g2=None):
+def compose_I_to_III(config, bogo, tau1):
     """Order-by-order blocks of calA = A+ G(tau1) A.
 
     Returns (calA0, calA1, calA2) with calA0 = G0, calA1 = G0 A1 + A1+ G0 and
     calA2 = G0 A2 + A2+ G0 + A1+ G0 A1 + G2.  The O(h^2) phase correction G2
-    is not printed for fermions; it defaults to zero (its effect sits in the
+    is not printed for fermions and is set to zero (its effect sits in the
     pure-phase part that cancels from every implemented observable).
     """
     g0 = np.diag(np.exp(1j * frequencies(config) * tau1))
     cal0 = g0
     cal1 = g0 @ bogo.a1 + bogo.a1.conj().T @ g0
     cal2 = g0 @ bogo.a2 + bogo.a2.conj().T @ g0 + bogo.a1.conj().T @ g0 @ bogo.a1
-    if g2 is not None:
-        cal2 = cal2 + g2
     return cal0, cal1, cal2
 
 

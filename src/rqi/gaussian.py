@@ -47,7 +47,6 @@ def symplectic_form(basis, n_modes):
     """
     if basis == REAL:
         w = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        blocks = [w] * n_modes
         out = np.zeros((2 * n_modes, 2 * n_modes))
         for k in range(n_modes):
             out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = w

@@ -25,7 +25,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .gaussian import kay
+from .gaussian import COMPLEX, kay, symplectic_defect
+
+# condition number above which the factor matching system counts as singular
+COND_MAX = 1e10
 
 
 @dataclass(frozen=True)
@@ -109,34 +112,26 @@ def detector_field_basis():
 
     Mode 0 is the detector, mode 1 the field mode: two-mode squeezers first,
     then detector and field single-mode squeezers, then beam splitters and
-    the two phase rotations.
+    the two phase rotations.  The generators are those of
+    `build_generator_basis(2)`, reordered and relabelled ([0] -> [d],
+    [1] -> [D], the pair index dropped).
     """
-    n = 2
-    y_re = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    y_im = 1j * y_re
-    gens = [_gen(n, y=y_re), _gen(n, y=y_im)]
-    labels = ["tms_re", "tms_im"]
-    for i, tag in ((0, "d"), (1, "D")):
-        y = np.zeros((2, 2), dtype=complex)
-        y[i, i] = 1.0
-        gens.append(_gen(n, y=y))
-        labels.append(f"sms_re[{tag}]")
-        y2 = np.zeros((2, 2), dtype=complex)
-        y2[i, i] = 1j
-        gens.append(_gen(n, y=y2))
-        labels.append(f"sms_im[{tag}]")
-    x_re = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    x_im = np.array([[0.0, 1j], [-1j, 0.0]], dtype=complex)
-    gens.append(_gen(n, x=x_re))
-    labels.append("bs_re")
-    gens.append(_gen(n, x=x_im))
-    labels.append("bs_im")
-    for i, tag in ((0, "d"), (1, "D")):
-        x = np.zeros((2, 2), dtype=complex)
-        x[i, i] = 1.0
-        gens.append(_gen(n, x=x))
-        labels.append(f"phase[{tag}]")
-    return GeneratorBasis(n_modes=2, generators=tuple(gens), labels=tuple(labels))
+    full = build_generator_basis(2)
+    index = {lab: j for j, lab in enumerate(full.labels)}
+    order = (
+        "tms_re[0,1]",
+        "tms_im[0,1]",
+        "sms_re[0]",
+        "sms_im[0]",
+        "sms_re[1]",
+        "sms_im[1]",
+        "bs_re[0,1]",
+        "bs_im[0,1]",
+        "phase[0]",
+        "phase[1]",
+    )
+    labels = tuple(lab.replace("[0,1]", "").replace("[0]", "[d]").replace("[1]", "[D]") for lab in order)
+    return GeneratorBasis(n_modes=2, generators=tuple(full.generators[index[lab]] for lab in order), labels=labels)
 
 
 def structure_constants(basis, tol=1e-12):
@@ -164,14 +159,8 @@ def structure_constants(basis, tol=1e-12):
     return c
 
 
-def _coords(basis, mat, lstsq_ops):
-    """Real coordinates of a structured Hermitian matrix in the generator basis."""
-    pinv = lstsq_ops
-    vec = mat.ravel()
-    return pinv @ np.concatenate([vec.real, vec.imag])
-
-
 def _lstsq_ops(basis):
+    """Pseudo-inverse taking [Re vec(M), Im vec(M)] to the coordinates of M in the basis."""
     flat = np.stack([g.ravel() for g in basis.generators], axis=1)
     return np.linalg.pinv(np.vstack([flat.real, flat.imag]))
 
@@ -185,7 +174,7 @@ def hamiltonian_matrix(basis, lambdas):
     return h
 
 
-def derive_F_odes(basis, schedule, cond_max=1e10):
+def derive_F_odes(basis, schedule):
     """Right-hand side F'(t) = solve(alpha(F), lambda(t)) of the matching system.
 
     `schedule(t)` returns the vector of generator coefficients lambda_j(t).
@@ -201,11 +190,11 @@ def derive_F_odes(basis, schedule, cond_max=1e10):
         v = np.eye(2 * basis.n_modes, dtype=complex)  # (S_1 ... S_{j-1})^-1
         for j in range(dim):
             gj = basis.generators[j]
-            mat = v.conj().T @ gj @ v
-            cols[:, j] = _coords(basis, mat, lstsq_ops)
+            vec = (v.conj().T @ gj @ v).ravel()
+            cols[:, j] = lstsq_ops @ np.concatenate([vec.real, vec.imag])
             v = expm(+1j * f[j] * (k @ gj)) @ v
         cond = np.linalg.cond(cols)
-        if not np.isfinite(cond) or cond > cond_max:
+        if not np.isfinite(cond) or cond > COND_MAX:
             raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
         return np.linalg.solve(cols, lam)
 
@@ -249,11 +238,10 @@ def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, a
     if gamma0 is None:
         gamma0 = np.eye(2 * n, dtype=complex)
     sol = solve_factors(basis, schedule, t_span, t_eval=t_eval, rtol=rtol, atol=atol)
-    k = kay(n)
     gammas = []
     for idx in range(sol.t.size):
         s = evolution_operator(basis, sol.y[:, idx])
-        defect = np.abs(s @ k @ s.conj().T - k).max()
+        defect = symplectic_defect(s, COMPLEX)
         if defect > 1e-8:
             raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
         gammas.append(s @ gamma0 @ s.conj().T)

@@ -9,7 +9,8 @@ that degrade the teleportation fidelity
     N = s3 A s3 + s3 C + C^T s3 + B,
 
 and the optimal (phase-corrected) fidelity 1 / (1 + nu-), where nu- is the
-smallest symplectic eigenvalue of the partially transposed resource state.
+smallest symplectic eigenvalue of the partially transposed resource state
+(`entanglement.smallest_pt_eigenvalue` computes it directly).
 """
 
 from __future__ import annotations
@@ -210,10 +211,3 @@ def optimal_fidelity_corrected(scenario, coeffs=None):
         f_beta + f_alpha * np.tanh(scenario.r)
     ) * scenario.config.h**2
     return {"fidelity": float(1.0 / (1.0 + nu)), "nu_minus": float(nu), "degenerate": False}
-
-
-def smallest_pt_eigenvalue(state):
-    """nu- of the partial transpose: the direct symplectic-eigenvalue route."""
-    tilde = gaussian.partial_transpose(state, mode=1)
-    nus = gaussian.symplectic_spectrum(tilde.covariance, basis=state.basis)
-    return float(nus.min())

@@ -24,6 +24,9 @@ POINT = "point"
 GAUSSIAN = "gaussian"
 RINDLER_GAUSSIAN = "rindler-gaussian"
 
+# absolute and relative tolerance of the 3+1 transverse-momentum quadrature
+QUAD_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SpatialProfile:
@@ -103,7 +106,7 @@ def transition_rate_inertial(params, profile=SpatialProfile()):
     return float(np.sqrt(gap**2 - mass**2) * window(-gap) ** 2 / (2.0 * np.pi))
 
 
-def _xi_accelerated(delta_abs, params, profile, dim, kperp_cut=None, quad_tol=1e-10):
+def _xi_accelerated(delta_abs, params, profile, dim):
     """|Xi(|Delta|)|: window-weighted Rindler density of states.
 
     1+1: (Delta/2pi) |f~(Delta)|^2 directly.  3+1: transverse quadrature of
@@ -116,15 +119,15 @@ def _xi_accelerated(delta_abs, params, profile, dim, kperp_cut=None, quad_tol=1e
         return delta_abs / (2.0 * np.pi) * float(window(delta_abs) ** 2)
     nu = delta_abs / a
     sigma = profile.sigma if profile.kind != POINT else 1.0
-    cut = kperp_cut if kperp_cut is not None else max(10.0 / sigma, 10.0 * a, 10.0 * delta_abs, 10.0)
+    cut = max(10.0 / sigma, 10.0 * a, 10.0 * delta_abs, 10.0)
 
     def raw(kp, mass):
         kappa = np.sqrt(kp**2 + mass**2)
         return kp * bessel_K_imag_order(nu, kappa / a) ** 2
 
     def integrate(f):
-        val, _ = quad(f, 0.0, cut, epsabs=quad_tol, epsrel=quad_tol, limit=200)
-        val2, _ = quad(f, cut, 2 * cut, epsabs=quad_tol, epsrel=quad_tol, limit=200)
+        val, _ = quad(f, 0.0, cut, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
+        val2, _ = quad(f, cut, 2 * cut, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         return val + val2
 
     # calibrate the transverse density so the point-like massless limit is
@@ -134,7 +137,7 @@ def _xi_accelerated(delta_abs, params, profile, dim, kperp_cut=None, quad_tol=1e
     return delta_abs / (2.0 * np.pi) * smeared / base
 
 
-def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1", quad_tol=1e-10):
+def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1"):
     """Uniformly accelerated rate Xi(Delta) / (exp(2 pi Delta / a) - 1).
 
     Stationary by construction (no time argument); satisfies the KMS ratio
@@ -150,12 +153,12 @@ def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1", qua
     if profile.kind == POINT and dim == "3+1" and params.mass == 0.0:
         xi = abs(gap) / (2.0 * np.pi)
     else:
-        xi = _xi_accelerated(abs(gap), params, profile, dim, quad_tol=quad_tol)
+        xi = _xi_accelerated(abs(gap), params, profile, dim)
     xi_signed = np.sign(gap) * xi
     return float(xi_signed / np.expm1(2.0 * np.pi * gap / params.accel))
 
 
-def wavepacket_overlap(profile, packet, t, k_max=None, n_grid=4001):
+def wavepacket_overlap(profile, packet, t, n_grid=4001):
     """I(t) = int dk Phi(k) f~(k) exp(-i w_k t) / sqrt(w_k) (massless 1+1, k > 0).
 
     `packet` is a callable momentum amplitude, normalised to unit L2 norm.
@@ -163,13 +166,12 @@ def wavepacket_overlap(profile, packet, t, k_max=None, n_grid=4001):
     window = frequency_window(profile)
     sigma = profile.sigma if profile.kind != POINT else 1.0
     peak = profile.peak if profile.kind != POINT else 1.0
-    hi = k_max if k_max is not None else peak + 12.0 / sigma
-    k = np.linspace(1e-9, hi, n_grid)
+    k = np.linspace(1e-9, peak + 12.0 / sigma, n_grid)
     vals = packet(k) * window(k) * np.exp(-1j * k * t) / np.sqrt(k)
     return complex(np.trapezoid(vals, k))
 
 
-def single_particle_correction(profile, packet, t, gap, s_max=None, n_grid=4001):
+def single_particle_correction(profile, packet, t, gap, n_grid=4001):
     """iota_t(Delta) and the induced rate correction for a one-particle state.
 
     iota_t(Delta) = int_0^inf ds exp(-i s Delta) I(t - s); the correction to
@@ -179,8 +181,7 @@ def single_particle_correction(profile, packet, t, gap, s_max=None, n_grid=4001)
     if packet is None:
         return {"iota": 0.0 + 0.0j, "rate_delta": 0.0}
     sigma = profile.sigma if profile.kind != POINT else 1.0
-    hi = s_max if s_max is not None else abs(t) + 30.0 * sigma
-    s = np.linspace(0.0, hi, n_grid)
+    s = np.linspace(0.0, abs(t) + 30.0 * sigma, n_grid)
     i_vals = np.array([wavepacket_overlap(profile, packet, t - si, n_grid=1201) for si in s])
     iota = complex(np.trapezoid(np.exp(-1j * s * gap) * i_vals, s))
     iota_neg = complex(np.trapezoid(np.exp(+1j * s * gap) * i_vals, s))

@@ -127,7 +127,7 @@ def test_criterion_05_teleportation():
         state = teleport.transformed_resource_state(scen)
         diffs.append(
             abs(
-                teleport.smallest_pt_eigenvalue(state)
+                entanglement.smallest_pt_eigenvalue(state)
                 - teleport.optimal_fidelity_corrected(scen)["nu_minus"]
             )
         )
@@ -279,7 +279,7 @@ def test_criterion_10_box_entangler():
         re, _ = quad(lambda x: np.real(f(x)), -t_half, t_half, epsabs=1e-12, limit=200)
         im, _ = quad(lambda x: np.imag(f(x)), -t_half, t_half, epsabs=1e-12, limit=200)
         direct = np.sqrt(2.0 / om) * np.sin(n * np.pi / 2) * (re + 1j * im)
-        worst = max(worst, abs(boxpair.rob_overlap_inertial(n, m, sc0) - direct))
+        worst = max(worst, abs(boxpair.inertial_overlap(n, m, sc0, boxpair.ROB_ZETA) - direct))
     ok = worst < 1e-6
 
     # full 40 x 40 grid, monotone in h at fixed kappa, under 10 minutes

@@ -21,6 +21,22 @@ def test_scenario_validation():
     assert abs(sc.gamma - 1.0 / np.sqrt(0.75)) < 1e-14
 
 
+@pytest.mark.parametrize(
+    "truncation",
+    [{"n_cut": 0}, {"n_quad": 0}, {"n_cut": 8, "n_y": 9}],
+    ids=["n_cut", "n_quad", "n_y"],
+)
+def test_scenario_rejects_bad_truncation(truncation):
+    with pytest.raises(ValueError):
+        boxpair.BoxScenario(**truncation)
+
+
+def test_smallest_valid_y_grid_solves():
+    sc = boxpair.BoxScenario(h=0.5, n_cut=1, n_y=3, n_quad=8)
+    spec = boxpair.solve_rindler_spectrum(sc)
+    assert spec.omegas.shape == (1, 1) and spec.omegas[0, 0] > 0
+
+
 def test_spectrum_normalisation_and_boundaries():
     sc = small_scenario(h=0.5, kappa=0.7)
     spec = boxpair.solve_rindler_spectrum(sc)
@@ -63,7 +79,7 @@ def test_kappa_monotonicity_of_frequencies():
 
 def test_alice_overlap_even_n_zero_and_quadrature():
     sc = small_scenario(h=0.3, kappa=0.6)
-    assert boxpair.alice_overlap(2, 1, sc) == 0.0
+    assert boxpair.inertial_overlap(2, 1, sc, boxpair.ALICE_ZETA) == 0.0
     # closed form against direct quadrature
     for (n, m) in [(1, 1), (3, 2)]:
         om = np.sqrt((n * np.pi) ** 2 + sc.kappa_m(m) ** 2)
@@ -78,7 +94,7 @@ def test_alice_overlap_even_n_zero_and_quadrature():
         re, _ = quad(lambda x: np.real(f(x)), -3 * t, -t, epsabs=1e-12, limit=200)
         im, _ = quad(lambda x: np.imag(f(x)), -3 * t, -t, epsabs=1e-12, limit=200)
         direct = np.sqrt(2.0 / om) * np.sin(n * np.pi / 2) * (re + 1j * im)
-        assert abs(boxpair.alice_overlap(n, m, sc) - direct) < 1e-10
+        assert abs(boxpair.inertial_overlap(n, m, sc, boxpair.ALICE_ZETA) - direct) < 1e-10
 
 
 def test_rob_inertial_closed_form_vs_quadrature():
@@ -96,14 +112,14 @@ def test_rob_inertial_closed_form_vs_quadrature():
         re, _ = quad(lambda x: np.real(f(x)), -t, t, epsabs=1e-12, limit=200)
         im, _ = quad(lambda x: np.imag(f(x)), -t, t, epsabs=1e-12, limit=200)
         direct = np.sqrt(2.0 / om) * np.sin(n * np.pi / 2) * (re + 1j * im)
-        assert abs(boxpair.rob_overlap_inertial(n, m, sc) - direct) < 1e-10
+        assert abs(boxpair.inertial_overlap(n, m, sc, boxpair.ROB_ZETA) - direct) < 1e-10
 
 
 def test_rob_inertial_even_n_vanishes():
     # the x-profile factor sin(n pi / 2) kills even n for Rob as well
     sc = small_scenario(h=0.0, kappa=0.9)
-    assert boxpair.rob_overlap_inertial(2, 1, sc) == 0.0
-    assert abs(boxpair.rob_overlap_inertial(1, 1, sc)) > 0.0
+    assert boxpair.inertial_overlap(2, 1, sc, boxpair.ROB_ZETA) == 0.0
+    assert abs(boxpair.inertial_overlap(1, 1, sc, boxpair.ROB_ZETA)) > 0.0
 
 
 def test_resonance_maximum_location():
@@ -119,14 +135,25 @@ def test_resonance_maximum_location():
     assert abs(kappas[factor.argmax()] - kappa_star) < 2 * (kappas[1] - kappas[0])
 
 
+def dense_entropy(f_alice, f_rob):
+    """Referee for the closed form: eigenvalues of the full (1 + n_cut^2)-dim rho_R."""
+    fvec = f_rob.ravel()
+    rho = np.zeros((fvec.size + 1, fvec.size + 1), dtype=complex)
+    rho[0, 0] = np.sum(np.abs(f_alice) ** 2)
+    rho[1:, 1:] = np.outer(fvec, fvec.conj())
+    evals = np.linalg.eigvalsh(rho / np.real(np.trace(rho)))
+    assert evals.min() > -1e-10
+    evals = evals[evals > 1e-16]
+    return float(-np.sum(evals * np.log(evals)))
+
+
 def test_entropy_binary_oracle_and_range():
-    sc = small_scenario(h=0.5, kappa=1.0)
-    res, f_a, f_r = boxpair.cavity_entanglement(sc, return_details=True)
-    p0 = float(np.sum(np.abs(f_a) ** 2))
-    p1 = float(np.sum(np.abs(f_r) ** 2))
-    assert abs(res["entropy"] - boxpair.binary_entropy(p0 / (p0 + p1))) < 1e-12
-    assert 0.0 <= res["entropy"] <= np.log(2.0) + 1e-12
-    assert not res["flagged"]
+    for h, kappa in [(0.5, 1.0), (0.0, 0.7), (1.0, 3.0)]:
+        sc = small_scenario(h=h, kappa=kappa)
+        res, f_a, f_r = boxpair.cavity_entanglement(sc, return_details=True)
+        assert abs(res["entropy"] - dense_entropy(f_a, f_r)) < 1e-12
+        assert 0.0 <= res["entropy"] <= np.log(2.0) + 1e-12
+        assert not res["flagged"]
 
 
 def test_entropy_monotone_in_h():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -188,3 +189,106 @@ def test_box_entangle_csv(tmp_path):
 )
 def test_check_mode(command):
     assert run([command, "--check"]) == 0
+
+
+# Small fixed grids and the sha256 of the CSV each command wrote on them before
+# the CLI became table-driven, with the summary JSON keys of the same runs.
+GOLDEN = {
+    "resonance-sweep": (
+        ["--tau1", '{"min": 0.2, "max": 1.0, "steps": 4}', "--tau2", '{"min": 0.0, "max": 1.0, "steps": 3}', "--n-max", "8"],
+        "014585ea0591206aa956a82b96482a83bfc196b32a256613c21e06470c2dbc43",
+        {"command", "n_max_h", "params", "rows", "validity_warnings"},
+    ),
+    "teleport-fidelity": (
+        ["--tau", '{"min": 0.0, "max": 1.0, "steps": 3}', "--h", '{"min": 0.0, "max": 0.2, "steps": 2}', "--n-max", "10"],
+        "1982e427f957fef76deb79d7ecf7cb8f09e022e089dff9015b81f731ae36b096",
+        {"command", "n_max_h", "params", "perturbative_ok", "rows"},
+    ),
+    "fermion-negativity": (
+        ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
+        "62baf35191ac0ce7a3cc461aa9b2d2695464308a903e431c23b29227c25c9803",
+        {"command", "converged", "params", "rows", "window_doubling_shift"},
+    ),
+    "oneway-surface": (
+        ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--v", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
+        "f53a7e87acc01075ed577252db31a8a4d79e291c27fadb9427737bdd2130db0b",
+        {"command", "params", "rows"},
+    ),
+    "detector-rate": (
+        ["--dim", "3+1", "--profile", "gaussian", "--mass", "0.5", "--gap", "[-1.0, 0.0, 1.0]"],
+        "f492e02d592f1ec9748d71046ab36442e2d8ec28b2e72c22d6c68de79f71647c",
+        {"command", "params", "rows"},
+    ),
+    "nonpert-evolve": (
+        ["--coupling", "0.4", "--t-sq", "4.0", "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"],
+        "129c00418c218ea844e7edfa6c31bd8afa7f744f7a397585a9fbeb31065cc461",
+        {"command", "params", "rows", "zero_factors"},
+    ),
+}
+# box-entangle: (h, kappa, entropy) rows of the same recording.  The entropy is
+# compared to 1e-12 because the closed form replaced a dense eigensolve there.
+GOLDEN_BOX_ARGS = ["--h", "[0.0, 0.5]", "--kappa", "[0.0, 1.0]", "--n-cut", "3"]
+GOLDEN_BOX_ROWS = [
+    (0.0, 0.0, 0.69314718055994529),
+    (0.0, 1.0, 0.69314718055994529),
+    (0.5, 0.0, 0.69303228420548946),
+    (0.5, 1.0, 0.69301675682996799),
+]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_csv_digest(tmp_path, command):
+    args, digest, keys = GOLDEN[command]
+    out = tmp_path / "g"
+    assert run([command, *args, "--out", str(out)]) == 0
+    assert hashlib.sha256((tmp_path / "g.csv").read_bytes()).hexdigest() == digest
+    assert set(json.loads((tmp_path / "g.json").read_text())) == keys
+
+
+def test_golden_box_entangle(tmp_path):
+    out = tmp_path / "g"
+    assert run(["box-entangle", *GOLDEN_BOX_ARGS, "--out", str(out)]) == 0
+    lines = read_lines(str(out) + ".csv")
+    assert lines[0] == "h,kappa,entropy"
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+    assert len(rows) == len(GOLDEN_BOX_ROWS)
+    for (h, kap, ent), (h0, kap0, ent0) in zip(rows, GOLDEN_BOX_ROWS):
+        assert (h, kap) == (h0, kap0)
+        assert abs(ent - ent0) < 1e-12
+    assert set(json.loads((tmp_path / "g.json").read_text())) == {"command", "params", "rows"}
+
+
+def test_box_entangle_bad_truncation_exit_2(tmp_path):
+    args = ["box-entangle", "--h", "[0.5]", "--kappa", "[0.0]", "--out", str(tmp_path / "b")]
+    assert run(args + ["--n-cut", "0"]) == 2
+    assert run(args + ["--n-cut", "2000"]) == 2  # more modes than the y grid can hold
+
+
+def test_resonance_validity_warnings_count_rows(tmp_path):
+    grid = ["--tau1", '{"min": 0.2, "max": 1.0, "steps": 5}', "--tau2", '{"min": 0.0, "max": 1.0, "steps": 4}']
+    assert run(["resonance-sweep", *grid, "--out", str(tmp_path / "d")]) == 0
+    assert json.loads((tmp_path / "d.json").read_text())["validity_warnings"] == 0
+    assert run(["resonance-sweep", *grid, "--h", "1.5", "--out", str(tmp_path / "h")]) == 0
+    summary = json.loads((tmp_path / "h.json").read_text())
+    nus = [float(line.split(",")[2]) for line in read_lines(str(tmp_path / "h.csv"))[1:]]
+    # nu_correction = 2 N |B|; resonance_negativity warns once N |B| >= 0.1
+    expected = sum(1 for nu in nus if nu / 2.0 >= 0.1)
+    assert 0 < expected < len(nus)
+    assert summary["validity_warnings"] == expected
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
+def test_rqi_threads_rejects_bad_values(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("RQI_THREADS", value)
+    grid = ["--tau1", "[0.5]", "--tau2", "[0.5]", "--out", str(tmp_path / "r")]
+    assert run(["resonance-sweep", *grid]) == 2
+
+
+def test_rqi_threads_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setenv("RQI_THREADS", "100000")
+    assert cli.n_workers() == 3
+    monkeypatch.setenv("RQI_THREADS", "2")
+    assert cli.n_workers() == 2
+    monkeypatch.delenv("RQI_THREADS")
+    assert cli.n_workers() == 1

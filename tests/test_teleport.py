@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rqi import boson, gaussian, teleport
+from rqi import boson, entanglement, gaussian, teleport
 
 
 def scenario(r=0.5, k=1, kp=3, h=0.05, tau=0.9, n_max=20, alice_phase=0.0):
@@ -112,7 +112,7 @@ def test_closed_form_nu_vs_direct_symplectic_route_h4():
     for h in hs:
         sc = scenario(h=h, tau=tau)
         state = teleport.transformed_resource_state(sc)
-        nu_direct = teleport.smallest_pt_eigenvalue(state)
+        nu_direct = entanglement.smallest_pt_eigenvalue(state)
         nu_closed = teleport.optimal_fidelity_corrected(sc)["nu_minus"]
         diffs.append(abs(nu_direct - nu_closed))
     slope = np.polyfit(np.log(hs), np.log(diffs), 1)[0]
