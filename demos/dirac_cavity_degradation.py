@@ -13,28 +13,26 @@ import numpy as np
 from rqi import fermion
 
 cfg = fermion.FermionCavityConfig(s=0.0, h=0.05, n_side=200)
-bogo = fermion.dirac_bogo(cfg)
 
 print("u = tau1/2delta, f_1(u), two-mode negativity:")
 for u in np.linspace(0.0, 1.0, 11):
-    fk = fermion.f_k(cfg, 2 * u, 1, bogo=bogo)
-    neg = fermion.negativity_two_mode(cfg, 2 * u, 1, bogo=bogo)
+    fk = fermion.f_k(cfg, 2 * u, 1)
+    neg = fermion.negativity_two_mode(cfg, 2 * u, 1)
     print(f"  {u:4.2f}  {fk:10.6f}  {neg:.8f}")
 
 print("\ncharge-entangled pairs at u = 0.35:")
 for k, kp in [(1, -1), (1, -2), (2, -1), (2, -2)]:
-    val = fermion.negativity_charge_state(cfg, 0.7, k, kp, bogo=bogo)
+    val = fermion.negativity_charge_state(cfg, 0.7, k, kp)
     tag = "interference" if (k - kp) % 2 == 1 else "no interference"
     print(f"  (k, k') = ({k}, {kp}): {val:.8f}  [{tag}]")
 
 print("\none-way journey surface samples (u, v, f~~_1):")
 for u, v in [(0.25, 0.25), (0.5, 0.5), (0.3, 0.7), (1.0, 0.4)]:
-    print(f"  {u:4.2f} {v:4.2f}  {fermion.oneway_f(cfg, 2 * u, 2 * v, 1, bogo=bogo):.8f}")
+    print(f"  {u:4.2f} {v:4.2f}  {fermion.oneway_f(cfg, 2 * u, 2 * v, 1):.8f}")
 
 # spectrum-offset dependence: s breaks the k <-> -k symmetry
 print("\nf_k at u = 0.3 for boundary offsets s:")
 for s in (0.0, 0.25, 0.5, 0.75):
     c = fermion.FermionCavityConfig(s=s, h=0.05, n_side=200)
-    b = fermion.dirac_bogo(c)
-    print(f"  s = {s}: f_1 = {fermion.f_k(c, 0.6, 1, bogo=b):.6f}, "
-          f"f_-1 = {fermion.f_k(c, 0.6, -1, bogo=b):.6f}")
+    print(f"  s = {s}: f_1 = {fermion.f_k(c, 0.6, 1):.6f}, "
+          f"f_-1 = {fermion.f_k(c, 0.6, -1):.6f}")

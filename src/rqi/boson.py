@@ -20,12 +20,16 @@ Trajectories are built from blocks S_j = Q(h_j)^-1 U(tau_j) Q(h_j): jump to
 the accelerated mode basis, rotate phases for proper time tau_j, jump back.
 Products of blocks approximate arbitrary piecewise inertial/uniformly
 accelerated motion.
+
+The first-order matrices are a pure function of the cavity config: they live
+on it as `config.coeffs`, built by `bogo_first_order` on first use.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +61,11 @@ class BosonCavityConfig:
             raise ValueError("need at least two modes")
         if not abs(self.h) < 2.0:
             raise ValueError("physical accelerated segments need |h| < 2")
+
+    @cached_property
+    def coeffs(self):
+        """First-order Bogoliubov matrices of this cavity, built on first use."""
+        return bogo_first_order(self)
 
 
 @dataclass(frozen=True)
@@ -115,7 +124,7 @@ def _phase_diag(config, tau):
     return np.exp(1j * mode_frequencies(config) * tau)
 
 
-def building_block(config, h_j, tau_j, coeffs=None):
+def building_block(config, h_j, tau_j):
     """Symplectic building block S_j = Q(h_j)^-1 U(tau_j) Q(h_j) (complex form).
 
     h_j = 0 reduces to the pure phase rotation U(tau_j); tau_j = 0 gives the
@@ -137,8 +146,7 @@ def building_block(config, h_j, tau_j, coeffs=None):
             PerturbativeValidityWarning,
             stacklevel=2,
         )
-    if coeffs is None:
-        coeffs = bogo_first_order(config)
+    coeffs = config.coeffs
     alpha = np.eye(n) + coeffs.alpha1 * h_j
     beta = coeffs.beta1 * h_j
     q = np.block([[alpha, -beta], [-beta, alpha]]).astype(complex)
@@ -148,7 +156,7 @@ def building_block(config, h_j, tau_j, coeffs=None):
     return SymplecticMap(n, COMPLEX, s, check_tol=tol)
 
 
-def compose_segment(config, segment, coeffs=None):
+def compose_segment(config, segment):
     """Ordered product of building blocks (first block acts first).
 
     The zero-order part is the phase rotation by the total proper time T;
@@ -156,12 +164,10 @@ def compose_segment(config, segment, coeffs=None):
     """
     if not segment.blocks:
         raise ValueError("segment must contain at least one block")
-    if coeffs is None:
-        coeffs = bogo_first_order(config)
     total = np.eye(2 * config.n_max, dtype=complex)
     tol = 1e-10
     for h_j, tau_j in segment.blocks:
-        block = building_block(config, h_j, tau_j, coeffs=coeffs)
+        block = building_block(config, h_j, tau_j)
         tol = max(tol, block.check_tol)
         total = block.matrix @ total
     return SymplecticMap(config.n_max, COMPLEX, total, check_tol=10 * tol * len(segment.blocks))
@@ -223,13 +229,13 @@ def resonant_times(config, k, kp, count=5):
     return base * np.arange(1, count + 1)
 
 
-def segment_negativity_exact(config, segment, k, kp, repetitions=1, coeffs=None):
+def segment_negativity_exact(config, segment, k, kp, repetitions=1):
     """Negativity of modes (k, k') after `repetitions` of the composed segment.
 
     This is the generic composed-product route: matrix power, reduced state,
     partial transpose, smallest symplectic eigenvalue.
     """
-    smap = compose_segment(config, segment, coeffs=coeffs)
+    smap = compose_segment(config, segment)
     power = np.linalg.matrix_power(smap.matrix, repetitions)
     smap_n = SymplecticMap(config.n_max, COMPLEX, power, check_tol=max(1e-6, smap.check_tol * repetitions**2))
     return entanglement.negativity_gaussian(two_mode_reduced_state(smap_n, k, kp))
@@ -247,7 +253,7 @@ def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
     if repetitions == 0:
         return {"negativity": 0.0, "resonant": True, "residual": 0.0}
     smap = compose_segment(config, segment)
-    resonant, residual = resonance_check(config, segment, k, kp, tol=tol)
+    resonant, residual = resonance_check(config, smap, k, kp, tol=tol)
     _, b = segment_blocks(smap)
     b_kkp = abs(b[k - 1, kp - 1])
     if repetitions * b_kkp >= NB_VALIDITY_BOUND:
@@ -268,20 +274,18 @@ def standard_segment(h, tau1, tau2, lam=1.0):
     return TrajectorySegment(((h, tau1), (0.0, tau2), (lam * h, tau1), (0.0, tau2)))
 
 
-def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp, coeffs=None):
+def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
     """|B_kk'| of the standard segment from the closed form.
 
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
     with G_k G_k'(t) = exp(i (omega_k + omega_k') t).
     """
-    if coeffs is None:
-        coeffs = bogo_first_order(config)
     omega = mode_frequencies(config)
     s = omega[k - 1] + omega[kp - 1]
     phase1 = np.exp(1j * s * tau1)
     phase2 = np.exp(1j * s * (tau1 + tau2))
     return float(
-        abs(config.h * coeffs.beta1[k - 1, kp - 1]) * abs(1.0 - phase1) * abs(1.0 + lam * phase2)
+        abs(config.h * config.coeffs.beta1[k - 1, kp - 1]) * abs(1.0 - phase1) * abs(1.0 + lam * phase2)
     )
 
 

@@ -140,13 +140,12 @@ def cmd_resonance_sweep(params):
     lam = float(params["lam"])
     tau1 = grid_values(params["tau1"])
     tau2 = grid_values(params["tau2"])
-    coeffs = boson.bogo_first_order(cfg)
     rows = []
 
     def one(t1):
         local = []
         for t2 in tau2:
-            b = boson.closed_form_b_magnitude(cfg, t1, t2, lam, k, kp, coeffs=coeffs)
+            b = boson.closed_form_b_magnitude(cfg, t1, t2, lam, k, kp)
             local.append((t1, t2, 2.0 * reps * b))
         return local
 
@@ -175,10 +174,10 @@ def cmd_teleport_fidelity(params):
     n_max = int(params["n_max"])
     taus = grid_values(params["tau"])
     hs = grid_values(params["h"])
+    cfgs = [boson.BosonCavityConfig(n_max=n_max, h=float(h)) for h in hs]
     rows = []
     for tau in taus:
-        for h in hs:
-            cfg = boson.BosonCavityConfig(n_max=n_max, h=float(h))
+        for h, cfg in zip(hs, cfgs):
             seg = boson.TrajectorySegment(((float(h), float(tau)),))
             scen = teleport.TeleportScenario(r=r, k=k, kp=kp, config=cfg, segment=seg)
             f0, f2 = teleport.fidelity_expansion(scen)
@@ -204,19 +203,16 @@ def cmd_fermion_negativity(params):
     n_side = int(params["n_side"])
     svals = (0.0, 0.25, 0.5, 0.75)
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
-    bogos = {
-        s: fermion.dirac_bogo(fermion.FermionCavityConfig(s=s, n_side=n_side)) for s in svals
-    }
+    cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in svals]
     rows = []
     for u in us:
         row = [u]
-        for s in svals:
-            cfg = fermion.FermionCavityConfig(s=s, n_side=n_side)
+        for cfg in cfgs:
             for k in (1, -1):
-                row.append(fermion.f_k(cfg, 2.0 * u * cfg.delta, k, bogo=bogos[s]))
+                row.append(fermion.f_k(cfg, 2.0 * u * cfg.delta, k))
         rows.append(tuple(row))
-    # convergence probe: window doubling at a generic point
-    probe_small = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=n_side), 0.9, 1)
+    # convergence probe: window doubling at a generic point (cfgs[0] has s = 0)
+    probe_small = fermion.f_k(cfgs[0], 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
     shift = abs(probe_big - probe_small)
     return header, rows, {"window_doubling_shift": shift, "converged": shift < 1e-6}
@@ -224,9 +220,8 @@ def cmd_fermion_negativity(params):
 
 def check_fermion_negativity(params):
     cfg = fermion.FermionCavityConfig(s=0.0, n_side=150)
-    bogo = fermion.dirac_bogo(cfg)
-    ok = abs(fermion.f_k(cfg, 2.0, 1, bogo=bogo)) < 1e-10  # period
-    ok &= abs(fermion.f_k(cfg, 0.6, 1, bogo=bogo) - fermion.f_k(cfg, 0.6, -1, bogo=bogo)) < 1e-10
+    ok = abs(fermion.f_k(cfg, 2.0, 1)) < 1e-10  # period
+    ok &= abs(fermion.f_k(cfg, 0.6, 1) - fermion.f_k(cfg, 0.6, -1)) < 1e-10
     return bool(ok)
 
 
@@ -235,10 +230,9 @@ def cmd_oneway_surface(params):
     vs = grid_values(params["v"])
     cfg = fermion.FermionCavityConfig(s=float(params["s"]), n_side=int(params["n_side"]))
     k = int(params["k"])
-    bogo = fermion.dirac_bogo(cfg)
 
     def one(u):
-        return [(u, v, fermion.oneway_f(cfg, 2 * u * cfg.delta, 2 * v * cfg.delta, k, bogo=bogo)) for v in vs]
+        return [(u, v, fermion.oneway_f(cfg, 2 * u * cfg.delta, 2 * v * cfg.delta, k)) for v in vs]
 
     rows = []
     for chunk in parallel_map(one, us):
@@ -256,6 +250,8 @@ def check_oneway_surface(params):
 def cmd_detector_rate(params):
     gaps = grid_values(params["gap"])
     profile = _build_profile(params)
+    if params["dim"] not in udw.DIMS:
+        raise ConfigError(f"dim must be one of {list(udw.DIMS)}, got {params['dim']!r}")
     rows = []
     for gap in gaps:
         det = udw.DetectorParams(gap=float(gap), mass=float(params["mass"]), accel=float(params["a"]))

@@ -14,12 +14,16 @@ with the closed forms of `dirac_bogo`.  Grafting an acceleration of proper
 duration tau1 between two inertial stretches gives the region-I -> region-III
 matrix calA = A+ G(tau1) A whose order-by-order blocks feed the negativity
 formulas for two-mode and charge-entangled Bell states.
+
+The matrices are a pure function of (s, n_side): they live on the config as
+`config.bogo`, built by `dirac_bogo` on first use.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +52,11 @@ class FermionCavityConfig:
     @property
     def modes(self):
         return np.arange(-self.n_side, self.n_side + 1)
+
+    @cached_property
+    def bogo(self):
+        """Bogoliubov matrices over the mode window, built on first use."""
+        return dirac_bogo(self)
 
 
 @dataclass(frozen=True)
@@ -100,7 +109,7 @@ def dirac_bogo(config):
     return DiracBogo(modes=modes, a1=a1_entry(m, n, config.s), a2=a2_entry(m, n, config.s))
 
 
-def compose_I_to_III(config, bogo, tau1):
+def compose_I_to_III(config, tau1):
     """Order-by-order blocks of calA = A+ G(tau1) A.
 
     Returns (calA0, calA1, calA2) with calA0 = G0, calA1 = G0 A1 + A1+ G0 and
@@ -108,42 +117,52 @@ def compose_I_to_III(config, bogo, tau1):
     is not printed for fermions and is set to zero (its effect sits in the
     pure-phase part that cancels from every implemented observable).
     """
-    g0 = np.diag(np.exp(1j * frequencies(config) * tau1))
-    cal0 = g0
-    cal1 = g0 @ bogo.a1 + bogo.a1.conj().T @ g0
-    cal2 = g0 @ bogo.a2 + bogo.a2.conj().T @ g0 + bogo.a1.conj().T @ g0 @ bogo.a1
-    return cal0, cal1, cal2
+    bogo = config.bogo
+    g0 = np.exp(1j * frequencies(config) * tau1)
+    a1_g0 = bogo.a1.conj().T * g0[None, :]
+    cal1 = g0[:, None] * bogo.a1 + a1_g0
+    cal2 = g0[:, None] * bogo.a2 + bogo.a2.conj().T * g0[None, :] + a1_g0 @ bogo.a1
+    return np.diag(g0), cal1, cal2
 
 
-def f_k(config, tau1, k, bogo=None):
+def _degradation_terms(config, k, travel_times):
+    """Terms prod_t |E(t)^(k-p) - 1|^2 |A1[k, p]|^2 over the window p.
+
+    E(t) = exp(i pi t / delta); one factor per travel time t.
+    """
+    bogo = config.bogo
+    p = bogo.modes
+    weights = 1.0
+    for t in travel_times:
+        e = np.exp(1j * np.pi * t / config.delta)
+        weights = weights * np.abs(e ** (k - p) - 1.0) ** 2
+    return weights * np.abs(bogo.a1[bogo.index(k), :]) ** 2
+
+
+def f_k(config, tau1, k):
     """Degradation sum f_k = sum_p |E1^(k-p) - 1|^2 |A1[k, p]|^2.
 
     E1 = exp(i pi tau1 / delta); periodic in tau1 with period 2 delta and
     vanishing iff tau1 is an integer multiple of 2 delta.  Even in k for s=0.
     """
-    if bogo is None:
-        bogo = dirac_bogo(config)
-    k_i = bogo.index(k)
-    p = bogo.modes
-    e1 = np.exp(1j * np.pi * tau1 / config.delta)
-    weights = np.abs(e1 ** (k - p) - 1.0) ** 2
-    total = float(np.sum(weights * np.abs(bogo.a1[k_i, :]) ** 2))
+    terms = _degradation_terms(config, k, (tau1,))
+    total = float(np.sum(terms))
     # truncation sanity: the tail of |A1|^2 decays like 1/(k-p)^6
-    edge = weights[0] * bogo.a1[k_i, 0] ** 2 + weights[-1] * bogo.a1[k_i, -1] ** 2
-    if edge > 1e-6 * max(total, 1e-30):
+    if terms[0] + terms[-1] > 1e-6 * max(total, 1e-30):
         raise RuntimeError("mode window too small for a converged f_k")
     return total
 
 
-def f_k_split(config, tau1, k, bogo=None):
-    """(f_k^+, f_k^-): particle / antiparticle split of f_k via calA1 sums."""
-    if bogo is None:
-        bogo = dirac_bogo(config)
-    _, cal1, _ = compose_I_to_III(config, bogo, tau1)
-    k_i = bogo.index(k)
-    col = np.abs(cal1[:, k_i]) ** 2
-    pos = bogo.modes >= 0
+def _split(config, cal1, k):
+    """(particle, antiparticle) parts of sum_p |calA1[p, k]|^2."""
+    col = np.abs(cal1[:, config.bogo.index(k)]) ** 2
+    pos = config.bogo.modes >= 0
     return float(col[pos].sum()), float(col[~pos].sum())
+
+
+def f_k_split(config, tau1, k):
+    """(f_k^+, f_k^-): particle / antiparticle split of f_k via calA1 sums."""
+    return _split(config, compose_I_to_III(config, tau1)[1], k)
 
 
 def _warn_if_large(config, value):
@@ -155,17 +174,24 @@ def _warn_if_large(config, value):
         )
 
 
-def negativity_two_mode(config, tau1, k, bogo=None):
+def _charge_negativity(config, k, kp, travel_times, fk, fkp):
+    """1/2 - (f_k + f_k') h^2 / 4 + inter h^2 / 2; inter is the p = k' term of f_k."""
+    inter = _degradation_terms(config, k, travel_times)[config.bogo.index(kp)]
+    _warn_if_large(config, fk + fkp)
+    return 0.5 - 0.25 * (fk + fkp) * config.h**2 + 0.5 * inter * config.h**2
+
+
+def negativity_two_mode(config, tau1, k):
     """Negativity (1 - f_k h^2)/2 of the evolved two-mode Bell states.
 
     Independent of the Bell sign and of the charge of the reference mode.
     """
-    val = f_k(config, tau1, k, bogo=bogo)
+    val = f_k(config, tau1, k)
     _warn_if_large(config, val)
     return 0.5 * (1.0 - val * config.h**2)
 
 
-def negativity_charge_state(config, tau1, k, kp, bogo=None):
+def negativity_charge_state(config, tau1, k, kp):
     """Negativity of the charge-entangled Bell states (k >= 0, k' < 0).
 
     1/2 - (f_k + f_k') h^2 / 4 + |E1^(k-k') - 1|^2 |A1[k, k']|^2 h^2 / 2;
@@ -174,69 +200,45 @@ def negativity_charge_state(config, tau1, k, kp, bogo=None):
     """
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
-    if bogo is None:
-        bogo = dirac_bogo(config)
-    fk = f_k(config, tau1, k, bogo=bogo)
-    fkp = f_k(config, tau1, kp, bogo=bogo)
-    e1 = np.exp(1j * np.pi * tau1 / config.delta)
-    inter = abs(e1 ** (k - kp) - 1.0) ** 2 * abs(bogo.a1[bogo.index(k), bogo.index(kp)]) ** 2
-    _warn_if_large(config, fk + fkp)
-    return 0.5 - 0.25 * (fk + fkp) * config.h**2 + 0.5 * inter * config.h**2
+    return _charge_negativity(config, k, kp, (tau1,), f_k(config, tau1, k), f_k(config, tau1, kp))
 
 
-def oneway_f(config, tau1, tau2, k, bogo=None):
+def oneway_f(config, tau1, tau2, k):
     """One-way journey sum f~~_k with both E1 and E1 E2 phase factors."""
-    if bogo is None:
-        bogo = dirac_bogo(config)
-    k_i = bogo.index(k)
-    p = bogo.modes
-    e1 = np.exp(1j * np.pi * tau1 / config.delta)
-    e12 = np.exp(1j * np.pi * (tau1 + tau2) / config.delta)
-    weights = np.abs(e1 ** (k - p) - 1.0) ** 2 * np.abs(e12 ** (k - p) - 1.0) ** 2
-    return float(np.sum(weights * np.abs(bogo.a1[k_i, :]) ** 2))
+    return float(np.sum(_degradation_terms(config, k, (tau1, tau1 + tau2))))
 
 
-def oneway_negativities(config, tau1, tau2, k, kp=None, bogo=None):
+def oneway_negativities(config, tau1, tau2, k, kp=None):
     """Negativities after accelerate / coast / brake (one-way journey).
 
     Returns the two-mode value (1 - f~~_k h^2)/2, and additionally the
     charge-state value when k' is given.
     """
-    if bogo is None:
-        bogo = dirac_bogo(config)
-    fk = oneway_f(config, tau1, tau2, k, bogo=bogo)
+    fk = oneway_f(config, tau1, tau2, k)
     _warn_if_large(config, fk)
     two_mode = 0.5 * (1.0 - fk * config.h**2)
     if kp is None:
         return {"two_mode": two_mode}
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
-    fkp = oneway_f(config, tau1, tau2, kp, bogo=bogo)
-    e1 = np.exp(1j * np.pi * tau1 / config.delta)
-    e12 = np.exp(1j * np.pi * (tau1 + tau2) / config.delta)
-    inter = (
-        abs(e1 ** (k - kp) - 1.0) ** 2
-        * abs(e12 ** (k - kp) - 1.0) ** 2
-        * abs(bogo.a1[bogo.index(k), bogo.index(kp)]) ** 2
-    )
-    charge = 0.5 - 0.25 * (fk + fkp) * config.h**2 + 0.5 * inter * config.h**2
+    fkp = oneway_f(config, tau1, tau2, kp)
+    charge = _charge_negativity(config, k, kp, (tau1, tau1 + tau2), fk, fkp)
     return {"two_mode": two_mode, "charge": charge}
 
 
-def two_mode_density_matrix(config, tau1, k, sign=+1, bogo=None):
+def two_mode_density_matrix(config, tau1, k, sign=+1):
     """Printed 4x4 reduced density matrix of the evolved Bell state.
 
     Basis {|0 0>, |0 1_k>, |1 0>, |1 1_k>} (Alice x Rob).  Used as the dense
     eigensolver cross-check for `negativity_two_mode`.
     """
-    if bogo is None:
-        bogo = dirac_bogo(config)
     zeta_minus = k < 0
-    f_plus, f_minus = f_k_split(config, tau1, k, bogo=bogo)
+    _, cal1, cal2 = compose_I_to_III(config, tau1)
+    f_plus, f_minus = _split(config, cal1, k)
     f_same, f_opp = (f_minus, f_plus) if zeta_minus else (f_plus, f_minus)
-    _, _, cal2 = compose_I_to_III(config, bogo, tau1)
     g_k = np.exp(1j * frequencies(config, [k])[0] * tau1)
-    a2_kk = cal2[bogo.index(k), bogo.index(k)]
+    k_i = config.bogo.index(k)
+    a2_kk = cal2[k_i, k_i]
     if zeta_minus:
         g_k, a2_kk = np.conj(g_k), np.conj(a2_kk)
     h2 = config.h**2
@@ -250,7 +252,7 @@ def two_mode_density_matrix(config, tau1, k, sign=+1, bogo=None):
     return rho / 2.0
 
 
-def charge_density_matrix(config, tau1, k, kp, sign=+1, bogo=None):
+def charge_density_matrix(config, tau1, k, kp, sign=+1):
     """Printed 8x8 reduced state of the charge-entangled Bell pair.
 
     Alice basis {|1_k>+, |1_k'>-}, Rob basis {|00>, |1_k 0>, |0 1_k'>,
@@ -258,22 +260,17 @@ def charge_density_matrix(config, tau1, k, kp, sign=+1, bogo=None):
     """
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
-    if bogo is None:
-        bogo = dirac_bogo(config)
-    _, cal1, cal2 = compose_I_to_III(config, bogo, tau1)
-    modes = bogo.modes
-    k_i, kp_i = bogo.index(k), bogo.index(kp)
+    _, cal1, cal2 = compose_I_to_III(config, tau1)
+    k_i, kp_i = config.bogo.index(k), config.bogo.index(kp)
     h2 = config.h**2
     omega = frequencies(config, [k, kp])
     g_k = np.exp(1j * omega[0] * tau1)
     g_kp = np.exp(1j * omega[1] * tau1)
     col_k = cal1[:, k_i]
     col_kp = cal1[:, kp_i]
-    pos = modes >= 0
-    f_k_plus = float(np.sum(np.abs(col_k[pos]) ** 2))
-    f_k_minus = float(np.sum(np.abs(col_k[~pos]) ** 2))
-    f_kp_plus = float(np.sum(np.abs(col_kp[pos]) ** 2))
-    f_kp_minus = float(np.sum(np.abs(col_kp[~pos]) ** 2))
+    pos = config.bogo.modes >= 0
+    f_k_plus, f_k_minus = _split(config, cal1, k)
+    f_kp_plus, f_kp_minus = _split(config, cal1, kp)
     a1_sq = abs(cal1[kp_i, k_i]) ** 2
     cross_minus = np.sum(np.conj(col_kp[~pos]) * col_k[~pos])
     cross_plus = np.sum(np.conj(col_kp[pos]) * col_k[pos])

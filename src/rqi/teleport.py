@@ -64,56 +64,42 @@ def fidelity(state_or_cov):
     return float(2.0 / np.sqrt(4.0 + 2.0 * np.trace(n) + np.linalg.det(n)))
 
 
-def segment_first_order(config, segment, coeffs=None):
+def segment_first_order(config, segment):
     """d/dh of the composed segment at h = 0, as (A1, B1) coefficient blocks.
 
     Each block's acceleration is scaled as h_j = lambda_j h with the config's
-    h as the common scale; inertial blocks have lambda_j = 0.
+    h as the common scale; inertial blocks have lambda_j = 0.  Free evolution
+    is diagonal, so the zero-order phases before and after block j act as
+    row and column factors on its derivative.
     """
-    if coeffs is None:
-        coeffs = boson.bogo_first_order(config)
     n = config.n_max
     omega = boson.mode_frequencies(config)
-    alpha, beta = coeffs.alpha1, coeffs.beta1
+    alpha, beta = config.coeffs.alpha1, config.coeffs.beta1
     h_scale = config.h
-
-    def phase(tau):
-        return np.exp(1j * omega * tau)
-
-    zero = [np.diag(phase(tau)) for _, tau in segment.blocks]
-    deriv_total = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j, (h_j, tau_j) in enumerate(segment.blocks):
+    zero = np.array([np.exp(1j * omega * tau) for _, tau in segment.blocks])
+    a1 = np.zeros((n, n), dtype=complex)
+    b1 = np.zeros((n, n), dtype=complex)
+    for j, (h_j, _) in enumerate(segment.blocks):
         lam = h_j / h_scale if h_scale != 0 else 0.0
         if lam == 0.0:
             continue
         g = zero[j]
-        gc = g.conj()
-        d = np.block(
-            [
-                [gc @ alpha - alpha @ gc, beta @ g - gc @ beta],
-                [beta @ gc - g @ beta, g @ alpha - alpha @ g],
-            ]
-        )
-        pre = np.eye(2 * n, dtype=complex)
-        for l in range(j):
-            pre = np.diag(np.concatenate([zero[l].diagonal().conj(), zero[l].diagonal()])) @ pre
-        post = np.eye(2 * n, dtype=complex)
-        for l in range(j + 1, len(segment.blocks)):
-            post = np.diag(np.concatenate([zero[l].diagonal().conj(), zero[l].diagonal()])) @ post
-        deriv_total += lam * (post @ d @ pre)
-    a1 = deriv_total[n:, n:]
-    b1 = -deriv_total[n:, :n]
+        pre, post = np.prod(zero[:j], axis=0), np.prod(zero[j + 1 :], axis=0)
+        d_a = g[:, None] * alpha - alpha * g[None, :]
+        d_b = beta * g.conj()[None, :] - g[:, None] * beta
+        a1 += lam * (post[:, None] * d_a * pre[None, :])
+        b1 -= lam * (post[:, None] * d_b * pre.conj()[None, :])
     return a1, b1
 
 
-def f_sums(scenario, coeffs=None):
+def f_sums(scenario):
     """(f_alpha, f_beta, f_alphabeta) for Rob's mode k'.
 
     f_alpha = 1/2 sum_n |A1[n, k']|^2 and likewise for f_beta; f_alphabeta is
     the complex row sum A1[k', n] B1[k', n] entering the printed second-order
     covariance entries.  All sums skip n = k' (the diagonals vanish anyway).
     """
-    a1, b1 = segment_first_order(scenario.config, scenario.segment, coeffs=coeffs)
+    a1, b1 = segment_first_order(scenario.config, scenario.segment)
     i = scenario.kp - 1
     mask = np.ones(scenario.config.n_max, dtype=bool)
     mask[i] = False
@@ -133,7 +119,7 @@ def _rot_block(alpha, beta):
     )
 
 
-def transformed_resource_state(scenario, coeffs=None):
+def transformed_resource_state(scenario):
     """Resource state after Rob's motion, assembled to O(h^2) (real basis).
 
     The second-order diagonal coefficients are closed with the Bogoliubov
@@ -148,7 +134,7 @@ def transformed_resource_state(scenario, coeffs=None):
     n = cfg.n_max
     i = scenario.kp - 1
     omega = boson.mode_frequencies(cfg)
-    a1, b1 = segment_first_order(cfg, scenario.segment, coeffs=coeffs)
+    a1, b1 = segment_first_order(cfg, scenario.segment)
     g_kp = np.exp(1j * omega[i] * scenario.segment.total_time)
     # row sums close the second-order diagonal
     mask = np.ones(n, dtype=bool)
@@ -177,7 +163,7 @@ def transformed_resource_state(scenario, coeffs=None):
     return CovarianceState(2, REAL, np.zeros(4), gamma)
 
 
-def fidelity_expansion(scenario, coeffs=None):
+def fidelity_expansion(scenario):
     """(F0, F2) with F = F0 - F2 h^2 + O(h^4).
 
     F0 = 1 / (1 + cosh 2r - cos(phi) sinh 2r) and
@@ -191,13 +177,13 @@ def fidelity_expansion(scenario, coeffs=None):
     diagonal data that the perturbative expansion leaves free.
     """
     r = scenario.r
-    f_alpha, f_beta, _ = f_sums(scenario, coeffs=coeffs)
+    f_alpha, f_beta, _ = f_sums(scenario)
     f0 = 1.0 / (1.0 + np.cosh(2 * r) - np.cos(scenario.phi) * np.sinh(2 * r))
     f2 = f0**2 * (1.0 + np.exp(-2 * r)) * (f_beta + f_alpha * np.tanh(r))
     return float(f0), float(f2)
 
 
-def optimal_fidelity_corrected(scenario, coeffs=None):
+def optimal_fidelity_corrected(scenario):
     """Phase-independent optimal fidelity 1 / (1 + nu-) to O(h^2).
 
     nu- = exp(-2r) + (1 + exp(-2r)) [f_beta + f_alpha tanh r] h^2 (see
@@ -206,7 +192,7 @@ def optimal_fidelity_corrected(scenario, coeffs=None):
     """
     if scenario.r <= 0:
         return {"fidelity": 0.5, "nu_minus": 1.0, "degenerate": True}
-    f_alpha, f_beta, _ = f_sums(scenario, coeffs=coeffs)
+    f_alpha, f_beta, _ = f_sums(scenario)
     nu = np.exp(-2 * scenario.r) + (1.0 + np.exp(-2 * scenario.r)) * (
         f_beta + f_alpha * np.tanh(scenario.r)
     ) * scenario.config.h**2

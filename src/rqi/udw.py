@@ -23,6 +23,8 @@ from .bessel import bessel_K_imag_order
 POINT = "point"
 GAUSSIAN = "gaussian"
 RINDLER_GAUSSIAN = "rindler-gaussian"
+# spacetime dimensions of the accelerated rate
+DIMS = ("1+1", "3+1")
 
 # absolute and relative tolerance of the 3+1 transverse-momentum quadrature
 QUAD_TOL = 1e-10
@@ -146,6 +148,8 @@ def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1"):
     """
     if params.accel <= 0:
         raise ValueError("acceleration must be positive")
+    if dim not in DIMS:
+        raise ValueError(f"dim must be one of {DIMS}, got {dim!r}")
     gap = params.gap
     if gap == 0.0:
         # Planck factor pole; take the finite limit a/(2 pi) * ... via small gap

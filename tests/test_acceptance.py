@@ -143,12 +143,11 @@ def test_criterion_05_teleportation():
 
 def test_criterion_06_fermion_surfaces():
     cfg = fermion.FermionCavityConfig(s=0.0, h=1e-2, n_side=200)
-    bogo = fermion.dirac_bogo(cfg)
     period = abs(
-        fermion.f_k(cfg, 0.37, 1, bogo=bogo) - fermion.f_k(cfg, 0.37 + 2 * cfg.delta, 1, bogo=bogo)
+        fermion.f_k(cfg, 0.37, 1) - fermion.f_k(cfg, 0.37 + 2 * cfg.delta, 1)
     )
-    zeros = max(abs(fermion.f_k(cfg, 2.0 * j, 1, bogo=bogo)) for j in (0, 1, 2))
-    parity = abs(fermion.f_k(cfg, 0.81, 1, bogo=bogo) - fermion.f_k(cfg, 0.81, -1, bogo=bogo))
+    zeros = max(abs(fermion.f_k(cfg, 2.0 * j, 1)) for j in (0, 1, 2))
+    parity = abs(fermion.f_k(cfg, 0.81, 1) - fermion.f_k(cfg, 0.81, -1))
     ok = period < 1e-8 and zeros < 1e-8 and parity < 1e-10
 
     # dense-eigensolver route on the printed matrices, O(h^3) with scaling
@@ -168,9 +167,9 @@ def test_criterion_06_fermion_surfaces():
     ok &= max(ratios) < 10.0  # residual stays O(h^3) with a modest constant
 
     oneway = max(
-        abs(fermion.oneway_f(cfg, 2.0, 0.77, 1, bogo=bogo)),
-        abs(fermion.oneway_f(cfg, 2 * 0.3, 2 * 0.7, 1, bogo=bogo)),
-        abs(fermion.oneway_f(cfg, 2 * 0.45, 2 * 1.55, 1, bogo=bogo)),
+        abs(fermion.oneway_f(cfg, 2.0, 0.77, 1)),
+        abs(fermion.oneway_f(cfg, 2 * 0.3, 2 * 0.7, 1)),
+        abs(fermion.oneway_f(cfg, 2 * 0.45, 2 * 1.55, 1)),
     )
     ok &= oneway < 1e-10
     report(

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from rqi import cli
+from rqi import boson, cli, fermion
 
 
 def run(argv):
@@ -262,6 +262,39 @@ def test_box_entangle_bad_truncation_exit_2(tmp_path):
     args = ["box-entangle", "--h", "[0.5]", "--kappa", "[0.0]", "--out", str(tmp_path / "b")]
     assert run(args + ["--n-cut", "0"]) == 2
     assert run(args + ["--n-cut", "2000"]) == 2  # more modes than the y grid can hold
+
+
+@pytest.mark.parametrize("dim", ["2+1", "banana"])
+def test_detector_rate_bad_dim_exit_2(tmp_path, dim):
+    args = ["detector-rate", "--gap", "[1.0]", "--dim", dim, "--out", str(tmp_path / "d")]
+    assert run(args) == 2
+    assert not (tmp_path / "d.csv").exists()
+
+
+def count_calls(monkeypatch, module, name):
+    """Route module.name through a counter; returns the list of its arguments."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_bogoliubov_matrices_built_once_per_config(tmp_path, monkeypatch):
+    built = count_calls(monkeypatch, fermion, "dirac_bogo")
+    grid = ["--u", '{"min": 0.1, "max": 0.9, "steps": 3}', "--n-side", "60"]
+    assert run(["fermion-negativity", *grid, "--out", str(tmp_path / "f")]) == 0
+    # four s values plus the doubled window of the convergence probe
+    assert sorted((c.s, c.n_side) for c in built) == [(0.0, 60), (0.0, 120), (0.25, 60), (0.5, 60), (0.75, 60)]
+
+    built = count_calls(monkeypatch, boson, "bogo_first_order")
+    grid = ["--tau", "[0.3, 0.6, 0.9]", "--h", "[0.01, 0.02]", "--n-max", "6"]
+    assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
+    assert sorted(c.h for c in built) == [0.01, 0.02]
 
 
 def test_resonance_validity_warnings_count_rows(tmp_path):

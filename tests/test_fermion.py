@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_fermion_fock import reduced_charge, reduced_two_mode
 from rqi import entanglement, fermion
@@ -70,11 +72,11 @@ def test_dirac_bogo_window_and_index():
 def test_compose_orders_and_unitarity():
     c = cfg(n_side=30)
     bogo = fermion.dirac_bogo(c)
-    cal0, cal1, cal2 = fermion.compose_I_to_III(c, bogo, 0.0)
+    cal0, cal1, cal2 = fermion.compose_I_to_III(c, 0.0)
     assert np.abs(cal1 - (bogo.a1 + bogo.a1.conj().T)).max() < 1e-14
     assert np.abs(np.diag(cal1)).max() < 1e-14
     tau1 = 0.63
-    cal0, cal1, cal2 = fermion.compose_I_to_III(c, bogo, tau1)
+    cal0, cal1, cal2 = fermion.compose_I_to_III(c, tau1)
     # calA1[n, k] = (G_n - G_k) A1[n, k]
     g = np.diag(cal0)
     expect = (g[:, None] - g[None, :]) * bogo.a1
@@ -85,34 +87,31 @@ def test_compose_orders_and_unitarity():
     # 2 Re(conj(G_k) calA2_kk) = -f_k: exact up to the window tail
     c_wide = cfg(n_side=200)
     bogo_w = fermion.dirac_bogo(c_wide)
-    cal0w, _, cal2w = fermion.compose_I_to_III(c_wide, bogo_w, tau1)
+    cal0w, _, cal2w = fermion.compose_I_to_III(c_wide, tau1)
     k_i = bogo_w.index(1)
     lhs = 2 * np.real(np.conj(cal0w[k_i, k_i]) * cal2w[k_i, k_i])
-    fk = fermion.f_k(c_wide, tau1, 1, bogo=bogo_w)
+    fk = fermion.f_k(c_wide, tau1, 1)
     assert abs(lhs + fk) < 1e-9
 
 
 def test_f_k_periodicity_zeros_parity():
     c = cfg()
-    bogo = fermion.dirac_bogo(c)
-    assert abs(fermion.f_k(c, 2.0 * c.delta, 1, bogo=bogo)) < 1e-10
-    assert abs(fermion.f_k(c, 4.0 * c.delta, 2, bogo=bogo)) < 1e-10
-    v1 = fermion.f_k(c, 0.37, 1, bogo=bogo)
-    v2 = fermion.f_k(c, 0.37 + 2.0 * c.delta, 1, bogo=bogo)
+    assert abs(fermion.f_k(c, 2.0 * c.delta, 1)) < 1e-10
+    assert abs(fermion.f_k(c, 4.0 * c.delta, 2)) < 1e-10
+    v1 = fermion.f_k(c, 0.37, 1)
+    v2 = fermion.f_k(c, 0.37 + 2.0 * c.delta, 1)
     assert abs(v1 - v2) < 1e-8
     # s = 0 parity
-    assert abs(fermion.f_k(c, 0.81, 1, bogo=bogo) - fermion.f_k(c, 0.81, -1, bogo=bogo)) < 1e-10
+    assert abs(fermion.f_k(c, 0.81, 1) - fermion.f_k(c, 0.81, -1)) < 1e-10
     # s != 0 breaks it
     c2 = cfg(s=0.25)
-    b2 = fermion.dirac_bogo(c2)
-    assert abs(fermion.f_k(c2, 0.81, 1, bogo=b2) - fermion.f_k(c2, 0.81, -1, bogo=b2)) > 1e-4
+    assert abs(fermion.f_k(c2, 0.81, 1) - fermion.f_k(c2, 0.81, -1)) > 1e-4
 
 
 def test_f_k_curve_shape_max_at_half_period():
     c = cfg()
-    bogo = fermion.dirac_bogo(c)
     us = np.linspace(0.0, 1.0, 41)
-    vals = np.array([fermion.f_k(c, 2 * u, 1, bogo=bogo) for u in us])
+    vals = np.array([fermion.f_k(c, 2 * u, 1) for u in us])
     assert vals.argmax() == 20  # u = 1/2
     assert vals[0] < 1e-10 and vals[-1] < 1e-10
     assert np.all(vals >= -1e-15)
@@ -122,20 +121,18 @@ def test_f_k_curve_shape_max_at_half_period():
 
 def test_f_k_split_consistency():
     c = cfg(n_side=150)
-    bogo = fermion.dirac_bogo(c)
-    fp, fm = fermion.f_k_split(c, 0.7, 1, bogo=bogo)
-    total = fermion.f_k(c, 0.7, 1, bogo=bogo)
+    fp, fm = fermion.f_k_split(c, 0.7, 1)
+    total = fermion.f_k(c, 0.7, 1)
     assert abs((fp + fm) - total) < 1e-10
     assert fp >= 0 and fm >= 0
 
 
 def test_f_k_large_k_quadratic_divergence():
     c = cfg(n_side=400)
-    bogo = fermion.dirac_bogo(c)
     tau1 = 0.61
-    f8 = fermion.f_k(c, tau1, 8, bogo=bogo)
-    f16 = fermion.f_k(c, tau1, 16, bogo=bogo)
-    f32 = fermion.f_k(c, tau1, 32, bogo=bogo)
+    f8 = fermion.f_k(c, tau1, 8)
+    f16 = fermion.f_k(c, tau1, 16)
+    f32 = fermion.f_k(c, tau1, 32)
     assert abs(f16 / f8 - 4.0) < 0.4
     assert abs(f32 / f16 - 4.0) < 0.4
 
@@ -164,20 +161,19 @@ def test_negativity_two_mode_warning():
 
 def test_negativity_charge_state_cases():
     c = cfg(h=0.05)
-    bogo = fermion.dirac_bogo(c)
     # s = 0, k' = -k equals the two-mode value
-    two = fermion.negativity_two_mode(c, 0.7, 1, bogo=bogo)
-    charge = fermion.negativity_charge_state(c, 0.7, 1, -1, bogo=bogo)
+    two = fermion.negativity_two_mode(c, 0.7, 1)
+    charge = fermion.negativity_charge_state(c, 0.7, 1, -1)
     assert abs(two - charge) < 1e-12
     # even k - k': no interference; value is the bare average
-    fk = fermion.f_k(c, 0.7, 2, bogo=bogo)
-    fkp = fermion.f_k(c, 0.7, -2, bogo=bogo)
+    fk = fermion.f_k(c, 0.7, 2)
+    fkp = fermion.f_k(c, 0.7, -2)
     no_inter = 0.5 - 0.25 * (fk + fkp) * c.h**2
-    assert abs(fermion.negativity_charge_state(c, 0.7, 2, -2, bogo=bogo) - no_inter) < 1e-14
+    assert abs(fermion.negativity_charge_state(c, 0.7, 2, -2) - no_inter) < 1e-14
     # odd parity difference: interference diminishes the degradation
-    with_inter = fermion.negativity_charge_state(c, 0.7, 1, -2, bogo=bogo)
-    fk1 = fermion.f_k(c, 0.7, 1, bogo=bogo)
-    fkm2 = fermion.f_k(c, 0.7, -2, bogo=bogo)
+    with_inter = fermion.negativity_charge_state(c, 0.7, 1, -2)
+    fk1 = fermion.f_k(c, 0.7, 1)
+    fkm2 = fermion.f_k(c, 0.7, -2)
     assert with_inter >= 0.5 - 0.25 * (fk1 + fkm2) * c.h**2 - 1e-15
     with pytest.raises(ValueError):
         fermion.negativity_charge_state(c, 0.7, -1, -2)
@@ -185,23 +181,21 @@ def test_negativity_charge_state_cases():
 
 def test_oneway_zero_lines_and_positivity():
     c = cfg()
-    bogo = fermion.dirac_bogo(c)
-    assert fermion.oneway_f(c, 0.0, 0.83, 1, bogo=bogo) == 0.0
-    assert abs(fermion.oneway_f(c, 2.0, 0.83, 1, bogo=bogo)) < 1e-10  # E1 = 1
+    assert fermion.oneway_f(c, 0.0, 0.83, 1) == 0.0
+    assert abs(fermion.oneway_f(c, 2.0, 0.83, 1)) < 1e-10  # E1 = 1
     u, v = 0.3, 0.7  # u + v = 1: E1 E2 = 1
-    assert abs(fermion.oneway_f(c, 2 * u, 2 * v, 1, bogo=bogo)) < 1e-10
-    val = fermion.oneway_f(c, 0.5, 0.5, 1, bogo=bogo)
+    assert abs(fermion.oneway_f(c, 2 * u, 2 * v, 1)) < 1e-10
+    val = fermion.oneway_f(c, 0.5, 0.5, 1)
     assert val > 0
     # period 2 delta in each argument
-    assert abs(val - fermion.oneway_f(c, 0.5 + 2.0, 0.5, 1, bogo=bogo)) < 1e-8
-    assert abs(val - fermion.oneway_f(c, 0.5, 0.5 + 2.0, 1, bogo=bogo)) < 1e-8
+    assert abs(val - fermion.oneway_f(c, 0.5 + 2.0, 0.5, 1)) < 1e-8
+    assert abs(val - fermion.oneway_f(c, 0.5, 0.5 + 2.0, 1)) < 1e-8
 
 
 def test_oneway_generic_point_matches_windowed_sum():
     c = cfg(n_side=400)
-    bogo = fermion.dirac_bogo(c)
     u = v = 0.25
-    got = fermion.oneway_f(c, 2 * u, 2 * v, 1, bogo=bogo)
+    got = fermion.oneway_f(c, 2 * u, 2 * v, 1)
     # independent direct summation
     p = np.arange(-400, 401)
     e1 = np.exp(1j * np.pi * 2 * u)
@@ -293,3 +287,32 @@ def test_h_range_validation():
         fermion.FermionCavityConfig(h=2.0)
     with pytest.raises(ValueError):
         fermion.FermionCavityConfig(s=1.0)
+
+
+# property tests: one s = 0 config, random travel times.  u = tau1 / 2 delta
+# stays 0.01 away from the zero lines, where f_k's truncation guard rightly
+# refuses the n_side = 200 window (the sum itself is ~0 there).
+PROP_CFG = cfg()
+PROPS = settings(max_examples=60, deadline=None, database=None)
+interior_u = st.floats(0.01, 0.99)
+modes = st.integers(1, 4)
+
+
+@PROPS
+@given(u=interior_u, k=modes, turns=st.integers(1, 3))
+def test_f_k_period_and_parity_property(u, k, turns):
+    c = PROP_CFG
+    val = fermion.f_k(c, 2 * u * c.delta, k)
+    assert val >= 0.0
+    assert abs(val - fermion.f_k(c, 2 * (u + turns) * c.delta, k)) < 1e-8
+    assert abs(val - fermion.f_k(c, 2 * u * c.delta, -k)) < 1e-10
+
+
+@PROPS
+@given(u=st.floats(0.0, 3.0), v=st.floats(0.0, 3.0), n=st.integers(0, 3), k=modes)
+def test_oneway_zero_lines_property(u, v, n, k):
+    c = PROP_CFG
+    assert fermion.oneway_f(c, 2 * u * c.delta, 2 * v * c.delta, k) >= 0.0
+    assert abs(fermion.oneway_f(c, 2 * n * c.delta, 2 * v * c.delta, k)) < 1e-10  # u in Z
+    v_line = np.ceil(u) + n - u  # v >= 0 with u + v an integer
+    assert abs(fermion.oneway_f(c, 2 * u * c.delta, 2 * v_line * c.delta, k)) < 1e-10

@@ -83,6 +83,12 @@ def test_accelerated_requires_positive_acceleration():
         udw.transition_rate_accelerated(udw.DetectorParams(gap=1.0, accel=0.0))
 
 
+@pytest.mark.parametrize("dim", ["2+1", "banana", "3 + 1"])
+def test_accelerated_rejects_unknown_dim(dim):
+    with pytest.raises(ValueError):
+        udw.transition_rate_accelerated(udw.DetectorParams(gap=1.0, accel=1.0, mass=0.5), dim=dim)
+
+
 def test_window_limit_recovers_point_like():
     # sigma -> 0 with the normalised window: within 2 percent at sigma 0.01
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.01, peak=5.0, normalized=True)
