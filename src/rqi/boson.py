@@ -235,7 +235,11 @@ def segment_negativity_exact(config, segment, k, kp, repetitions=1):
     This is the generic composed-product route: matrix power, reduced state,
     partial transpose, smallest symplectic eigenvalue.
     """
-    smap = compose_segment(config, segment)
+    return _power_negativity(config, compose_segment(config, segment), k, kp, repetitions)
+
+
+def _power_negativity(config, smap, k, kp, repetitions):
+    """Negativity of modes (k, k') under the `repetitions`-th power of a composed segment map."""
     power = np.linalg.matrix_power(smap.matrix, repetitions)
     smap_n = SymplecticMap(config.n_max, COMPLEX, power, check_tol=max(1e-6, smap.check_tol * repetitions**2))
     return entanglement.negativity_gaussian(two_mode_reduced_state(smap_n, k, kp))
@@ -265,7 +269,7 @@ def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
     if resonant:
         value = repetitions * b_kkp
     else:
-        value = segment_negativity_exact(config, segment, k, kp, repetitions)
+        value = _power_negativity(config, smap, k, kp, repetitions)
     return {"negativity": float(value), "resonant": bool(resonant), "residual": residual}
 
 

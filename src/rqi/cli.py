@@ -292,17 +292,16 @@ def cmd_nonpert_evolve(params):
     )
     t_end = float(params["t_end"])
     t_eval = grid_values(params["tau"]) if params.get("tau") else np.linspace(0.0, t_end, 201)
-    times, factors, gammas = nonpert.evolve_state(
-        basis, schedule, (0.0, max(t_end, t_eval[-1])), t_eval=t_eval
-    )
+    sol = nonpert.solve_factors(basis, schedule, (0.0, max(t_end, t_eval[-1])), t_eval=t_eval)
+    gammas = nonpert.covariance_trajectory(basis, sol.y)
     rows = []
-    for i, t in enumerate(times):
+    for i, t in enumerate(sol.t):
         nd = nonpert.detector_number_expectation(gammas[i])
-        rows.append((t, nd, *factors[:, i]))
+        rows.append((t, nd, *sol.y[:, i]))
     header = ["tau", "n_d"] + [f"F{j+1}" for j in range(basis.dim)]
-    final_f = factors[:, -1]
+    final_f = sol.y[:, -1]
     zero_factors = [basis.labels[j] for j in range(basis.dim) if abs(final_f[j]) < 1e-10]
-    return header, rows, {"zero_factors": zero_factors}
+    return header, rows, {"zero_factors": zero_factors, "rhs_calls": int(sol.nfev)}
 
 
 def check_nonpert_evolve(params):

@@ -6,15 +6,30 @@ The covariance-matrix evolution operator S(t), defined by
 
 is written as an ordered product of one-generator exponentials
 
-    S(t) = prod_j exp(-i F_j(t) K G_j)        (j = 1 leftmost).
+    S(t) = prod_j exp(-i F_j(t) K G_j)        (j = 1 leftmost),
 
+the product decomposition of Wei & Norman (J. Math. Phys. 4, 575 (1963)).
 Differentiating the product and matching against H(t) in the generator basis
 yields a linear system alpha(F) F' = lambda(t) at each time: the column of
 alpha for generator j is the coordinate vector of W_j^{-+} G_j W_j^{-1} with
-W_j = S_1 ... S_{j-1}.  The matching is assembled numerically from the matrix
-representations, so no hand-derived structure constants are needed.  F_j
-values depend on the factor ordering (fixed to the basis order); Gamma(t)
-does not.
+W_j = S_1 ... S_{j-1}, read off by a pseudo-inverse projection onto the
+basis, so no hand-derived structure constants are needed.  The right-hand
+side evaluates it in the real quadrature form, where every matrix involved
+is real.
+
+Every basis generator satisfies (K G_j)^2 = sigma_j P_j with P_j a projector
+and K G_j P_j = K G_j (sigma_j = +1 for phase rotations and beam splitters,
+-1 for squeezers), so each factor exponential has the closed form
+
+    exp(i f K G_j) = 1 + (c(f) - 1) P_j + i s(f) K G_j,
+
+with (c, s) = (cos, sin) or (cosh, sinh): no matrix exponential is computed
+on the factor side.  F_j values depend on the factor ordering (fixed to the
+basis order); Gamma(t) does not.
+
+The fixed-step oracle integrates dS/dt directly (midpoint rule; batched
+Taylor steps, or `scipy.linalg.expm` for steps of norm above TAYLOR_THETA)
+and shares nothing with the factor machinery.
 """
 
 from __future__ import annotations
@@ -25,10 +40,15 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .gaussian import COMPLEX, kay, symplectic_defect
+from .gaussian import COMPLEX, QUADRATURE, basis_change_matrix, kay, symplectic_defect
 
 # condition number above which the factor matching system counts as singular
 COND_MAX = 1e10
+# most oracle midpoint steps exponentiated and multiplied in one batch
+ORACLE_BATCH = 4096
+# largest step infinity-norm the oracle's Taylor series takes, and its truncation bound
+TAYLOR_THETA = 0.5
+TAYLOR_TOL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -159,40 +179,71 @@ def structure_constants(basis, tol=1e-12):
     return c
 
 
-def _lstsq_ops(basis):
-    """Pseudo-inverse taking [Re vec(M), Im vec(M)] to the coordinates of M in the basis."""
-    flat = np.stack([g.ravel() for g in basis.generators], axis=1)
-    return np.linalg.pinv(np.vstack([flat.real, flat.imag]))
-
-
 def hamiltonian_matrix(basis, lambdas):
-    """H(t) matrix from generator coefficients lambda_j."""
-    h = np.zeros_like(basis.generators[0])
-    for lam, g in zip(lambdas, basis.generators):
-        if lam != 0.0:
-            h = h + lam * g
-    return h
+    """H = sum_j lambda_j G_j; lambda of shape (dim,) gives one matrix, (dim, n) a stack of n."""
+    return np.tensordot(np.asarray(lambdas), np.stack(basis.generators), axes=(0, 0))
+
+
+def _factor_tables(basis):
+    """(i K G_j, P_j, hyperbolic_j) of every generator, checking (K G_j)^2 = sigma_j P_j.
+
+    P_j = sigma_j (K G_j)^2 must be a projector with K G_j P_j = K G_j;
+    hyperbolic_j is sigma_j = -1.  A basis that breaks the identity raises
+    ValueError: its factors have no closed-form exponential.
+    """
+    kg = np.diag(kay(basis.n_modes))[:, None] * np.stack(basis.generators)
+    sq = kg @ kg
+    sigma = np.sign(np.real(np.trace(sq, axis1=1, axis2=2)))
+    proj = sigma[:, None, None] * sq
+    scale = max(1.0, float(np.abs(kg).max()))
+    bad = np.abs(proj @ proj - proj).max(axis=(1, 2)) + np.abs(kg @ proj - kg).max(axis=(1, 2)) > 1e-12 * scale
+    if bad.any():
+        labels = [basis.labels[j] for j in np.flatnonzero(bad)]
+        raise ValueError(f"generators {labels} do not satisfy (K G)^2 = +-P: no closed-form factor exponential")
+    return 1j * kg, proj, sigma < 0
+
+
+def _factor_exponentials(tables, f):
+    """Stack of exp(i f_j K G_j) = 1 + (c - 1) P_j + s i K G_j, in the form the tables are in."""
+    ikg, proj, hyper = tables
+    c = np.where(hyper, np.cosh(f), np.cos(f))
+    s = np.where(hyper, np.sinh(f), np.sin(f))
+    return np.eye(ikg.shape[1]) + (c - 1.0)[:, None, None] * proj + s[:, None, None] * ikg
+
+
+def _to_quadrature(mats):
+    """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure."""
+    q = basis_change_matrix(COMPLEX, QUADRATURE, mats.shape[-1] // 2)
+    out = q @ mats @ q.conj().T
+    if np.abs(out.imag).max() > 1e-12 * max(1.0, float(np.abs(out).max())):
+        raise ValueError("generators lack the [[X, Y], [conj(Y), conj(X)]] block structure")
+    return out.real
 
 
 def derive_F_odes(basis, schedule):
     """Right-hand side F'(t) = solve(alpha(F), lambda(t)) of the matching system.
 
     `schedule(t)` returns the vector of generator coefficients lambda_j(t).
-    Raises (with the condition number) if the matching matrix degenerates.
+    Each call works in the real quadrature form: all factor exponentials from
+    their closed forms, the chain W_j^{-1} = S_{j-1}^{-1} ... S_1^{-1}, one
+    batched conjugation W_j^{-T} G_j W_j^{-1} of all generators and one
+    pseudo-inverse projection of all columns onto the basis.  Raises (with
+    the condition number) if the matching matrix degenerates.
     """
-    k = kay(basis.n_modes)
+    ikg, proj, hyper = _factor_tables(basis)
+    tables = (_to_quadrature(ikg), _to_quadrature(proj), hyper)
+    gens = _to_quadrature(np.stack(basis.generators))
     dim = basis.dim
-    lstsq_ops = _lstsq_ops(basis)
+    lstsq_ops = np.linalg.pinv(gens.reshape(dim, -1).T)
+    eye = np.eye(gens.shape[1])
 
     def rhs(t, f):
         lam = np.asarray(schedule(t), dtype=float)
-        cols = np.empty((dim, dim))
-        v = np.eye(2 * basis.n_modes, dtype=complex)  # (S_1 ... S_{j-1})^-1
-        for j in range(dim):
-            gj = basis.generators[j]
-            vec = (v.conj().T @ gj @ v).ravel()
-            cols[:, j] = lstsq_ops @ np.concatenate([vec.real, vec.imag])
-            v = expm(+1j * f[j] * (k @ gj)) @ v
+        v = [eye]  # v[j] = (S_1 ... S_{j-1})^-1
+        for e in _factor_exponentials(tables, f)[:-1]:
+            v.append(e @ v[-1])
+        v = np.array(v)
+        cols = lstsq_ops @ (v.transpose(0, 2, 1) @ gens @ v).reshape(dim, -1).T
         cond = np.linalg.cond(cols)
         if not np.isfinite(cond) or cond > COND_MAX:
             raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
@@ -219,13 +270,36 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
     return sol
 
 
-def evolution_operator(basis, factors):
-    """S = prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost)."""
-    k = kay(basis.n_modes)
-    s = np.eye(2 * basis.n_modes, dtype=complex)
-    for f, g in zip(factors, basis.generators):
-        s = s @ expm(-1j * f * (k @ g))
+def _factor_product(tables, factors):
+    """prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost) from prebuilt factor tables."""
+    e = _factor_exponentials(tables, -np.asarray(factors, dtype=float))
+    s = e[0]
+    for ej in e[1:]:
+        s = s @ ej
     return s
+
+
+def evolution_operator(basis, factors):
+    """S = prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost), from the closed forms."""
+    return _factor_product(_factor_tables(basis), factors)
+
+
+def covariance_trajectory(basis, factors, gamma0=None):
+    """Gamma = S Gamma0 S+ for each column of `factors` (complex form, vacuum start by default).
+
+    Symplecticity |S K S+ - K| is checked at every column.
+    """
+    if gamma0 is None:
+        gamma0 = np.eye(2 * basis.n_modes, dtype=complex)
+    tables = _factor_tables(basis)
+    gammas = []
+    for column in np.asarray(factors).T:
+        s = _factor_product(tables, column)
+        defect = symplectic_defect(s, COMPLEX)
+        if defect > 1e-8:
+            raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
+        gammas.append(s @ gamma0 @ s.conj().T)
+    return np.array(gammas)
 
 
 def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, atol=1e-11):
@@ -234,18 +308,8 @@ def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, a
     Returns (times, factors, gammas); symplecticity |S K S+ - K| is checked
     at every output time.
     """
-    n = basis.n_modes
-    if gamma0 is None:
-        gamma0 = np.eye(2 * n, dtype=complex)
     sol = solve_factors(basis, schedule, t_span, t_eval=t_eval, rtol=rtol, atol=atol)
-    gammas = []
-    for idx in range(sol.t.size):
-        s = evolution_operator(basis, sol.y[:, idx])
-        defect = symplectic_defect(s, COMPLEX)
-        if defect > 1e-8:
-            raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
-        gammas.append(s @ gamma0 @ s.conj().T)
-    return sol.t, sol.y, np.array(gammas)
+    return sol.t, sol.y, covariance_trajectory(basis, sol.y, gamma0)
 
 
 def detector_number_expectation(gamma):
@@ -294,30 +358,83 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
     return schedule
 
 
+def _midpoint_steps(t_a, t_b, dt):
+    """(midpoints, lengths) of the fixed steps from t_a to t_b, in batches of at most ORACLE_BATCH.
+
+    Full steps of dt while more than dt remains, then one shorter step onto
+    t_b; a remainder below 1e-12 counts as arrived.
+    """
+    span = t_b - t_a
+    if span <= 1e-12:
+        return
+    full = int(np.ceil(span / dt)) - 1
+    rest = span - full * dt
+    count = full + (rest > 1e-12)
+    for i in range(0, count, ORACLE_BATCH):
+        idx = np.arange(i, min(i + ORACLE_BATCH, count))
+        lengths = np.where(idx < full, dt, rest)
+        yield t_a + dt * idx + lengths / 2.0, lengths
+
+
+def _step_propagators(a):
+    """exp of each matrix of the stack `a` of oracle steps.
+
+    A batch whose largest infinity-norm theta is at most TAYLOR_THETA takes
+    the Taylor series of the smallest order m whose truncation bound
+    theta^(m+1) / (m+1)! / (1 - theta / (m+2)) is below TAYLOR_TOL; a batch
+    of larger steps goes to `scipy.linalg.expm` (scaling and squaring).
+    """
+    theta = float(np.abs(a).sum(axis=-1).max())
+    if not np.isfinite(theta):
+        raise ValueError("non-finite Hamiltonian in the oracle step")
+    if theta > TAYLOR_THETA:
+        return expm(a)
+    order, term = 1, theta**2 / 2.0
+    while term / (1.0 - theta / (order + 2)) >= TAYLOR_TOL:
+        order += 1
+        term *= theta / (order + 1)
+    eye = np.eye(a.shape[-1])
+    out = eye + a / order
+    for k in range(order - 1, 0, -1):  # Horner: 1 + a (1 + a/2 (1 + ...))
+        out = eye + (a @ out) / k
+    return out
+
+
+def _ordered_product(mats):
+    """mats[-1] @ ... @ mats[0] (first matrix acts first), by pairwise reduction."""
+    while len(mats) > 1:
+        pairs = len(mats) // 2
+        prod = mats[1 : 2 * pairs : 2] @ mats[0 : 2 * pairs : 2]
+        mats = np.concatenate([prod, mats[2 * pairs :]]) if len(mats) % 2 else prod
+    return mats[0]
+
+
 def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     """Fixed-step midpoint product of exp(-i K H(t) dt): brute-force oracle.
 
-    Returns Gamma at the requested grid times (complex form, vacuum start by
-    default).  Independent of the product-decomposition machinery.
+    Steps of `dt` from t_grid[0], each output time ending a shorter step.
+    Per output interval (in batches of at most ORACLE_BATCH steps) the
+    schedule is called at every midpoint, the step propagators come from a
+    Taylor series (small steps) or `scipy.linalg.expm` (large steps), and
+    their ordered product from a pairwise reduction.  Returns Gamma at the
+    grid times (complex form, vacuum start by default).  Independent of the
+    product-decomposition machinery: it never touches the factor tables.
     """
+    if not (np.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"oracle step dt must be finite and positive, got {dt!r}")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all() or (np.diff(t_grid) < 0.0).any():
+        raise ValueError("oracle t_grid must be a non-empty, finite, non-decreasing 1-d sequence")
     n = basis.n_modes
-    k = kay(n)
+    kdiag = np.diag(kay(n))[:, None]
     if gamma0 is None:
         gamma0 = np.eye(2 * n, dtype=complex)
     s = np.eye(2 * n, dtype=complex)
-    out = []
-    t = t_grid[0]
-    grid_iter = iter(t_grid)
-    next_t = next(grid_iter)
-    done = False
-    while not done:
-        while next_t is not None and t >= next_t - 1e-12:
-            out.append(s @ gamma0 @ s.conj().T)
-            next_t = next(grid_iter, None)
-        if next_t is None:
-            break
-        step = min(dt, next_t - t)
-        h = hamiltonian_matrix(basis, schedule(t + step / 2.0))
-        s = expm(-1j * (k @ h) * step) @ s
-        t += step
+    out = [gamma0]
+    for t_a, t_b in zip(t_grid[:-1], t_grid[1:]):
+        for mids, lengths in _midpoint_steps(t_a, t_b, dt):
+            lam = np.array([schedule(t) for t in mids], dtype=float).T
+            kh = kdiag * hamiltonian_matrix(basis, lam)
+            s = _ordered_product(_step_propagators((-1j * lengths)[:, None, None] * kh)) @ s
+        out.append(s @ gamma0 @ s.conj().T)
     return np.array(out)

@@ -228,3 +228,21 @@ def test_h_range_validation():
         boson.BosonCavityConfig(h=2.0)
     with pytest.raises(ValueError):
         boson.building_block(cfg(n_max=4), 2.5, 0.1)
+
+
+def test_off_resonance_negativity_composes_once(monkeypatch):
+    c = cfg(n_max=8, h=1e-4)
+    seg = boson.standard_segment(1e-4, 0.7, 0.4)
+    expected = boson.segment_negativity_exact(c, seg, 1, 2, 3)
+    calls = []
+    original = boson.compose_segment
+
+    def counted(config, segment):
+        calls.append(segment)
+        return original(config, segment)
+
+    monkeypatch.setattr(boson, "compose_segment", counted)
+    res = boson.resonance_negativity(c, seg, 1, 2, 3)
+    assert not res["resonant"]
+    assert len(calls) == 1
+    assert res["negativity"] == expected

@@ -219,11 +219,6 @@ GOLDEN = {
         "f492e02d592f1ec9748d71046ab36442e2d8ec28b2e72c22d6c68de79f71647c",
         {"command", "params", "rows"},
     ),
-    "nonpert-evolve": (
-        ["--coupling", "0.4", "--t-sq", "4.0", "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"],
-        "129c00418c218ea844e7edfa6c31bd8afa7f744f7a397585a9fbeb31065cc461",
-        {"command", "params", "rows", "zero_factors"},
-    ),
 }
 # box-entangle: (h, kappa, entropy) rows of the same recording.  The entropy is
 # compared to 1e-12 because the closed form replaced a dense eigensolve there.
@@ -233,6 +228,24 @@ GOLDEN_BOX_ROWS = [
     (0.0, 1.0, 0.69314718055994529),
     (0.5, 0.0, 0.69303228420548946),
     (0.5, 1.0, 0.69301675682996799),
+]
+
+# nonpert-evolve: (tau, n_d, F1..F10) rows of the same recording, made when the
+# factor exponentials still came from scipy's expm.  The closed forms moved them
+# by at most 2.2e-16, so they are compared to 1e-15.
+GOLDEN_NONPERT_ARGS = ["--coupling", "0.4", "--t-sq", "4.0", "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"]
+GOLDEN_NONPERT_ROWS = [
+    (0.0,) * 12,
+    (
+        3.0, 0.0010368924147559078, -0.0027788184302350786, -0.032027724817805733, 0.00022266480365082329,
+        0.0010117000297892927, -0.043367235586329329, -0.0029321016061241998, -0.0041877833366047662,
+        -0.031919431270683425, 8.9510425636253323e-05, -0.043790255618491328,
+    ),
+    (
+        6.0, 3.4948740613716112e-06, 3.8407750572590476e-05, -0.0018668532006322004, 2.5972606330489655e-08,
+        3.4906520807520349e-06, -0.048542264636334494, -0.0023673042124299393, -5.2510462862789048e-05,
+        -0.0018665184479554041, 3.3922885520649639e-07, -0.048695864965341139,
+    ),
 ]
 
 
@@ -256,6 +269,19 @@ def test_golden_box_entangle(tmp_path):
         assert (h, kap) == (h0, kap0)
         assert abs(ent - ent0) < 1e-12
     assert set(json.loads((tmp_path / "g.json").read_text())) == {"command", "params", "rows"}
+
+
+def test_golden_nonpert_evolve(tmp_path):
+    out = tmp_path / "g"
+    assert run(["nonpert-evolve", *GOLDEN_NONPERT_ARGS, "--out", str(out)]) == 0
+    lines = read_lines(str(out) + ".csv")
+    assert lines[0] == "tau,n_d," + ",".join(f"F{j}" for j in range(1, 11))
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert rows.shape == (3, 12)
+    assert np.abs(rows - np.array(GOLDEN_NONPERT_ROWS)).max() < 1e-15
+    summary = json.loads((tmp_path / "g.json").read_text())
+    assert set(summary) == {"command", "params", "rhs_calls", "rows", "zero_factors"}
+    assert isinstance(summary["rhs_calls"], int) and summary["rhs_calls"] > 0
 
 
 def test_box_entangle_bad_truncation_exit_2(tmp_path):

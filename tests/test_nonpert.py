@@ -1,6 +1,54 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from rqi import gaussian, nonpert
+
+PROPS = settings(max_examples=60, deadline=None, database=None)
+BASES = [nonpert.build_generator_basis(n) for n in (1, 2, 3)] + [nonpert.detector_field_basis()]
+
+
+def expm_product_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
+    """Sequential referee: one scipy expm per midpoint step, accumulating t.
+
+    The fixed-step midpoint product as first written, with H summed here
+    rather than by `hamiltonian_matrix`; the library oracle evaluates the
+    same steps in batches.
+    """
+    n = basis.n_modes
+    k = gaussian.kay(n)
+    if gamma0 is None:
+        gamma0 = np.eye(2 * n, dtype=complex)
+    s = np.eye(2 * n, dtype=complex)
+    out = []
+    t = t_grid[0]
+    grid_iter = iter(t_grid)
+    next_t = next(grid_iter)
+    while True:
+        while next_t is not None and t >= next_t - 1e-12:
+            out.append(s @ gamma0 @ s.conj().T)
+            next_t = next(grid_iter, None)
+        if next_t is None:
+            break
+        step = min(dt, next_t - t)
+        h = sum(lam * g for lam, g in zip(schedule(t + step / 2.0), basis.generators))
+        s = expm(-1j * (k @ h) * step) @ s
+        t += step
+    return np.array(out)
+
+
+def call_budget(schedule, budget=2000):
+    """`schedule` that fails the test after `budget` calls, so a non-terminating loop cannot hang it."""
+    calls = []
+
+    def limited(t):
+        calls.append(t)
+        assert len(calls) <= budget, "oracle kept stepping"
+        return schedule(t)
+
+    return limited
 
 
 def test_generator_counts():
@@ -127,3 +175,120 @@ def test_hamiltonian_matrix_matches_printed_structure():
     assert abs(h[0, 3] - env * phase) < 1e-12  # two-mode squeezer entry
     assert abs(h[1, 2] - env * phase) < 1e-12
     assert np.abs(h - h.conj().T).max() < 1e-12
+
+
+@PROPS
+@given(basis_index=st.integers(0, len(BASES) - 1), f=st.floats(-3.0, 3.0), pick=st.integers(0, 20))
+def test_closed_form_factor_matches_expm(basis_index, f, pick):
+    basis = BASES[basis_index]
+    j = pick % basis.dim
+    k = gaussian.kay(basis.n_modes)
+    factors = np.zeros(basis.dim)
+    factors[j] = -f  # evolution_operator builds exp(-i F_j K G_j)
+    closed = nonpert.evolution_operator(basis, factors)
+    assert np.abs(closed - expm(1j * f * (k @ basis.generators[j]))).max() < 1e-13
+
+
+def test_generic_hermitian_generator_rejected():
+    rng = np.random.default_rng(7)
+    n = 2
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    g = nonpert._gen(n, x=x + x.conj().T, y=y + y.T)
+    std = nonpert.build_generator_basis(n)
+    basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (g,), std.labels[:-1] + ("generic",))
+    with pytest.raises(ValueError, match="generic"):
+        nonpert.derive_F_odes(basis, lambda t: np.zeros(basis.dim))
+    with pytest.raises(ValueError, match="generic"):
+        nonpert.evolution_operator(basis, np.zeros(basis.dim))
+    # passes the closed-form identity, but its lower blocks are not the conjugates of the upper ones
+    lopsided = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (lopsided,), std.labels[:-1] + ("lopsided",))
+    with pytest.raises(ValueError, match="block structure"):
+        nonpert.derive_F_odes(basis, lambda t: np.zeros(basis.dim))
+
+
+@pytest.mark.parametrize(
+    "coupling, grid, dt",
+    [
+        (0.5, [0.0, 0.37, 1.05, 1.05, 2.2, 3.0], 1e-2),  # spacings not multiples of dt
+        (1.0, [0.0, 1.3, 4.0, 5.5], 0.3),  # Taylor steps of norm up to 0.44, near TAYLOR_THETA
+        (1.0, [0.0, 1.3, 4.0, 5.5], 0.9),  # ||K H dt|| > 1 > TAYLOR_THETA: scipy's expm
+    ],
+)
+def test_batched_oracle_matches_sequential_referee(coupling, grid, dt):
+    basis = nonpert.detector_field_basis()
+    sched = nonpert.detector_example_schedule(basis, coupling=coupling, t_mod=2.0, gap=2 * np.pi)
+    if dt > 0.5:  # the first step after t = 1.3 has its midpoint at 1.75
+        kh = gaussian.kay(basis.n_modes) @ nonpert.hamiltonian_matrix(basis, sched(1.75))
+        assert np.abs(kh * dt).sum(axis=1).max() > 1.0
+    gamma0 = np.diag([1.3, 1.1, 1.3, 1.1]).astype(complex)
+    gamma0[0, 2] = gamma0[2, 0] = np.sqrt(1.3**2 - 1.0)
+    batched = nonpert.product_integrator_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
+    referee = expm_product_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
+    assert batched.shape == referee.shape == (len(grid), 4, 4)
+    assert np.abs(batched - referee).max() < 1e-12 * np.abs(referee).max()
+
+
+def test_hamiltonian_matrix_stacks():
+    basis = nonpert.build_generator_basis(2)
+    lam = np.random.default_rng(3).normal(size=(basis.dim, 5))
+    stack = nonpert.hamiltonian_matrix(basis, lam)
+    assert stack.shape == (5, 4, 4)
+    for i in range(5):
+        single = sum(c * g for c, g in zip(lam[:, i], basis.generators))
+        assert np.abs(stack[i] - single).max() < 1e-14
+        assert np.abs(nonpert.hamiltonian_matrix(basis, lam[:, i]) - single).max() < 1e-14
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+def test_oracle_rejects_bad_step(dt):
+    basis = nonpert.detector_field_basis()
+    sched = call_budget(nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0))
+    with pytest.raises(ValueError, match="dt"):
+        nonpert.product_integrator_oracle(basis, sched, [0.0, 1.0], dt=dt)
+
+
+@pytest.mark.parametrize("grid", [[0.0, 2.0, 1.0], [0.0, np.nan, 1.0], []])
+def test_oracle_rejects_bad_grid(grid):
+    basis = nonpert.detector_field_basis()
+    sched = call_budget(nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0))
+    with pytest.raises(ValueError, match="t_grid"):
+        nonpert.product_integrator_oracle(basis, sched, grid, dt=1e-2)
+
+
+def test_oracle_rejects_non_finite_schedule():
+    basis = nonpert.detector_field_basis()
+    with pytest.raises(ValueError, match="non-finite"):
+        nonpert.product_integrator_oracle(basis, lambda t: np.full(basis.dim, np.nan), [0.0, 0.1], dt=1e-2)
+
+
+def test_three_mode_passive_drive_against_oracle():
+    """Detector (mode 0) coupled to two field modes by phase and beam-splitter drives."""
+    basis = nonpert.build_generator_basis(3)
+    idx = {lab: i for i, lab in enumerate(basis.labels)}
+
+    def sched(t):
+        lam = np.zeros(basis.dim)
+        lam[idx["phase[0]"]] = 1.0
+        lam[idx["phase[1]"]] = 1.5
+        lam[idx["phase[2]"]] = 2.2
+        lam[idx["bs_re[0,1]"]] = 0.4 * np.cos(t)
+        lam[idx["bs_im[0,1]"]] = 0.3
+        lam[idx["bs_re[0,2]"]] = 0.25 * np.sin(2.0 * t)
+        lam[idx["bs_im[1,2]"]] = 0.2
+        return lam
+
+    r = np.array([1.0, 0.4, 0.0])  # squeezed detector and first field mode, vacuum second
+    gamma0 = np.zeros((6, 6), dtype=complex)
+    gamma0[:3, :3] = gamma0[3:, 3:] = np.diag(np.cosh(2 * r))
+    gamma0[:3, 3:] = gamma0[3:, :3] = np.diag(np.sinh(2 * r))
+    grid = np.linspace(0.0, 4.0, 5)
+    _, _, gammas = nonpert.evolve_state(basis, sched, (0.0, 4.0), gamma0=gamma0, t_eval=grid)
+    totals = [nonpert.mean_occupations(g).sum() for g in gammas]
+    assert np.ptp(totals) < 1e-8
+    oracle = nonpert.product_integrator_oracle(basis, sched, grid, dt=1e-3, gamma0=gamma0)
+    nd = np.array([nonpert.detector_number_expectation(g) for g in gammas])
+    nd_o = np.array([nonpert.detector_number_expectation(g) for g in oracle])
+    assert np.ptp(nd) > 0.1  # the drive moves quanta off the detector
+    assert np.abs(nd - nd_o).max() < 1e-6
