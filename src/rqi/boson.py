@@ -23,6 +23,9 @@ accelerated motion.
 
 The first-order matrices are a pure function of the cavity config: they live
 on it as `config.coeffs`, built by `bogo_first_order` on first use.
+
+`building_block` and `compose_segment` certify the map they return; the
+blocks inside a composition and powers of a composed map are not re-checked.
 """
 
 from __future__ import annotations
@@ -124,13 +127,8 @@ def _phase_diag(config, tau):
     return np.exp(1j * mode_frequencies(config) * tau)
 
 
-def building_block(config, h_j, tau_j):
-    """Symplectic building block S_j = Q(h_j)^-1 U(tau_j) Q(h_j) (complex form).
-
-    h_j = 0 reduces to the pure phase rotation U(tau_j); tau_j = 0 gives the
-    identity.  Emits a PerturbativeValidityWarning when n_max * |h| is not
-    small, since the block is built from first-order coefficients only.
-    """
+def _block(config, h_j, tau_j):
+    """Uncertified building block: (matrix, defect bound; O((n_max h)^2) at first order)."""
     if tau_j < 0:
         raise ValueError("proper time must be non-negative")
     if not abs(h_j) < 2.0:
@@ -139,37 +137,46 @@ def building_block(config, h_j, tau_j):
     g = _phase_diag(config, tau_j)
     u = np.diag(np.concatenate([g.conj(), g]))
     if h_j == 0.0:
-        return SymplecticMap(n, COMPLEX, u, check_tol=1e-10)
+        return u, 1e-10
     if config.n_max * abs(h_j) > 0.05:
         warnings.warn(
             f"n_max*|h| = {config.n_max * abs(h_j):.3g}; first-order block may be inaccurate",
             PerturbativeValidityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     coeffs = config.coeffs
     alpha = np.eye(n) + coeffs.alpha1 * h_j
     beta = coeffs.beta1 * h_j
     q = np.block([[alpha, -beta], [-beta, alpha]]).astype(complex)
-    s = np.linalg.inv(q) @ u @ q
     scale = max(np.abs(coeffs.alpha1).max(), np.abs(coeffs.beta1).max())
-    tol = max(1e-10, 50.0 * (n * scale * h_j) ** 2)
-    return SymplecticMap(n, COMPLEX, s, check_tol=tol)
+    return np.linalg.inv(q) @ u @ q, max(1e-10, 50.0 * (n * scale * h_j) ** 2)
+
+
+def building_block(config, h_j, tau_j):
+    """Symplectic building block S_j = Q(h_j)^-1 U(tau_j) Q(h_j) (complex form).
+
+    h_j = 0 reduces to the pure phase rotation U(tau_j); tau_j = 0 gives the
+    identity.  Emits a PerturbativeValidityWarning when n_max * |h| is not
+    small, since the block is built from first-order coefficients only.
+    """
+    s, bound = _block(config, h_j, tau_j)
+    return SymplecticMap(config.n_max, COMPLEX, s, check_tol=bound)
 
 
 def compose_segment(config, segment):
     """Ordered product of building blocks (first block acts first).
 
     The zero-order part is the phase rotation by the total proper time T;
-    phases accumulate left-to-right in segment order.
+    phases accumulate left-to-right in segment order.  Only the product is certified.
     """
     if not segment.blocks:
         raise ValueError("segment must contain at least one block")
     total = np.eye(2 * config.n_max, dtype=complex)
     tol = 1e-10
     for h_j, tau_j in segment.blocks:
-        block = building_block(config, h_j, tau_j)
-        tol = max(tol, block.check_tol)
-        total = block.matrix @ total
+        s, bound = _block(config, h_j, tau_j)
+        tol = max(tol, bound)
+        total = s @ total
     return SymplecticMap(config.n_max, COMPLEX, total, check_tol=10 * tol * len(segment.blocks))
 
 
@@ -186,12 +193,17 @@ def two_mode_reduced_state(smap, k, kp):
     Modes are 1-based.  Gamma = (S S+) restricted to the two modes; the
     reduced state is pure up to O(h^2).
     """
+    return _reduced_state(smap.matrix, k, kp)
+
+
+def _reduced_state(s, k, kp):
+    """two_mode_reduced_state of a complex-form matrix S, taken as already certified."""
     if k == kp:
         raise ValueError("need two distinct modes")
-    n = smap.n_modes
+    n = s.shape[0] // 2
     if not (1 <= k <= n and 1 <= kp <= n):
         raise ValueError("mode index out of range")
-    full = smap.matrix @ smap.matrix.conj().T
+    full = s @ s.conj().T
     state = CovarianceState(n, COMPLEX, np.zeros(2 * n, dtype=complex), (full + full.conj().T) / 2)
     return gaussian.partial_trace(state, [k - 1, kp - 1])
 
@@ -235,14 +247,13 @@ def segment_negativity_exact(config, segment, k, kp, repetitions=1):
     This is the generic composed-product route: matrix power, reduced state,
     partial transpose, smallest symplectic eigenvalue.
     """
-    return _power_negativity(config, compose_segment(config, segment), k, kp, repetitions)
+    return _power_negativity(compose_segment(config, segment), k, kp, repetitions)
 
 
-def _power_negativity(config, smap, k, kp, repetitions):
-    """Negativity of modes (k, k') under the `repetitions`-th power of a composed segment map."""
+def _power_negativity(smap, k, kp, repetitions):
+    """Negativity of modes (k, k') under the `repetitions`-th power of a certified map (not re-checked)."""
     power = np.linalg.matrix_power(smap.matrix, repetitions)
-    smap_n = SymplecticMap(config.n_max, COMPLEX, power, check_tol=max(1e-6, smap.check_tol * repetitions**2))
-    return entanglement.negativity_gaussian(two_mode_reduced_state(smap_n, k, kp))
+    return entanglement.negativity_gaussian(_reduced_state(power, k, kp))
 
 
 def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
@@ -269,7 +280,7 @@ def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
     if resonant:
         value = repetitions * b_kkp
     else:
-        value = _power_negativity(config, smap, k, kp, repetitions)
+        value = _power_negativity(smap, k, kp, repetitions)
     return {"negativity": float(value), "resonant": bool(resonant), "residual": residual}
 
 

@@ -102,7 +102,19 @@ def merge_config(defaults, args):
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
+    bad = sorted(key for key, val in params.items() if _non_finite(val))
+    if bad:
+        raise ConfigError(f"non-finite numbers in {bad}")
     return params
+
+
+def _non_finite(value):
+    """True when a scalar, list or grid dict holds NaN or an infinity."""
+    if isinstance(value, dict):
+        return any(_non_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return any(_non_finite(v) for v in value)
+    return isinstance(value, float) and not np.isfinite(value)
 
 
 # --------------------------------------------------------------------------
@@ -291,7 +303,9 @@ def cmd_nonpert_evolve(params):
         basis, coupling=float(params["coupling"]), t_mod=np.sqrt(float(params["t_sq"])), gap=float(params["gap"])
     )
     t_end = float(params["t_end"])
-    t_eval = grid_values(params["tau"]) if params.get("tau") else np.linspace(0.0, t_end, 201)
+    t_eval = np.linspace(0.0, t_end, 201) if params["tau"] is None else grid_values(params["tau"])
+    if t_eval[0] < 0.0 or (np.diff(t_eval) <= 0.0).any():
+        raise ConfigError("--tau (or 0 to --t-end) must start at or above 0 and increase strictly")
     sol = nonpert.solve_factors(basis, schedule, (0.0, max(t_end, t_eval[-1])), t_eval=t_eval)
     gammas = nonpert.covariance_trajectory(basis, sol.y)
     rows = []

@@ -36,7 +36,7 @@ def von_neumann_entropy(state):
     return float(np.sum(_entropy_term(nus)))
 
 
-def entropy_of_entanglement(state, partition, check_tol=1e-9):
+def entropy_of_entanglement(state, partition):
     """Entropy of either reduced side of a pure bipartite Gaussian state.
 
     `partition` lists the modes of one side.  Raises for mixed global states;
@@ -50,7 +50,7 @@ def entropy_of_entanglement(state, partition, check_tol=1e-9):
         raise ValueError("partition must split the modes into two non-empty sets")
     ent_a = von_neumann_entropy(gaussian.partial_trace(state, side_a))
     ent_b = von_neumann_entropy(gaussian.partial_trace(state, side_b))
-    if abs(ent_a - ent_b) > max(check_tol, 1e-9 * max(ent_a, ent_b, 1.0)):
+    if abs(ent_a - ent_b) > 1e-9 * max(ent_a, ent_b, 1.0):
         raise ValueError(f"reduced-side entropies disagree: {ent_a} vs {ent_b}")
     return 0.5 * (ent_a + ent_b)
 
@@ -59,9 +59,7 @@ def smallest_pt_eigenvalue(state):
     """nu~: smallest symplectic eigenvalue of the partially transposed two-mode state."""
     if state.n_modes != 2:
         raise ValueError("negativity measures are defined for two-mode states here")
-    tilde = gaussian.partial_transpose(state, mode=1)
-    nus = gaussian.symplectic_spectrum(tilde.covariance, basis=state.basis)
-    return float(nus.min())
+    return float(gaussian.symplectic_spectrum(gaussian.partial_transpose(state, mode=1)).min())
 
 
 def negativity_gaussian(state):

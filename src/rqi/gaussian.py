@@ -19,7 +19,10 @@ Three operator orderings ("bases") are supported:
     S K S+ = K with K = diag(I, -I), and the covariance matrix is Hermitian
     with block structure [[V, U], [conj(U), conj(V)]].
 
-A symplectic matrix in the real bases satisfies S Omega S^T = Omega.
+In every basis S is symplectic when S Omega S+ = Omega, and the symplectic
+eigenvalues are the positive eigenvalues of i Omega Gamma.  A `SymplecticMap`
+is certified (defect <= check_tol) once, where it is made; products formed
+inside a computation are not re-checked, only the map it returns.
 """
 
 from __future__ import annotations
@@ -164,13 +167,9 @@ class SymplecticMap:
 
 
 def symplectic_defect(matrix, basis):
-    """sup-norm of S Omega S^T - Omega (conjugation per basis)."""
-    n = matrix.shape[0] // 2
-    if basis == COMPLEX:
-        k = kay(n)
-        return float(np.abs(matrix @ k @ matrix.conj().T - k).max())
-    omega = symplectic_form(basis, n)
-    return float(np.abs(matrix @ omega @ matrix.T - omega).max())
+    """sup-norm of S Omega S+ - Omega with Omega = symplectic_form(basis, N)."""
+    omega = symplectic_form(basis, matrix.shape[0] // 2)
+    return float(np.abs(matrix @ omega @ matrix.conj().T - omega).max())
 
 
 def convert_basis(obj, target):
@@ -228,7 +227,7 @@ def thermal_state(nus, basis=REAL):
     return convert_basis(CovarianceState(n, REAL, np.zeros(2 * n), g), basis)
 
 
-def symplectic_from_hamiltonian(h, check_tol=DEFAULT_TOL):
+def symplectic_from_hamiltonian(h):
     """Map a quadratic-Hamiltonian matrix (complex form) to S = exp(-i K H).
 
     `h` must be Hermitian with the block structure [[A, B], [conj(B), conj(A)]]
@@ -248,7 +247,7 @@ def symplectic_from_hamiltonian(h, check_tol=DEFAULT_TOL):
     ):
         raise ValueError("Hamiltonian matrix lacks the [[A, B], [conj(B), conj(A)]] structure")
     s = expm(-1j * kay(n) @ h)
-    return SymplecticMap(n, COMPLEX, s, check_tol=check_tol)
+    return SymplecticMap(n, COMPLEX, s)
 
 
 def phase_rotation(thetas):
@@ -301,26 +300,16 @@ def apply_map(smap, state):
     return CovarianceState(state.n_modes, state.basis, d, (g + g.conj().T) / 2)
 
 
-def symplectic_spectrum(state_or_cov, basis=None):
+def symplectic_spectrum(state):
     """Sorted symplectic eigenvalues nu_k (positive eigenvalues of i Omega Gamma).
 
     Physical states have all nu_k >= 1 and det(Gamma) = prod nu_k^2.
     """
-    if isinstance(state_or_cov, CovarianceState):
-        g, basis, n = state_or_cov.covariance, state_or_cov.basis, state_or_cov.n_modes
-    else:
-        g = np.asarray(state_or_cov)
-        n = g.shape[0] // 2
-        if basis is None:
-            raise ValueError("basis required when passing a bare matrix")
+    g, n = state.covariance, state.n_modes
     if np.linalg.eigvalsh((g + g.conj().T) / 2).min() <= 0:
         raise ValueError("covariance matrix is not positive definite")
-    if basis == COMPLEX:
-        w = np.linalg.eigvals(kay(n) @ g)
-    else:
-        w = np.linalg.eigvals(1j * symplectic_form(basis, n) @ g)
-    nus = np.sort(np.real(w))[-n:]
-    return nus
+    w = np.linalg.eigvals(1j * symplectic_form(state.basis, n) @ g)
+    return np.sort(np.real(w))[-n:]
 
 
 def partial_trace(state, keep):

@@ -46,6 +46,8 @@ from .gaussian import COMPLEX, QUADRATURE, basis_change_matrix, kay, symplectic_
 COND_MAX = 1e10
 # most oracle midpoint steps exponentiated and multiplied in one batch
 ORACLE_BATCH = 4096
+# most oracle steps in one call: about ten minutes at the batched rate
+ORACLE_MAX_STEPS = 10**8
 # largest step infinity-norm the oracle's Taylor series takes, and its truncation bound
 TAYLOR_THETA = 0.5
 TAYLOR_TOL = 1e-16
@@ -419,12 +421,15 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     their ordered product from a pairwise reduction.  Returns Gamma at the
     grid times (complex form, vacuum start by default).  Independent of the
     product-decomposition machinery: it never touches the factor tables.
+    A `dt` that needs more than ORACLE_MAX_STEPS steps raises ValueError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"oracle step dt must be finite and positive, got {dt!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size == 0 or not np.isfinite(t_grid).all() or (np.diff(t_grid) < 0.0).any():
         raise ValueError("oracle t_grid must be a non-empty, finite, non-decreasing 1-d sequence")
+    if (t_grid[-1] - t_grid[0]) / dt > ORACLE_MAX_STEPS:
+        raise ValueError(f"oracle step dt = {dt!r} needs more than ORACLE_MAX_STEPS = {ORACLE_MAX_STEPS} steps")
     n = basis.n_modes
     kdiag = np.diag(kay(n))[:, None]
     if gamma0 is None:

@@ -108,17 +108,18 @@ def transition_rate_inertial(params, profile=SpatialProfile()):
     return float(np.sqrt(gap**2 - mass**2) * window(-gap) ** 2 / (2.0 * np.pi))
 
 
-def _xi_accelerated(delta_abs, params, profile, dim):
-    """|Xi(|Delta|)|: window-weighted Rindler density of states.
+def _density_weight(delta_abs, params, profile, dim):
+    """w(|Delta|) with Xi(Delta) = (Delta/2pi) w(|Delta|): window-weighted Rindler density of states.
 
-    1+1: (Delta/2pi) |f~(Delta)|^2 directly.  3+1: transverse quadrature of
-    the Rindler normalisation |N K_{i Delta/a}(kappa/a)|^2, calibrated so
-    the point-like massless limit is exactly Delta/2pi.
+    1+1, and point-like massless 3+1: the window factor |f~(|Delta|)|^2.
+    Otherwise the 3+1 transverse quadrature of the Rindler normalisation
+    |N K_{i Delta/a}(kappa/a)|^2, calibrated so that the point-like
+    massless limit is exactly 1.
     """
     a = params.accel
     window = frequency_window(profile)
-    if dim == "1+1":
-        return delta_abs / (2.0 * np.pi) * float(window(delta_abs) ** 2)
+    if dim == "1+1" or (profile.kind == POINT and params.mass == 0.0):
+        return float(window(delta_abs) ** 2)
     nu = delta_abs / a
     sigma = profile.sigma if profile.kind != POINT else 1.0
     cut = max(10.0 / sigma, 10.0 * a, 10.0 * delta_abs, 10.0)
@@ -132,34 +133,30 @@ def _xi_accelerated(delta_abs, params, profile, dim):
         val2, _ = quad(f, cut, 2 * cut, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)
         return val + val2
 
-    # calibrate the transverse density so the point-like massless limit is
-    # exactly Delta / 2 pi, then weight by the window
+    # calibrate the transverse density by the point-like massless integral,
+    # then weight by the window
     base = integrate(lambda kp: raw(kp, 0.0))
     smeared = integrate(lambda kp: raw(kp, params.mass) * window(delta_abs) ** 2)
-    return delta_abs / (2.0 * np.pi) * smeared / base
+    return smeared / base
 
 
 def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1"):
-    """Uniformly accelerated rate Xi(Delta) / (exp(2 pi Delta / a) - 1).
+    """Uniformly accelerated rate (Delta/2pi) w(|Delta|) / (exp(2 pi Delta / a) - 1).
 
     Stationary by construction (no time argument); satisfies the KMS ratio
     exp(-2 pi Delta / a) for any window.  Point-like massless reproduces
-    (Delta/2pi) / (exp(2 pi Delta / a) - 1) in both 1+1 and 3+1.
+    (Delta/2pi) / (exp(2 pi Delta / a) - 1) in both 1+1 and 3+1.  At
+    Delta = 0 the rate is its limit a w(0) / (4 pi^2).
     """
     if params.accel <= 0:
         raise ValueError("acceleration must be positive")
     if dim not in DIMS:
         raise ValueError(f"dim must be one of {DIMS}, got {dim!r}")
-    gap = params.gap
+    gap, a = params.gap, params.accel
+    w = _density_weight(abs(gap), params, profile, dim)
     if gap == 0.0:
-        # Planck factor pole; take the finite limit a/(2 pi) * ... via small gap
-        gap = 1e-12
-    if profile.kind == POINT and dim == "3+1" and params.mass == 0.0:
-        xi = abs(gap) / (2.0 * np.pi)
-    else:
-        xi = _xi_accelerated(abs(gap), params, profile, dim)
-    xi_signed = np.sign(gap) * xi
-    return float(xi_signed / np.expm1(2.0 * np.pi * gap / params.accel))
+        return float(a * w / (4.0 * np.pi**2))
+    return float(gap / (2.0 * np.pi) * w / np.expm1(2.0 * np.pi * gap / a))
 
 
 def wavepacket_overlap(profile, packet, t, n_grid=4001):

@@ -154,7 +154,7 @@ def test_pt_eigenvalue_on_resonance():
     _, b = boson.segment_blocks(smap)
     state = boson.two_mode_reduced_state(smap, 1, 2)
     tilde = gaussian.partial_transpose(state, 1)
-    nus = gaussian.symplectic_spectrum(tilde.covariance, basis=gaussian.COMPLEX)
+    nus = gaussian.symplectic_spectrum(tilde)
     assert abs(nus.min() - (1.0 - 2.0 * abs(b[0, 1]))) < 1e-7
 
 
@@ -246,3 +246,32 @@ def test_off_resonance_negativity_composes_once(monkeypatch):
     assert not res["resonant"]
     assert len(calls) == 1
     assert res["negativity"] == expected
+
+
+def test_exact_negativity_certifies_only_the_composed_map(monkeypatch):
+    c = cfg(n_max=8, h=1e-4)
+    seg = boson.standard_segment(1e-4, 0.7, 0.4)
+    expected = boson.segment_negativity_exact(c, seg, 1, 2, 3)
+    calls = []
+    original = gaussian.symplectic_defect
+
+    def counted(matrix, basis):
+        calls.append(basis)
+        return original(matrix, basis)
+
+    monkeypatch.setattr(gaussian, "symplectic_defect", counted)
+    # four blocks and a third power: only the product is checked
+    assert boson.segment_negativity_exact(c, seg, 1, 2, 3) == expected
+    assert len(calls) == 1
+
+
+def test_block_validity_warning_points_at_the_caller():
+    c = cfg(n_max=20, h=0.01)
+    builders = (
+        lambda: boson.building_block(c, c.h, 0.5),
+        lambda: boson.compose_segment(c, boson.standard_segment(c.h, 0.5, 0.5)),
+    )
+    for build in builders:
+        with pytest.warns(boson.PerturbativeValidityWarning) as record:
+            build()
+        assert {w.filename for w in record} == {__file__}

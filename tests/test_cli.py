@@ -214,11 +214,6 @@ GOLDEN = {
         "f53a7e87acc01075ed577252db31a8a4d79e291c27fadb9427737bdd2130db0b",
         {"command", "params", "rows"},
     ),
-    "detector-rate": (
-        ["--dim", "3+1", "--profile", "gaussian", "--mass", "0.5", "--gap", "[-1.0, 0.0, 1.0]"],
-        "f492e02d592f1ec9748d71046ab36442e2d8ec28b2e72c22d6c68de79f71647c",
-        {"command", "params", "rows"},
-    ),
 }
 # box-entangle: (h, kappa, entropy) rows of the same recording.  The entropy is
 # compared to 1e-12 because the closed form replaced a dense eigensolve there.
@@ -246,6 +241,16 @@ GOLDEN_NONPERT_ROWS = [
         3.4906520807520349e-06, -0.048542264636334494, -0.0023673042124299393, -5.2510462862789048e-05,
         -0.0018665184479554041, 3.3922885520649639e-07, -0.048695864965341139,
     ),
+]
+
+# detector-rate: (gap, rate) rows of the same recording, made when a zero gap
+# was replaced by 1e-12.  The exact Delta -> 0 limit moved that row by 3.1e-12
+# relative, so the rows are compared to 1e-10 relative.
+GOLDEN_DETECTOR_ARGS = ["--dim", "3+1", "--profile", "gaussian", "--mass", "0.5", "--gap", "[-1.0, 0.0, 1.0]"]
+GOLDEN_DETECTOR_ROWS = [
+    (-1.0, 1.3985140824461265e-08),
+    (0.0, 6.6461371452993985e-13),
+    (1.0, 2.6116449584552866e-11),
 ]
 
 
@@ -284,6 +289,19 @@ def test_golden_nonpert_evolve(tmp_path):
     assert isinstance(summary["rhs_calls"], int) and summary["rhs_calls"] > 0
 
 
+def test_golden_detector_rate(tmp_path):
+    out = tmp_path / "g"
+    assert run(["detector-rate", *GOLDEN_DETECTOR_ARGS, "--out", str(out)]) == 0
+    lines = read_lines(str(out) + ".csv")
+    assert lines[0] == "gap,rate"
+    rows = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
+    assert len(rows) == len(GOLDEN_DETECTOR_ROWS)
+    for (gap, rate), (gap0, rate0) in zip(rows, GOLDEN_DETECTOR_ROWS):
+        assert gap == gap0
+        assert abs(rate - rate0) <= 1e-10 * abs(rate0)
+    assert set(json.loads((tmp_path / "g.json").read_text())) == {"command", "params", "rows"}
+
+
 def test_box_entangle_bad_truncation_exit_2(tmp_path):
     args = ["box-entangle", "--h", "[0.5]", "--kappa", "[0.0]", "--out", str(tmp_path / "b")]
     assert run(args + ["--n-cut", "0"]) == 2
@@ -295,6 +313,52 @@ def test_detector_rate_bad_dim_exit_2(tmp_path, dim):
     args = ["detector-rate", "--gap", "[1.0]", "--dim", dim, "--out", str(tmp_path / "d")]
     assert run(args) == 2
     assert not (tmp_path / "d.csv").exists()
+
+
+# one non-finite number per command, in a grid list, a grid dict or a scalar flag
+NON_FINITE = [
+    ["measures", "--r", "nan"],
+    ["resonance-sweep", "--tau1", "[NaN]", "--tau2", "[0.5]"],
+    ["resonance-sweep", "--h", "nan", "--tau1", "[0.5]", "--tau2", "[0.5]"],
+    ["teleport-fidelity", "--tau", "[Infinity]", "--h", "[0.0]", "--n-max", "6"],
+    ["fermion-negativity", "--u", "[NaN]", "--n-side", "60"],
+    ["oneway-surface", "--u", "[0.5]", "--v", "[NaN]", "--n-side", "60"],
+    ["detector-rate", "--gap", "[NaN]"],
+    ["detector-rate", "--gap", '{"min": 0.0, "max": Infinity, "steps": 2}'],
+    ["nonpert-evolve", "--tau", "[1.0, NaN]", "--t-end", "2.0"],
+    ["nonpert-evolve", "--coupling", "nan", "--tau", "[0.0, 1.0]", "--t-end", "1.0"],
+    ["box-entangle", "--h", "[NaN]", "--kappa", "[0.0]", "--n-cut", "3"],
+    ["box-entangle", "--h", "[0.5]", "--kappa", "[-Infinity]", "--n-cut", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", NON_FINITE, ids=lambda a: " ".join(a[:3]))
+def test_non_finite_input_exit_2(tmp_path, argv):
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_non_finite_config_file_exit_2(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gap": {"min": -1.0, "max": NaN, "steps": 3}}')
+    assert run(["detector-rate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+    assert not (tmp_path / "d.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        ["--tau", "[]", "--t-end", "4.0"],
+        ["--tau", "[3.0, 1.0]", "--t-end", "4.0"],
+        ["--tau", "[1.0, 1.0]", "--t-end", "4.0"],
+        ["--tau", "[-1.0, 1.0]", "--t-end", "4.0"],
+        ["--t-end", "-1.0"],  # the default grid 0 to t_end runs backwards
+        ["--t-end", "0.0"],
+    ],
+)
+def test_nonpert_evolve_bad_output_times_exit_2(tmp_path, times):
+    assert run(["nonpert-evolve", *times, "--out", str(tmp_path / "n")]) == 2
+    assert not (tmp_path / "n.csv").exists()
 
 
 def count_calls(monkeypatch, module, name):

@@ -85,7 +85,7 @@ def test_local_symplectics_leave_negativity_invariant():
 def test_negativity_zero_iff_pt_spectrum_above_one():
     sep = g.thermal_state([1.2, 1.1], basis=g.COMPLEX)
     tilde = g.partial_transpose(sep, 1)
-    nus = g.symplectic_spectrum(tilde.covariance, basis=g.COMPLEX)
+    nus = g.symplectic_spectrum(tilde)
     assert nus.min() >= 1 - 1e-10
     assert e.negativity_gaussian(sep) == 0.0
 

@@ -2,8 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqi import gaussian as g
+
+PROPS = settings(max_examples=40, deadline=None, database=None)
+MODES = st.integers(1, 4)
+SEEDS = st.integers(0, 2**32 - 1)
 
 
 def test_symplectic_forms_match_bases():
@@ -131,12 +137,12 @@ def test_partial_transpose_tmss_spectrum_and_involution():
     for basis in g.BASES:
         tmss = g.two_mode_squeezed_state(r, basis=basis)
         tilde = g.partial_transpose(tmss, mode=1)
-        nus = g.symplectic_spectrum(tilde.covariance, basis=basis)
+        nus = g.symplectic_spectrum(tilde)
         assert np.allclose(np.sort(nus), [np.exp(-2 * r), np.exp(2 * r)], atol=1e-10)
         again = g.partial_transpose(tilde, mode=1)
         assert np.abs(again.covariance - tmss.covariance).max() < 1e-13
     sep = g.thermal_state([1.4, 1.1], basis=g.REAL)
-    nus = g.symplectic_spectrum(g.partial_transpose(sep, 1).covariance, basis=g.REAL)
+    nus = g.symplectic_spectrum(g.partial_transpose(sep, 1))
     assert nus.min() >= 1.0 - 1e-12
 
 
@@ -185,3 +191,45 @@ def test_json_schema_round_trip_and_golden():
     smap = g.beam_splitter(0.2)
     back_map = g.from_json(g.to_json(smap))
     assert np.abs(back_map.matrix - smap.matrix).max() < 1e-15
+
+
+@PROPS
+@given(n=MODES, seed=SEEDS)
+def test_products_and_inverses_stay_certified(n, seed):
+    rng = np.random.default_rng(seed)
+    a, b = g.random_symplectic(n, rng), g.random_symplectic(n, rng)
+    for basis in g.BASES:
+        am, bm = g.convert_basis(a, basis), g.convert_basis(b, basis)
+        product = g.SymplecticMap(n, basis, am.matrix @ bm.matrix)
+        inverse = product.inverse()
+        assert np.abs(inverse.matrix @ product.matrix - np.eye(2 * n)).max() < 1e-12
+
+
+@PROPS
+@given(n=MODES, seed=SEEDS, data=st.data())
+def test_convert_basis_round_trips(n, seed, data):
+    smap = g.random_symplectic(n, np.random.default_rng(seed))
+    nus = data.draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n))
+    state = g.apply_map(smap, g.thermal_state(nus, g.COMPLEX))
+    for src in g.BASES:
+        for dst in g.BASES:
+            m = g.convert_basis(smap, src)
+            assert np.abs(g.convert_basis(g.convert_basis(m, dst), src).matrix - m.matrix).max() < 1e-12
+            state_src = g.convert_basis(state, src)
+            back = g.convert_basis(g.convert_basis(state_src, dst), src)
+            assert np.abs(back.covariance - state_src.covariance).max() < 1e-12
+
+
+@PROPS
+@given(n=MODES, seed=SEEDS, data=st.data())
+def test_spectrum_and_williamson_recover_thermal_nus(n, seed, data):
+    smap = g.random_symplectic(n, np.random.default_rng(seed))
+    nus = np.sort(data.draw(st.lists(st.floats(1.0, 4.0), min_size=n, max_size=n)))
+    for basis in g.BASES:
+        state = g.apply_map(g.convert_basis(smap, basis), g.thermal_state(nus, basis))
+        assert np.abs(g.symplectic_spectrum(state) - nus).max() < 1e-12
+        w, s = g.williamson(state)
+        gamma = g.convert_basis(state, g.REAL).covariance
+        assert np.abs(w - nus).max() < 1e-12
+        assert np.abs(s @ np.diag(np.repeat(w, 2)) @ s.T - gamma).max() < 1e-12 * np.abs(gamma).max()
+        assert g.symplectic_defect(s, g.REAL) < 1e-12

@@ -241,7 +241,8 @@ def test_hamiltonian_matrix_stacks():
         assert np.abs(nonpert.hamiltonian_matrix(basis, lam[:, i]) - single).max() < 1e-14
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+# 1e-13 on [0, 1] would take 1e13 steps, past nonpert.ORACLE_MAX_STEPS
+@pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, 1e-13])
 def test_oracle_rejects_bad_step(dt):
     basis = nonpert.detector_field_basis()
     sched = call_budget(nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0))

@@ -89,6 +89,23 @@ def test_accelerated_rejects_unknown_dim(dim):
         udw.transition_rate_accelerated(udw.DetectorParams(gap=1.0, accel=1.0, mass=0.5), dim=dim)
 
 
+@pytest.mark.parametrize("dim", udw.DIMS)
+def test_accelerated_zero_gap_is_the_exact_limit(dim):
+    # point-like massless: (Delta/2pi) / expm1(2 pi Delta / a) -> a / (4 pi^2)
+    for a in (0.5, 1.0, 2.0):
+        got = udw.transition_rate_accelerated(udw.DetectorParams(gap=0.0, accel=a), dim=dim)
+        assert abs(got / (a / (4 * np.pi**2)) - 1.0) < 1e-15
+
+
+def test_accelerated_zero_gap_continuous_when_smeared_and_massive():
+    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0)
+    rate = lambda gap: udw.transition_rate_accelerated(udw.DetectorParams(gap=gap, mass=0.5, accel=1.0), prof, "3+1")
+    at_zero = rate(0.0)
+    assert at_zero > 0.0
+    for gap in (-1e-6, 1e-6):
+        assert abs(rate(gap) / at_zero - 1.0) < 1e-5
+
+
 def test_window_limit_recovers_point_like():
     # sigma -> 0 with the normalised window: within 2 percent at sigma 0.01
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.01, peak=5.0, normalized=True)
