@@ -10,23 +10,20 @@ is entangled between the cavities; its entropy of entanglement follows from
 the reduced state rho_R = (sum |F^A|^2) (+) F F+ after trace normalisation.
 
 Rob's x-direction modes solve the modified Bessel equation with imaginary
-order; the spectrum is found either by root finding on the Bessel boundary
-function ("bessel" engine) or by a tridiagonal discretisation of the
-equivalent Sturm-Liouville problem in y = log(chi) ("fd" engine, used for
-grid sweeps).  The atom's trajectory enters through chi(tau) =
-sqrt(1/h^2 - gamma^2 tau^2) and the Rindler phase Omega atanh(h gamma tau);
-the dimensionless frequency convention is pinned by the h -> 0 continuity
-check Omega log(chi+/chi-) -> sqrt(n^2 pi^2 + kappa_m^2).
+order; the spectrum comes from a tridiagonal discretisation of the equivalent
+Sturm-Liouville problem in y = log(chi).  The atom's trajectory enters through
+chi(tau) = sqrt(1/h^2 - gamma^2 tau^2) and the Rindler phase
+Omega atanh(h gamma tau); the dimensionless frequency convention is pinned by
+the h -> 0 continuity check Omega log(chi+/chi-) -> sqrt(n^2 pi^2 + kappa_m^2).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-from . import bessel as bessel_mod
 
 
 @dataclass(frozen=True)
@@ -78,72 +75,45 @@ class RindlerBoxSpectrum:
     norms: np.ndarray
     profiles: np.ndarray  # (n_cut, n_cut, n_y) mode values on y_grid
 
-    def mode_values(self, n, m, chis):
-        y = np.log(chis)
-        return self.norms[n - 1, m - 1] * np.interp(y, self.y_grid, self.profiles[n - 1, m - 1])
+    @classmethod
+    def from_modes(cls, scenario, y_grid, omegas, profiles):
+        """Spectrum from raw profiles on `y_grid`, each known up to a constant factor.
+
+        Every profile is signed so that its first lobe is positive and given
+        the Klein-Gordon normalisation Omega * int u^2 dchi/chi * int sin^2 dy
+        = 1/2, i.e. N = 1/sqrt(Omega I_chi).
+        """
+        mag = np.abs(profiles)
+        first = np.argmax(mag > 1e-3 * mag.max(axis=-1, keepdims=True), axis=-1)
+        lead = np.take_along_axis(profiles, first[..., None], axis=-1)
+        profiles = np.where(lead < 0, -profiles, profiles)
+        norms = 1.0 / np.sqrt(omegas * np.trapezoid(profiles * profiles, y_grid, axis=-1))
+        return cls(scenario, y_grid, omegas, norms, profiles)
 
 
-def solve_rindler_spectrum(scenario, engine="fd"):
+def solve_rindler_spectrum(scenario):
     """Frequencies Omega_nm, normalisations and profiles of Rob's modes.
 
-    Normalisation: Omega * int u^2 dchi/chi * int sin^2 dy = 1/2 with the
-    Klein-Gordon measure, i.e. N = 1/sqrt(Omega I_chi).
+    Per m, the interior of an n_y-point grid in y = log(chi) discretises
+    u'' + (Omega^2 - kappa_m^2 e^(2y)) u = 0 with u = 0 at both walls; the
+    lowest n_cut eigenpairs of the tridiagonal matrix give Omega_nm^2 and u.
     """
     if scenario.h <= 0:
         raise ValueError("spectrum solver needs h > 0; use the closed form at h = 0")
-    chi_minus = 1.0 / scenario.h - 0.5
-    chi_plus = 1.0 / scenario.h + 0.5
-    y0, y1 = np.log(chi_minus), np.log(chi_plus)
     n_cut = scenario.n_cut
-    y = np.linspace(y0, y1, scenario.n_y)
-    omegas = np.empty((n_cut, n_cut))
-    norms = np.empty((n_cut, n_cut))
-    profiles = np.empty((n_cut, n_cut, scenario.n_y))
-    for m in range(1, n_cut + 1):
-        km = scenario.kappa_m(m)
-        if engine == "fd":
-            om, prof = _fd_modes(y, km, n_cut)
-        elif engine == "bessel":
-            om, prof = _bessel_modes(y, chi_minus, chi_plus, km, n_cut)
-        else:
-            raise ValueError(f"unknown engine {engine!r}")
-        for n in range(1, n_cut + 1):
-            u = prof[n - 1]
-            # fix the sign so the first lobe is positive
-            if u[np.argmax(np.abs(u) > 1e-3 * np.abs(u).max())] < 0:
-                u = -u
-            i_chi = np.trapezoid(u * u, y)
-            norm = 1.0 / np.sqrt(om[n - 1] * i_chi)
-            omegas[n - 1, m - 1] = om[n - 1]
-            norms[n - 1, m - 1] = norm
-            profiles[n - 1, m - 1] = u
-    return RindlerBoxSpectrum(scenario, y, omegas, norms, profiles)
-
-
-def _fd_modes(y, kappa_m, n_cut):
-    """Sturm-Liouville solve of u'' + (Omega^2 - kappa^2 e^(2y)) u = 0."""
-    interior = y[1:-1]
+    y = np.linspace(np.log(1.0 / scenario.h - 0.5), np.log(1.0 / scenario.h + 0.5), scenario.n_y)
     dy = y[1] - y[0]
-    diag = 2.0 / dy**2 + kappa_m**2 * np.exp(2.0 * interior)
-    off = -np.ones(interior.size - 1) / dy**2
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_cut - 1))
-    if vals.min() <= 0:
-        raise RuntimeError("unexpected non-positive eigenvalue in the mode solve")
-    omegas = np.sqrt(vals)
-    prof = np.zeros((n_cut, y.size))
-    for n in range(n_cut):
-        prof[n, 1:-1] = vecs[:, n] / np.sqrt(dy)  # continuum normalisation of the grid vector
-    return omegas, prof
-
-
-def _bessel_modes(y, chi_minus, chi_plus, kappa_m, n_cut):
-    """Spectrum and profiles through the imaginary-order Bessel functions."""
-    omegas = bessel_mod.rindler_frequencies(chi_minus, chi_plus, kappa_m, n_cut)
-    chis = np.exp(y)
-    prof = np.empty((n_cut, y.size))
-    for n in range(n_cut):
-        prof[n] = bessel_mod.rindler_mode_profile(chis, chi_minus, kappa_m, omegas[n])
-    return omegas, prof
+    off = -np.ones(y.size - 3) / dy**2
+    omegas = np.empty((n_cut, n_cut))
+    profiles = np.zeros((n_cut, n_cut, y.size))
+    for m in range(1, n_cut + 1):
+        diag = 2.0 / dy**2 + scenario.kappa_m(m) ** 2 * np.exp(2.0 * y[1:-1])
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_cut - 1))
+        if vals.min() <= 0:
+            raise RuntimeError("unexpected non-positive eigenvalue in the mode solve")
+        omegas[:, m - 1] = np.sqrt(vals)
+        profiles[:, m - 1, 1:-1] = vecs.T / np.sqrt(dy)  # continuum normalisation of the grid vector
+    return RindlerBoxSpectrum.from_modes(scenario, y, omegas, profiles)
 
 
 def _lambda_exponential_terms(m, scenario):
@@ -225,26 +195,32 @@ def rob_overlap_quadrature(scenario, spectrum=None):
     if spectrum is None:
         spectrum = solve_rindler_spectrum(scenario)
     t = scenario.t_half
-    nodes, weights = np.polynomial.legendre.leggauss(scenario.n_quad)
-    tau = nodes * t
-    w = weights * t
+    nodes, weights = _leggauss(scenario.n_quad)
     vg = scenario.v * scenario.gamma
+    tau = nodes * t
     chi = np.sqrt(np.maximum(1.0 / scenario.h**2 - (scenario.gamma * tau) ** 2, 0.0))
-    chi_minus = 1.0 / scenario.h - 0.5
-    chi_plus = 1.0 / scenario.h + 0.5
-    inside = (chi >= chi_minus) & (chi <= chi_plus)
+    inside = (chi >= 1.0 / scenario.h - 0.5) & (chi <= 1.0 / scenario.h + 0.5)
+    tau, w, log_chi = tau[inside], weights[inside] * t, np.log(chi[inside])
+    # linear interpolation in y: one grid index and fraction serve every (n, m) profile
+    y = spectrum.y_grid
+    j = np.clip(np.searchsorted(y, log_chi, side="right") - 1, 0, y.size - 2)
+    frac = (log_chi - y[j]) / (y[j + 1] - y[j])
+    lo = spectrum.profiles[..., j]
+    u = lo + (spectrum.profiles[..., j + 1] - lo) * frac  # (n, m, node)
     phase_arg = np.arctanh(np.clip(scenario.h * scenario.gamma * tau, -1 + 1e-15, 1 - 1e-15))
     eps = scenario.epsilon * np.sin(2.0 * np.pi * vg * tau) ** 2
-    out = np.empty((scenario.n_cut, scenario.n_cut), dtype=complex)
-    for m in range(1, scenario.n_cut + 1):
-        y_factor = np.sin(m * np.pi * (vg * tau - 0.5))
-        lam = -1j * eps * y_factor * np.exp(-1j * scenario.gap * tau)
-        for n in range(1, scenario.n_cut + 1):
-            omega = spectrum.omegas[n - 1, m - 1]
-            u_vals = np.where(inside, spectrum.mode_values(n, m, np.where(inside, chi, chi_minus)), 0.0)
-            integrand = lam * u_vals * np.exp(1j * omega * phase_arg)
-            out[n - 1, m - 1] = np.sum(w * integrand)
-    return out
+    m = np.arange(1, scenario.n_cut + 1)[:, None]
+    lam = -1j * eps * np.sin(m * np.pi * (vg * tau - 0.5)) * np.exp(-1j * scenario.gap * tau)  # (m, node)
+    integrand = lam * u * np.exp(1j * spectrum.omegas[..., None] * phase_arg)
+    return spectrum.norms * (integrand @ w)
+
+
+@functools.lru_cache
+def _leggauss(n_quad):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order and read-only."""
+    nodes, weights = np.polynomial.legendre.leggauss(n_quad)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def alice_overlaps(scenario):

@@ -345,14 +345,13 @@ def cmd_box_entangle(params):
     def one(h):
         out = []
         for kap in kappas:
-            scen = boxpair.BoxScenario(h=float(h), kappa=float(kap), **scen_base)
-            out.append((h, kap, boxpair.cavity_entanglement(scen)["entropy"]))
+            res = boxpair.cavity_entanglement(boxpair.BoxScenario(h=float(h), kappa=float(kap), **scen_base))
+            out.append(((h, kap, res["entropy"]), res["flagged"]))
         return out
 
-    rows = []
-    for chunk in parallel_map(one, hs):
-        rows.extend(chunk)
-    return ["h", "kappa", "entropy"], rows, {}
+    points = [p for chunk in parallel_map(one, hs) for p in chunk]
+    # flagged: grid points with no emission amplitude, written as entropy 0
+    return ["h", "kappa", "entropy"], [row for row, _ in points], {"flagged": sum(f for _, f in points)}
 
 
 def check_box_entangle(params):

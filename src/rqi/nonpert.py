@@ -156,31 +156,6 @@ def detector_field_basis():
     return GeneratorBasis(n_modes=2, generators=tuple(full.generators[index[lab]] for lab in order), labels=labels)
 
 
-def structure_constants(basis, tol=1e-12):
-    """c_ijk of [K G_i, K G_j] = i sum_k c_ijk K G_k; residual must vanish.
-
-    The i keeps the constants real (the -i K G_j span the real symplectic
-    algebra).  Returned as a dense (dim, dim, dim) array, antisymmetric in
-    the first two indices.
-    """
-    k = kay(basis.n_modes)
-    dim = basis.dim
-    mats = [k @ g for g in basis.generators]
-    flat = np.stack([1j * m.ravel() for m in mats], axis=1)
-    flat_real = np.vstack([flat.real, flat.imag])
-    pinv = np.linalg.pinv(flat_real)
-    c = np.zeros((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            comm = (mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
-            rhs = np.concatenate([comm.real, comm.imag])
-            coef = pinv @ rhs
-            if np.abs(flat_real @ coef - rhs).max() > tol * max(1.0, np.abs(comm).max()):
-                raise RuntimeError("generator algebra is not closed")
-            c[i, j, :] = coef
-    return c
-
-
 def hamiltonian_matrix(basis, lambdas):
     """H = sum_j lambda_j G_j; lambda of shape (dim,) gives one matrix, (dim, n) a stack of n."""
     return np.tensordot(np.asarray(lambdas), np.stack(basis.generators), axes=(0, 0))

