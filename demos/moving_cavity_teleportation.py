@@ -11,7 +11,7 @@ import numpy as np
 
 from rqi import boson, entanglement, teleport
 
-r, k, kp = 0.5, 1, 3
+r, kp = 0.5, 3
 h = np.sqrt(0.06)
 cfg = boson.BosonCavityConfig(n_max=30, h=h)
 
@@ -21,7 +21,7 @@ print("tau, f_alpha, f_beta, corrected optimal fidelity, drop in % of total:")
 best = (0.0, 0.0)
 for tau in np.linspace(0.1, 2.0, 20):
     scen = teleport.TeleportScenario(
-        r=r, k=k, kp=kp, config=cfg, segment=boson.TrajectorySegment(((h, tau),))
+        r=r, kp=kp, config=cfg, segment=boson.TrajectorySegment(((h, tau),))
     )
     fa, fb, _ = teleport.f_sums(scen)
     res = teleport.optimal_fidelity_corrected(scen)
@@ -32,7 +32,7 @@ print(f"\nworst-case correction {best[0]:.2f}% of the total fidelity at tau = {b
 
 # the closed-form smallest PT eigenvalue against the assembled-state route
 scen = teleport.TeleportScenario(
-    r=r, k=k, kp=kp, config=boson.BosonCavityConfig(n_max=20, h=0.1),
+    r=r, kp=kp, config=boson.BosonCavityConfig(n_max=20, h=0.1),
     segment=boson.TrajectorySegment(((0.1, 0.9),)),
 )
 state = teleport.transformed_resource_state(scen)

@@ -160,7 +160,7 @@ def building_block(config, h_j, tau_j):
     small, since the block is built from first-order coefficients only.
     """
     s, bound = _block(config, h_j, tau_j)
-    return SymplecticMap(config.n_max, COMPLEX, s, check_tol=bound)
+    return SymplecticMap(config.n_max, COMPLEX, s, defect_tol=bound)
 
 
 def compose_segment(config, segment):
@@ -177,7 +177,7 @@ def compose_segment(config, segment):
         s, bound = _block(config, h_j, tau_j)
         tol = max(tol, bound)
         total = s @ total
-    return SymplecticMap(config.n_max, COMPLEX, total, check_tol=10 * tol * len(segment.blocks))
+    return SymplecticMap(config.n_max, COMPLEX, total, defect_tol=10 * tol * len(segment.blocks))
 
 
 def segment_blocks(smap):
@@ -293,8 +293,10 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
     """|B_kk'| of the standard segment from the closed form.
 
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
-    with G_k G_k'(t) = exp(i (omega_k + omega_k') t).
+    with G_k G_k'(t) = exp(i (omega_k + omega_k') t).  Labels are 1-based.
     """
+    if not (1 <= k <= config.n_max and 1 <= kp <= config.n_max):
+        raise ValueError(f"mode labels must lie in 1..{config.n_max}, got k={k}, k'={kp}")
     omega = mode_frequencies(config)
     s = omega[k - 1] + omega[kp - 1]
     phase1 = np.exp(1j * s * tau1)

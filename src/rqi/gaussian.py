@@ -21,7 +21,7 @@ Three operator orderings ("bases") are supported:
 
 In every basis S is symplectic when S Omega S+ = Omega, and the symplectic
 eigenvalues are the positive eigenvalues of i Omega Gamma.  A `SymplecticMap`
-is certified (defect <= check_tol) once, where it is made; products formed
+is certified (defect <= defect_tol) once, where it is made; products formed
 inside a computation are not re-checked, only the map it returns.
 """
 
@@ -143,7 +143,7 @@ class SymplecticMap:
     n_modes: int
     basis: str
     matrix: np.ndarray
-    check_tol: float = field(default=DEFAULT_TOL, compare=False)
+    defect_tol: float = field(default=DEFAULT_TOL, compare=False)
 
     def __post_init__(self):
         if self.basis not in BASES:
@@ -153,8 +153,8 @@ class SymplecticMap:
             raise ValueError("matrix shape does not match n_modes")
         object.__setattr__(self, "matrix", s)
         res = symplectic_defect(s, self.basis)
-        if res > self.check_tol:
-            raise ValueError(f"matrix is not symplectic: defect {res:.3e} > {self.check_tol:.1e}")
+        if res > self.defect_tol:
+            raise ValueError(f"matrix is not symplectic: defect {res:.3e} > {self.defect_tol:.1e}")
 
     def inverse(self):
         """Group inverse; in the complex form S^-1 = K S+ K."""
@@ -163,7 +163,7 @@ class SymplecticMap:
             inv = k @ self.matrix.conj().T @ k
         else:
             inv = np.linalg.inv(self.matrix)
-        return SymplecticMap(self.n_modes, self.basis, inv, check_tol=max(self.check_tol, 1e-8))
+        return SymplecticMap(self.n_modes, self.basis, inv, defect_tol=max(self.defect_tol, 1e-8))
 
 
 def symplectic_defect(matrix, basis):
@@ -194,7 +194,7 @@ def convert_basis(obj, target):
         s = m @ obj.matrix @ m.conj().T
         if target in (REAL, QUADRATURE):
             s = _realify(s)
-        return SymplecticMap(obj.n_modes, target, s, check_tol=max(obj.check_tol, 1e-9))
+        return SymplecticMap(obj.n_modes, target, s, defect_tol=max(obj.defect_tol, 1e-9))
     raise TypeError("expected CovarianceState or SymplecticMap")
 
 
@@ -355,10 +355,11 @@ def partial_transpose(state, mode=1):
     return CovarianceState(n, state.basis, d, g)
 
 
-def williamson(state_or_cov, basis=REAL):
+def williamson(state_or_cov):
     """Williamson normal form Gamma = S D S^T with D = diag(nu_k I_2).
 
-    Works in the real interleaved basis; returns (nus, S) with S symplectic.
+    Works in the real interleaved basis, in which a bare matrix is read;
+    returns (nus, S) with S symplectic.
     Reconstruction `S @ D @ S.T` reproduces Gamma.
     """
     if isinstance(state_or_cov, CovarianceState):
@@ -366,9 +367,6 @@ def williamson(state_or_cov, basis=REAL):
         g = np.real(state.covariance)
     else:
         g = np.real(np.asarray(state_or_cov))
-        if basis != REAL:
-            m = basis_change_matrix(basis, REAL, g.shape[0] // 2)
-            g = np.real(m @ g @ m.conj().T)
     n = g.shape[0] // 2
     if np.linalg.eigvalsh(g).min() <= 0:
         raise ValueError("Williamson form requires a positive-definite matrix")
@@ -434,7 +432,7 @@ def from_json(text):
         d = decode(payload["first_moments"], (2 * n,))
         return CovarianceState(n, basis, d, matrix)
     if payload["kind"] == "map":
-        return SymplecticMap(n, basis, matrix, check_tol=1e-8)
+        return SymplecticMap(n, basis, matrix, defect_tol=1e-8)
     raise ValueError(f"unknown kind {payload['kind']!r}")
 
 
@@ -462,4 +460,4 @@ def random_symplectic(n_modes, rng, n_factors=6, strength=0.6):
                 i, j = rng.choice(n_modes, size=2, replace=False)
                 fac = two_mode_squeezer(rng.uniform(-strength, strength), n_modes, (int(i), int(j))).matrix
         s = fac @ s
-    return SymplecticMap(n_modes, COMPLEX, s, check_tol=1e-9)
+    return SymplecticMap(n_modes, COMPLEX, s, defect_tol=1e-9)

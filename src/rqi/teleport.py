@@ -30,17 +30,21 @@ SIGMA3 = np.diag([1.0, -1.0])
 class TeleportScenario:
     """Inputs of the moving-cavity teleportation analysis.
 
-    `alice_phase` is Alice's accumulated phase omega_k t; Rob's zero-order
-    phase omega_k' T follows from the segment.  r > 0 is required by the
+    Alice's mode k enters only through `alice_phase`, her accumulated phase
+    omega_k t; Rob's zero-order phase omega_k' T follows from his 1-based
+    mode label k' and the segment.  r > 0 is required by the
     perturbative expansion of the smallest symplectic eigenvalue.
     """
 
     r: float
-    k: int
     kp: int
     config: BosonCavityConfig
     segment: TrajectorySegment
     alice_phase: float = 0.0
+
+    def __post_init__(self):
+        if not 1 <= self.kp <= self.config.n_max:
+            raise ValueError(f"Rob's mode label must lie in 1..{self.config.n_max}, got k'={self.kp}")
 
     @property
     def phi(self):

@@ -110,7 +110,7 @@ def test_criterion_05_teleportation():
     best_drop = 0.0
     for tau in np.linspace(0.01, 2.0, 120):
         scen = teleport.TeleportScenario(
-            r=0.5, k=1, kp=3, config=cfg, segment=boson.TrajectorySegment(((h, tau),))
+            r=0.5, kp=3, config=cfg, segment=boson.TrajectorySegment(((h, tau),))
         )
         fopt = teleport.optimal_fidelity_corrected(scen)["fidelity"]
         best_drop = max(best_drop, f_ideal - fopt)
@@ -122,7 +122,7 @@ def test_criterion_05_teleportation():
     for hv in hs:
         cfg_h = boson.BosonCavityConfig(n_max=20, h=hv)
         scen = teleport.TeleportScenario(
-            r=0.5, k=1, kp=3, config=cfg_h, segment=boson.TrajectorySegment(((hv, 0.9),))
+            r=0.5, kp=3, config=cfg_h, segment=boson.TrajectorySegment(((hv, 0.9),))
         )
         state = teleport.transformed_resource_state(scen)
         diffs.append(

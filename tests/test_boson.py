@@ -208,6 +208,8 @@ def test_linear_growth_on_resonance():
     for reps in range(1, 6):
         exact = boson.segment_negativity_exact(c, seg, 1, 2, reps)
         assert abs(exact - reps * slope) < 0.01 * reps * slope
+        linear = boson.resonance_negativity(c, seg, 1, 2, reps)
+        assert linear["resonant"] and abs(exact - linear["negativity"]) < 0.01 * linear["negativity"]
 
 
 def test_validity_warning_for_large_repetitions():

@@ -82,12 +82,13 @@ def test_quadrature_nodes_built_once(monkeypatch):
 
 
 def test_h_to_zero_spectrum_continuity():
-    sc = small_scenario(h=1e-3, kappa=0.5)
-    spec = boxpair.solve_rindler_spectrum(sc)
-    lr = np.log((1.0 / sc.h + 0.5) / (1.0 / sc.h - 0.5))
-    n = np.arange(1, sc.n_cut + 1)
-    inertial = np.sqrt((n[:, None] * np.pi) ** 2 + (n[None, :] * np.pi) ** 2 + sc.kappa**2)
-    assert np.abs(spec.omegas * lr / inertial - 1.0).max() < 5e-3
+    for h, tol in ((1e-3, 5e-3), (0.4, 0.05)):  # near the limit, and still close at a moderate h
+        sc = small_scenario(h=h, kappa=0.5)
+        spec = boxpair.solve_rindler_spectrum(sc)
+        lr = np.log((1.0 / sc.h + 0.5) / (1.0 / sc.h - 0.5))
+        n = np.arange(1, sc.n_cut + 1)
+        inertial = np.sqrt((n[:, None] * np.pi) ** 2 + (n[None, :] * np.pi) ** 2 + sc.kappa**2)
+        assert np.abs(spec.omegas * lr / inertial - 1.0).max() < tol
 
 
 def test_kappa_monotonicity_of_frequencies():

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import os
 
 import numpy as np
 import pytest
@@ -62,23 +61,6 @@ def test_resonance_sweep_csv_and_determinism(tmp_path):
     assert len(lines1) == 1 + 4 * 3
     summary = json.loads((tmp_path / "a.json").read_text())
     assert summary["rows"] == 12
-
-
-def test_resonance_sweep_parallel_matches_serial(tmp_path):
-    args = [
-        "resonance-sweep",
-        "--tau1", '{"min": 0.2, "max": 1.0, "steps": 5}',
-        "--tau2", '{"min": 0.0, "max": 1.0, "steps": 4}',
-        "--n-max", "8",
-    ]
-    out1, out2 = tmp_path / "s", tmp_path / "p"
-    assert run(args + ["--out", str(out1)]) == 0
-    os.environ["RQI_THREADS"] = "4"
-    try:
-        assert run(args + ["--out", str(out2)]) == 0
-    finally:
-        del os.environ["RQI_THREADS"]
-    assert read_lines(str(out1) + ".csv") == read_lines(str(out2) + ".csv")
 
 
 def test_teleport_fidelity_csv(tmp_path):
@@ -172,23 +154,6 @@ def test_box_entangle_csv(tmp_path):
     assert lines[0] == "h,kappa,entropy"
     vals = [float(l.split(",")[2]) for l in lines[1:]]
     assert all(0.0 <= v <= np.log(2.0) + 1e-9 for v in vals)
-
-
-@pytest.mark.parametrize(
-    "command",
-    [
-        "measures",
-        "resonance-sweep",
-        "teleport-fidelity",
-        "fermion-negativity",
-        "oneway-surface",
-        "detector-rate",
-        "nonpert-evolve",
-        "box-entangle",
-    ],
-)
-def test_check_mode(command):
-    assert run([command, "--check"]) == 0
 
 
 # Small fixed grids and the sha256 of the CSV each command wrote on them before
@@ -407,18 +372,61 @@ def test_resonance_validity_warnings_count_rows(tmp_path):
     assert summary["validity_warnings"] == expected
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", ""])
-def test_rqi_threads_rejects_bad_values(tmp_path, monkeypatch, value):
-    monkeypatch.setenv("RQI_THREADS", value)
-    grid = ["--tau1", "[0.5]", "--tau2", "[0.5]", "--out", str(tmp_path / "r")]
-    assert run(["resonance-sweep", *grid]) == 2
+# Values the library rejects are bad input, caught before the sweep.  Mode
+# labels are 1-based: 0 and -1 are out of range, not the last modes.
+OUT_OF_RANGE = [
+    ["teleport-fidelity", "--kp", "0", "--tau", "[0.5]", "--h", "[0.01]"],
+    ["teleport-fidelity", "--kp", "21", "--tau", "[0.5]", "--h", "[0.01]"],
+    ["teleport-fidelity", "--kp", "-1", "--tau", "[0.5]", "--h", "[0.01]"],
+    ["resonance-sweep", "--k", "-1", "--tau1", "[0.5]", "--tau2", "[0.5]"],
+    ["resonance-sweep", "--k", "0", "--tau1", "[0.5]", "--tau2", "[0.5]"],
+    ["resonance-sweep", "--kp", "21", "--tau1", "[0.5]", "--tau2", "[0.5]"],
+    ["resonance-sweep", "--h", "2.5", "--tau1", "[0.5]", "--tau2", "[0.5]"],
+    ["teleport-fidelity", "--n-max", "1", "--kp", "1", "--tau", "[0.5]", "--h", "[0.01]"],
+    ["oneway-surface", "--s", "1.5", "--u", "[0.5]", "--v", "[0.5]"],
+    ["fermion-negativity", "--n-side", "1", "--u", "[0.5]"],
+    ["detector-rate", "--profile", "gaussian", "--sigma", "-1", "--gap", "[1.0]"],
+    ["box-entangle", "--v", "0.2", "--h", "[0.5]", "--kappa", "[0.0]", "--n-cut", "3"],
+]
 
 
-def test_rqi_threads_clamped_to_cpu_count(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setenv("RQI_THREADS", "100000")
-    assert cli.n_workers() == 3
-    monkeypatch.setenv("RQI_THREADS", "2")
-    assert cli.n_workers() == 2
-    monkeypatch.delenv("RQI_THREADS")
-    assert cli.n_workers() == 1
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda a: " ".join(a[:3]))
+def test_out_of_range_input_exit_2(tmp_path, argv):
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("n_max", ["abc", 20.5, [20], "20.5"], ids=["text", "float", "list", "float-text"])
+def test_config_value_of_wrong_type_exit_2(tmp_path, n_max):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": n_max}))
+    args = ["resonance-sweep", "--config", str(cfg), "--tau1", "[0.5]", "--tau2", "[0.5]"]
+    assert run([*args, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_config_values_typed_like_flags(tmp_path):
+    # an integral float is an int, an int is a float, and both match the flags
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_max": 8.0, "h": 1, "tau1": [0.5, 1.0], "tau2": [0.25]}))
+    assert run(["resonance-sweep", "--config", str(cfg), "--out", str(tmp_path / "f")]) == 0
+    flags = ["--n-max", "8", "--h", "1.0", "--tau1", "[0.5, 1.0]", "--tau2", "[0.25]"]
+    assert run(["resonance-sweep", *flags, "--out", str(tmp_path / "g")]) == 0
+    assert read_lines(str(tmp_path / "f.csv")) == read_lines(str(tmp_path / "g.csv"))
+    assert (tmp_path / "f.json").read_text() == (tmp_path / "g.json").read_text()
+
+    cfg.write_text(json.dumps({"r": 1}))
+    assert run(["measures", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
+    assert run(["measures", "--r", "1.0", "--out", str(tmp_path / "n")]) == 0
+    assert (tmp_path / "m.json").read_text() == (tmp_path / "n.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["measures", "--check"], ["measures", "--state", "tmss"], ["teleport-fidelity", "--k", "1"]],
+    ids=lambda a: " ".join(a),
+)
+def test_unknown_flag_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2

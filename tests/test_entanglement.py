@@ -76,7 +76,7 @@ def test_local_symplectics_leave_negativity_invariant():
         full[2, 0], full[2, 2] = loc1[1, 0], loc1[1, 1]
         full[1, 1], full[1, 3] = loc2[0, 0], loc2[0, 1]
         full[3, 1], full[3, 3] = loc2[1, 0], loc2[1, 1]
-        smap = g.SymplecticMap(2, g.COMPLEX, full, check_tol=1e-8)
+        smap = g.SymplecticMap(2, g.COMPLEX, full, defect_tol=1e-8)
         out = g.apply_map(smap, state)
         assert abs(e.negativity_gaussian(out) - base) < 1e-9
         assert abs(e.log_negativity_gaussian(out) - np.log(1 + 2 * base)) < 1e-9

@@ -111,6 +111,7 @@ def test_rotation_moves_coherent_displacement_only():
 
 def test_symplectic_spectrum_cases():
     assert np.allclose(g.symplectic_spectrum(g.vacuum_state(3, g.REAL)), np.ones(3))
+    assert np.abs(g.symplectic_spectrum(g.two_mode_squeezed_state(0.37)) - 1.0).max() < 1e-9  # pure
     r = 0.31
     reduced = g.partial_trace(g.two_mode_squeezed_state(r), keep=[1])
     assert abs(g.symplectic_spectrum(reduced)[0] - np.cosh(2 * r)) < 1e-12

@@ -4,10 +4,10 @@ import pytest
 from rqi import boson, entanglement, gaussian, teleport
 
 
-def scenario(r=0.5, k=1, kp=3, h=0.05, tau=0.9, n_max=20, alice_phase=0.0):
+def scenario(r=0.5, kp=3, h=0.05, tau=0.9, n_max=20, alice_phase=0.0):
     cfg = boson.BosonCavityConfig(n_max=n_max, h=h)
     seg = boson.TrajectorySegment(((h, tau),))
-    return teleport.TeleportScenario(r=r, k=k, kp=kp, config=cfg, segment=seg, alice_phase=alice_phase)
+    return teleport.TeleportScenario(r=r, kp=kp, config=cfg, segment=seg, alice_phase=alice_phase)
 
 
 def test_fidelity_of_matched_resource_at_phi_zero():
@@ -97,7 +97,7 @@ def test_optimal_fidelity_limits():
     assert abs(res["fidelity"] - 1.0 / (1.0 + np.exp(-1.0))) < 1e-12
     degenerate = teleport.optimal_fidelity_corrected(
         teleport.TeleportScenario(
-            r=0.0, k=1, kp=3, config=boson.BosonCavityConfig(n_max=8, h=0.01),
+            r=0.0, kp=3, config=boson.BosonCavityConfig(n_max=8, h=0.01),
             segment=boson.TrajectorySegment(((0.01, 0.5),)),
         )
     )
@@ -117,6 +117,19 @@ def test_closed_form_nu_vs_direct_symplectic_route_h4():
         diffs.append(abs(nu_direct - nu_closed))
     slope = np.polyfit(np.log(hs), np.log(diffs), 1)[0]
     assert 3.8 < slope < 4.2
+    assert diffs[1] < 5e-4  # h = 0.05: the O(h^4) residual is small, not only steep
+
+
+@pytest.mark.parametrize("label", [-1, 0, 21])
+def test_mode_labels_outside_one_to_n_max_rejected(label):
+    # 1-based labels: 0 and -1 are out of range, not the last modes
+    cfg = boson.BosonCavityConfig(n_max=20, h=0.05)
+    seg = boson.TrajectorySegment(((0.05, 0.9),))
+    with pytest.raises(ValueError, match=r"1\.\.20"):
+        teleport.TeleportScenario(r=0.5, kp=label, config=cfg, segment=seg)
+    for k, kp in ((label, 2), (1, label)):
+        with pytest.raises(ValueError, match=r"1\.\.20"):
+            boson.closed_form_b_magnitude(cfg, 0.4, 0.3, 1.0, k, kp)
 
 
 def test_gamma11_element_f_sum_combination():

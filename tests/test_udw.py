@@ -65,7 +65,7 @@ def test_kms_condition_point_and_smeared():
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0)
     for a in (0.5, 1.0, 2.0):
         for gap in (0.4, 1.5, 4.5):
-            for dim, p in (("1+1", prof), ("3+1", prof), ("3+1", udw.SpatialProfile())):
+            for dim, p in (("1+1", prof), ("1+1", udw.SpatialProfile()), ("3+1", prof), ("3+1", udw.SpatialProfile())):
                 rp = udw.transition_rate_accelerated(udw.DetectorParams(gap=gap, accel=a), p, dim=dim)
                 rm = udw.transition_rate_accelerated(udw.DetectorParams(gap=-gap, accel=a), p, dim=dim)
                 assert abs(rp / rm - np.exp(-2 * np.pi * gap / a)) < 1e-6
