@@ -23,8 +23,8 @@ for r in (0.1, 0.3, 0.5, 1.0):
 
 # Williamson form of a noisy state: diagonalise and reconstruct
 rng = np.random.default_rng(1)
-smap = gaussian.convert_basis(gaussian.random_symplectic(2, rng), gaussian.REAL)
-gamma = smap.matrix @ np.diag([1.3, 1.3, 2.1, 2.1]) @ smap.matrix.T
-nus, s = gaussian.williamson(gamma)
+state = gaussian.apply_map(gaussian.random_symplectic(2, rng), gaussian.thermal_state([1.3, 2.1]))
+nus, s = gaussian.williamson(state)
+gamma = gaussian.real_covariance(state)
 recon = s @ np.diag(np.repeat(nus, 2)) @ s.T
 print(f"\nWilliamson spectrum {nus}, reconstruction error {np.abs(recon - gamma).max():.2e}")

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from . import entanglement, gaussian
-from .gaussian import COMPLEX, CovarianceState, SymplecticMap
+from .gaussian import CovarianceState, SymplecticMap
 
 
 class PerturbativeValidityWarning(UserWarning):
@@ -160,7 +160,7 @@ def building_block(config, h_j, tau_j):
     small, since the block is built from first-order coefficients only.
     """
     s, bound = _block(config, h_j, tau_j)
-    return SymplecticMap(config.n_max, COMPLEX, s, defect_tol=bound)
+    return SymplecticMap(config.n_max, s, defect_tol=bound)
 
 
 def compose_segment(config, segment):
@@ -177,7 +177,7 @@ def compose_segment(config, segment):
         s, bound = _block(config, h_j, tau_j)
         tol = max(tol, bound)
         total = s @ total
-    return SymplecticMap(config.n_max, COMPLEX, total, defect_tol=10 * tol * len(segment.blocks))
+    return SymplecticMap(config.n_max, total, defect_tol=10 * tol * len(segment.blocks))
 
 
 def segment_blocks(smap):
@@ -204,7 +204,7 @@ def _reduced_state(s, k, kp):
     if not (1 <= k <= n and 1 <= kp <= n):
         raise ValueError("mode index out of range")
     full = s @ s.conj().T
-    state = CovarianceState(n, COMPLEX, np.zeros(2 * n, dtype=complex), (full + full.conj().T) / 2)
+    state = CovarianceState(n, np.zeros(2 * n, dtype=complex), (full + full.conj().T) / 2)
     return gaussian.partial_trace(state, [k - 1, kp - 1])
 
 

@@ -4,7 +4,8 @@ Every command reads an optional JSON config (``--config file.json``) whose
 keys must match the command's parameters; command-line flags override file
 values.  Flag and file values alike are converted to the type of the
 parameter's default: floats, integers (integral values only), strings, and
-grids (a JSON list or ``{"min": a, "max": b, "steps": n}``).  Numeric
+grids (a non-empty JSON list of numbers, or ``{"min": a, "max": b, "steps": n}``
+with exactly these keys and n an integral value of at least 1).  Numeric
 payloads are written with 17 significant digits so reruns are bit-identical.
 
 Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
@@ -50,19 +51,10 @@ def write_summary(path, payload):
 
 
 def grid_values(spec):
-    """{"min": a, "max": b, "steps": n} -> inclusive linspace."""
+    """A grid checked by `merge_config`: {"min": a, "max": b, "steps": n} -> inclusive linspace, a list -> array."""
     if isinstance(spec, dict):
-        missing = {"min", "max", "steps"} - set(spec)
-        if missing:
-            raise ConfigError(f"grid spec missing keys {sorted(missing)}")
-        n = int(spec["steps"])
-        if n < 1:
-            raise ConfigError("grids must be non-empty")
-        return np.linspace(float(spec["min"]), float(spec["max"]), n)
-    arr = np.atleast_1d(np.asarray(spec, dtype=float))
-    if arr.size == 0:
-        raise ConfigError("grids must be non-empty")
-    return arr
+        return np.linspace(float(spec["min"]), float(spec["max"]), spec["steps"])
+    return np.asarray(spec, dtype=float)
 
 
 def merge_config(defaults, args):
@@ -94,7 +86,7 @@ def _typed(key, value, default):
     grid = default is None or isinstance(default, dict)  # a JSON list or {"min", "max", "steps"}
     try:
         if grid:
-            return json.loads(value) if isinstance(value, str) else value
+            return _grid(json.loads(value) if isinstance(value, str) else value)
         if isinstance(default, str):
             if not isinstance(value, str):
                 raise TypeError
@@ -105,9 +97,30 @@ def _typed(key, value, default):
                 raise ValueError
             return int(number)
         return number
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         kind = "a grid" if grid else type(default).__name__
         raise ConfigError(f"{key}: cannot read {value!r} as {kind}") from exc
+
+
+def _grid(spec):
+    """A non-empty list of numbers, or {"min", "max", "steps"} with numbers and an integral steps >= 1."""
+    if isinstance(spec, list):
+        ok = bool(spec) and all(_is_number(v) for v in spec)
+    else:
+        ok = (
+            isinstance(spec, dict)
+            and set(spec) == {"min", "max", "steps"}
+            and all(_is_number(v) for v in spec.values())
+            and float(spec["steps"]).is_integer()
+            and spec["steps"] >= 1
+        )
+    if not ok:
+        raise ValueError
+    return {**spec, "steps": int(spec["steps"])} if isinstance(spec, dict) else spec
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _non_finite(value):
@@ -177,7 +190,7 @@ def cmd_teleport_fidelity(params):
     for tau, h, scen in points:
         f0, f2 = teleport.fidelity_expansion(scen)
         rows.append((tau, h, f0 - f2 * h * h, teleport.optimal_fidelity_corrected(scen)["fidelity"]))
-    h_max = float(np.max(hs))
+    h_max = float(np.max(np.abs(hs)))
     extras = {"n_max_h": n_max * h_max, "perturbative_ok": n_max * h_max < 1.0}
     return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras
 

@@ -8,8 +8,6 @@ qubit examples are conventionally quoted in log2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gaussian
@@ -74,73 +72,38 @@ def log_negativity_gaussian(state):
     return max(-np.log(nu), 0.0)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """Small explicit density matrix with basis labels.
+def partial_transpose_dm(rho, dims):
+    """Partial transpose, on the second factor, of a bipartite density matrix with local dims `dims`.
 
-    Hermitian, unit trace, eigenvalues >= -1e-10 (validated).
+    Transposing the first factor instead gives the transpose of this matrix,
+    which has the same spectrum, so no negativity depends on the choice.
     """
-
-    matrix: np.ndarray
-    labels: tuple = ()
-
-    def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
-        if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-            raise ValueError("density matrix must be square")
-        if np.abs(rho - rho.conj().T).max() > 1e-10 * max(1.0, np.abs(rho).max()):
-            raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(rho).real - 1.0) > 1e-10 or abs(np.trace(rho).imag) > 1e-10:
-            raise ValueError("density matrix must have unit trace")
-        if np.linalg.eigvalsh(rho).min() < -1e-10:
-            raise ValueError("density matrix has a negative eigenvalue")
-        object.__setattr__(self, "matrix", rho)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
-def partial_transpose_dm(rho, dims, subsystem=1):
-    """Partial transpose of a bipartite density matrix with local dims `dims`."""
     rho = np.asarray(rho, dtype=complex)
     da, db = dims
     if rho.shape != (da * db, da * db):
         raise ValueError("density matrix does not match the given dims")
-    r = rho.reshape(da, db, da, db)
-    if subsystem == 0:
-        r = r.transpose(2, 1, 0, 3)
-    elif subsystem == 1:
-        r = r.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError("subsystem must be 0 or 1")
-    return r.reshape(da * db, da * db)
+    return rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
 
 
-def negativity_density_matrix(rho, dims, subsystem=1, convention="eigsum"):
-    """Negativity |sum of negative eigenvalues| of the partial transpose.
-
-    `convention="trace-norm"` instead returns (||rho^tp||_1 - 1)/2; the two
-    agree on unit-trace states.  Eigenvalues within 1e-12 of zero count as 0.
-    """
-    if isinstance(rho, DensityMatrix):
-        rho = rho.matrix
+def _pt_eigenvalues(rho, dims):
+    """Eigenvalues of the partial transpose of a Hermitian density matrix."""
     rho = np.asarray(rho, dtype=complex)
     if np.abs(rho - rho.conj().T).max() > 1e-9 * max(1.0, np.abs(rho).max()):
         raise ValueError("density matrix must be Hermitian")
-    pt = partial_transpose_dm(rho, dims, subsystem)
-    w = np.linalg.eigvalsh(pt)
-    if convention == "eigsum":
-        return float(-np.sum(w[w < -EIG_ZERO_TOL]))
-    if convention == "trace-norm":
-        return float((np.sum(np.abs(w)) - 1.0) / 2.0)
-    raise ValueError("convention must be 'eigsum' or 'trace-norm'")
+    return np.linalg.eigvalsh(partial_transpose_dm(rho, dims))
 
 
-def log_negativity_density_matrix(rho, dims, subsystem=1, base=2.0):
+def negativity_density_matrix(rho, dims):
+    """Negativity |sum of negative eigenvalues| of the partial transpose.
+
+    On unit-trace states it equals (||rho^tp||_1 - 1)/2.  Eigenvalues within
+    1e-12 of zero count as 0.
+    """
+    w = _pt_eigenvalues(rho, dims)
+    return float(-np.sum(w[w < -EIG_ZERO_TOL]))
+
+
+def log_negativity_density_matrix(rho, dims, base=2.0):
     """log_base of the PT trace norm (qubit convention defaults to log2)."""
-    if isinstance(rho, DensityMatrix):
-        rho = rho.matrix
-    pt = partial_transpose_dm(np.asarray(rho, dtype=complex), dims, subsystem)
-    w = np.linalg.eigvalsh(pt)
+    w = _pt_eigenvalues(rho, dims)
     return float(np.log(np.sum(np.abs(w))) / np.log(base))

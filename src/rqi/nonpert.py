@@ -40,7 +40,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .gaussian import COMPLEX, QUADRATURE, basis_change_matrix, kay, symplectic_defect
+from .gaussian import kay, real_basis_matrix, symplectic_defect
 
 # condition number above which the factor matching system counts as singular
 COND_MAX = 1e10
@@ -190,7 +190,8 @@ def _factor_exponentials(tables, f):
 
 def _to_quadrature(mats):
     """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure."""
-    q = basis_change_matrix(COMPLEX, QUADRATURE, mats.shape[-1] // 2)
+    n = mats.shape[-1] // 2
+    q = real_basis_matrix(n)[np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]]  # rows (x1..xN, p1..pN)
     out = q @ mats @ q.conj().T
     if np.abs(out.imag).max() > 1e-12 * max(1.0, float(np.abs(out).max())):
         raise ValueError("generators lack the [[X, Y], [conj(Y), conj(X)]] block structure")
@@ -272,7 +273,7 @@ def covariance_trajectory(basis, factors, gamma0=None):
     gammas = []
     for column in np.asarray(factors).T:
         s = _factor_product(tables, column)
-        defect = symplectic_defect(s, COMPLEX)
+        defect = symplectic_defect(s)
         if defect > 1e-8:
             raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
         gammas.append(s @ gamma0 @ s.conj().T)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import boson, gaussian
 from .boson import BosonCavityConfig, TrajectorySegment
-from .gaussian import REAL, CovarianceState
+from .gaussian import CovarianceState
 
 SIGMA3 = np.diag([1.0, -1.0])
 
@@ -52,17 +52,16 @@ class TeleportScenario:
         return self.alice_phase + omega[self.kp - 1] * self.segment.total_time
 
 
-def fidelity(state_or_cov):
-    """Coherent-state teleportation fidelity of a two-mode resource state."""
-    if isinstance(state_or_cov, CovarianceState):
-        state = gaussian.convert_basis(state_or_cov, REAL)
-        if not state.is_physical(tol=-1e-6):
-            raise ValueError("resource state is not physical")
-        g = np.real(state.covariance)
-    else:
-        g = np.real(np.asarray(state_or_cov))
-    if g.shape != (4, 4):
+def fidelity(state):
+    """Coherent-state teleportation fidelity of a two-mode resource state.
+
+    The formula reads the real covariance matrix of the interleaved quadratures.
+    """
+    if state.n_modes != 2:
         raise ValueError("need a two-mode state")
+    if not state.is_physical(tol=-1e-6):
+        raise ValueError("resource state is not physical")
+    g = gaussian.real_covariance(state)
     a, b, c = g[:2, :2], g[2:, 2:], g[:2, 2:]
     n = SIGMA3 @ a @ SIGMA3 + SIGMA3 @ c + c.T @ SIGMA3 + b
     return float(2.0 / np.sqrt(4.0 + 2.0 * np.trace(n) + np.linalg.det(n)))
@@ -124,7 +123,10 @@ def _rot_block(alpha, beta):
 
 
 def transformed_resource_state(scenario):
-    """Resource state after Rob's motion, assembled to O(h^2) (real basis).
+    """Resource state after Rob's motion, assembled to O(h^2).
+
+    The assembly works with the real covariance matrix gamma of the
+    interleaved quadratures; the state is M+ gamma M, M = `real_basis_matrix(2)`.
 
     The second-order diagonal coefficients are closed with the Bogoliubov
     identity at O(h^2): 2 Re(conj(G_k') alpha2) = 2(f_beta - f_alpha) per row,
@@ -164,7 +166,8 @@ def transformed_resource_state(scenario):
         s_j = _rot_block(a1[j, i] * h, b1[j, i] * h)
         env += s_j @ s_j.T
     gamma[2:, 2:] = env + ch * (s_kpkp @ s_kpkp.T)
-    return CovarianceState(2, REAL, np.zeros(4), gamma)
+    m = gaussian.real_basis_matrix(2)
+    return CovarianceState(2, np.zeros(4), m.conj().T @ gamma @ m)
 
 
 def fidelity_expansion(scenario):

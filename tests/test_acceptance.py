@@ -51,8 +51,8 @@ def test_criterion_02_symplectic_suite():
     for _ in range(1000):
         n = int(rng.integers(1, 5))
         smap = gaussian.random_symplectic(n, rng)
-        worst_defect = max(worst_defect, gaussian.symplectic_defect(smap.matrix, gaussian.COMPLEX))
-        pure = gaussian.apply_map(smap, gaussian.vacuum_state(n, gaussian.COMPLEX))
+        worst_defect = max(worst_defect, gaussian.symplectic_defect(smap.matrix))
+        pure = gaussian.apply_map(smap, gaussian.vacuum_state(n))
         worst_nu = max(worst_nu, np.abs(gaussian.symplectic_spectrum(pure) - 1.0).max())
     elapsed = time.time() - t0
     ok = worst_defect < 1e-10 and worst_nu < 1e-9 and elapsed < 10.0

@@ -80,6 +80,14 @@ def test_teleport_fidelity_csv(tmp_path):
     assert abs(float(first[3]) - 1 / (1 + np.exp(-1.0))) < 1e-9
 
 
+def test_teleport_validity_flags_use_largest_magnitude_h(tmp_path):
+    out = tmp_path / "t"
+    assert run(["teleport-fidelity", "--h", "[-0.5, 0.01]", "--tau", "[0.5]", "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "t.json").read_text())
+    assert summary["n_max_h"] == 20 * 0.5  # n_max |h| of h = -0.5, not of max(h) = 0.01
+    assert summary["perturbative_ok"] is False
+
+
 def test_fermion_negativity_csv(tmp_path):
     out = tmp_path / "f"
     assert run([
@@ -308,6 +316,26 @@ NON_FINITE = [
 def test_non_finite_input_exit_2(tmp_path, argv):
     assert run([*argv, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        '{"min": 0.0, "max": 1.0, "steps": 2.5}',
+        '{"min": 0.0, "max": 1.0, "steps": "abc"}',
+        '{"min": 0.0, "max": 1.0, "steps": 0}',
+        '{"min": "a", "max": 1.0, "steps": 3}',
+        '{"min": 0.0, "max": 1.0, "steps": 3, "extra": 1}',
+        '{"min": 0.0, "max": 1.0}',
+        '["a", 0.5]',
+        "[true, 0.5]",
+        "[[0.5]]",
+        "0.5",
+    ],
+)
+def test_malformed_grid_exit_2(tmp_path, grid):
+    assert run(["fermion-negativity", "--u", grid, "--n-side", "60", "--out", str(tmp_path / "f")]) == 2
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_non_finite_config_file_exit_2(tmp_path):

@@ -5,12 +5,12 @@ from rqi import entanglement as e
 from rqi import gaussian as g
 
 
-def tmss(r, basis=g.COMPLEX):
-    return g.two_mode_squeezed_state(r, basis=basis)
+def tmss(r):
+    return g.two_mode_squeezed_state(r)
 
 
 def test_vacuum_entropy_zero_and_no_nan_near_one():
-    assert e.von_neumann_entropy(g.vacuum_state(2, g.REAL)) == 0.0
+    assert e.von_neumann_entropy(g.vacuum_state(2)) == 0.0
     nearly_pure = g.thermal_state([1.0 + 1e-14])
     val = e.von_neumann_entropy(nearly_pure)
     assert np.isfinite(val) and val < 1e-10
@@ -32,10 +32,10 @@ def test_tmss_entropy_closed_form(r):
 
 
 def test_entropy_of_entanglement_guards():
-    product = g.thermal_state([1.5, 1.5], basis=g.REAL)
+    product = g.thermal_state([1.5, 1.5])
     with pytest.raises(ValueError):
         e.entropy_of_entanglement(product, [0])  # mixed global state
-    pure_product = g.vacuum_state(2, g.REAL)
+    pure_product = g.vacuum_state(2)
     assert e.entropy_of_entanglement(pure_product, [0]) == 0.0
 
 
@@ -47,9 +47,9 @@ def test_tmss_negativities(r):
 
 
 def test_vacuum_and_separable_negativity_zero():
-    assert e.negativity_gaussian(g.vacuum_state(2, g.COMPLEX)) == 0.0
-    assert e.log_negativity_gaussian(g.vacuum_state(2, g.COMPLEX)) == 0.0
-    sep = g.thermal_state([1.5, 2.0], basis=g.COMPLEX)
+    assert e.negativity_gaussian(g.vacuum_state(2)) == 0.0
+    assert e.log_negativity_gaussian(g.vacuum_state(2)) == 0.0
+    sep = g.thermal_state([1.5, 2.0])
     assert e.negativity_gaussian(sep) == 0.0
 
 
@@ -76,14 +76,14 @@ def test_local_symplectics_leave_negativity_invariant():
         full[2, 0], full[2, 2] = loc1[1, 0], loc1[1, 1]
         full[1, 1], full[1, 3] = loc2[0, 0], loc2[0, 1]
         full[3, 1], full[3, 3] = loc2[1, 0], loc2[1, 1]
-        smap = g.SymplecticMap(2, g.COMPLEX, full, defect_tol=1e-8)
+        smap = g.SymplecticMap(2, full, defect_tol=1e-8)
         out = g.apply_map(smap, state)
         assert abs(e.negativity_gaussian(out) - base) < 1e-9
         assert abs(e.log_negativity_gaussian(out) - np.log(1 + 2 * base)) < 1e-9
 
 
 def test_negativity_zero_iff_pt_spectrum_above_one():
-    sep = g.thermal_state([1.2, 1.1], basis=g.COMPLEX)
+    sep = g.thermal_state([1.2, 1.1])
     tilde = g.partial_transpose(sep, 1)
     nus = g.symplectic_spectrum(tilde)
     assert nus.min() >= 1 - 1e-10
@@ -99,8 +99,9 @@ def bell_phi_plus():
 def test_density_matrix_negativity_bell():
     rho = bell_phi_plus()
     assert abs(e.negativity_density_matrix(rho, (2, 2)) - 0.5) < 1e-12
-    assert abs(e.negativity_density_matrix(rho, (2, 2), convention="trace-norm") - 0.5) < 1e-12
-    assert abs(e.log_negativity_density_matrix(rho, (2, 2)) - 1.0) < 1e-12
+    log_neg = e.log_negativity_density_matrix(rho, (2, 2))
+    assert abs(log_neg - 1.0) < 1e-12
+    assert abs((2.0**log_neg - 1.0) / 2.0 - 0.5) < 1e-12  # the trace-norm form (||rho^tp||_1 - 1)/2
 
 
 def test_density_matrix_negativity_product_zero():
@@ -113,8 +114,6 @@ def test_density_matrix_validation():
     bad[0, 1] = 0.3  # not Hermitian
     with pytest.raises(ValueError):
         e.negativity_density_matrix(bad, (2, 2))
-    with pytest.raises(ValueError):
-        e.DensityMatrix(np.eye(3))  # trace != 1
 
 
 def test_fock_truncated_tmss_matches_gaussian_negativity():

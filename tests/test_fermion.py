@@ -219,7 +219,7 @@ def test_density_matrix_route_matches_closed_form_two_mode():
     c = cfg(h=1e-2, n_side=150)
     for k, sign in [(1, +1), (-1, -1), (2, +1)]:
         rho = fermion.two_mode_density_matrix(c, 0.7, k, sign=sign)
-        neg_dense = entanglement.negativity_density_matrix(rho, (2, 2), subsystem=1)
+        neg_dense = entanglement.negativity_density_matrix(rho, (2, 2))
         neg_closed = fermion.negativity_two_mode(c, 0.7, k)
         assert abs(neg_dense - neg_closed) < 50 * c.h**3
         # the state is positive to the perturbative order, with unit trace
@@ -232,7 +232,7 @@ def test_density_matrix_route_matches_closed_form_charge():
     c = cfg(h=1e-2, n_side=150)
     for (k, kp), sign in [((1, -1), +1), ((1, -2), -1), ((2, -1), +1)]:
         rho = fermion.charge_density_matrix(c, 0.9, k, kp, sign=sign)
-        neg_dense = entanglement.negativity_density_matrix(rho, (2, 4), subsystem=1)
+        neg_dense = entanglement.negativity_density_matrix(rho, (2, 4))
         neg_closed = fermion.negativity_charge_state(c, 0.9, k, kp)
         assert abs(neg_dense - neg_closed) < 50 * c.h**3
 
@@ -243,7 +243,7 @@ def test_density_matrix_scaling_in_h():
     for h in (0.02, 0.01, 0.005):
         c = fermion.FermionCavityConfig(s=0.0, h=h, n_side=150)
         rho = fermion.two_mode_density_matrix(c, 0.7, 1)
-        neg_dense = entanglement.negativity_density_matrix(rho, (2, 2), subsystem=1)
+        neg_dense = entanglement.negativity_density_matrix(rho, (2, 2))
         neg_closed = fermion.negativity_two_mode(c, 0.7, 1)
         ratios.append(abs(neg_dense - neg_closed) / h**3)
     assert max(ratios) < 100 * max(min(ratios), 1e-6)
