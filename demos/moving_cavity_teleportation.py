@@ -23,7 +23,7 @@ for tau in np.linspace(0.1, 2.0, 20):
     scen = teleport.TeleportScenario(
         r=r, kp=kp, config=cfg, segment=boson.TrajectorySegment(((h, tau),))
     )
-    fa, fb, _ = teleport.f_sums(scen)
+    fa, fb = teleport.f_sums(scen)
     res = teleport.optimal_fidelity_corrected(scen)
     drop = 100 * (f_ideal - res["fidelity"]) / f_ideal
     best = max(best, (drop, tau))

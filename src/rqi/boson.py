@@ -196,13 +196,18 @@ def two_mode_reduced_state(smap, k, kp):
     return _reduced_state(smap.matrix, k, kp)
 
 
+def _check_labels(n_max, k, kp):
+    """Raise ValueError unless both 1-based mode labels lie in 1..n_max (0 would read mode n_max)."""
+    if not (1 <= k <= n_max and 1 <= kp <= n_max):
+        raise ValueError(f"mode labels must lie in 1..{n_max}, got k={k}, k'={kp}")
+
+
 def _reduced_state(s, k, kp):
     """two_mode_reduced_state of a complex-form matrix S, taken as already certified."""
     if k == kp:
         raise ValueError("need two distinct modes")
     n = s.shape[0] // 2
-    if not (1 <= k <= n and 1 <= kp <= n):
-        raise ValueError("mode index out of range")
+    _check_labels(n, k, kp)
     full = s @ s.conj().T
     state = CovarianceState(n, np.zeros(2 * n, dtype=complex), (full + full.conj().T) / 2)
     return gaussian.partial_trace(state, [k - 1, kp - 1])
@@ -219,6 +224,7 @@ def resonance_check(config, segment_or_map, k, kp, tol=1e-6):
     else:
         smap = segment_or_map
     n = smap.n_modes
+    _check_labels(n, k, kp)
     _, b = segment_blocks(smap)
     b_kkp = b[k - 1, kp - 1]
     # zero-order phases from the unit-modulus part of the diagonal
@@ -236,6 +242,7 @@ def resonance_check(config, segment_or_map, k, kp, tol=1e-6):
 
 def resonant_times(config, k, kp, count=5):
     """Discrete resonant total times T_n = 2 n pi / (omega_k + omega_k')."""
+    _check_labels(config.n_max, k, kp)
     omega = mode_frequencies(config)
     base = 2.0 * np.pi / (omega[k - 1] + omega[kp - 1])
     return base * np.arange(1, count + 1)
@@ -265,6 +272,7 @@ def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
     """
     if repetitions < 0:
         raise ValueError("repetitions must be non-negative")
+    _check_labels(config.n_max, k, kp)
     if repetitions == 0:
         return {"negativity": 0.0, "resonant": True, "residual": 0.0}
     smap = compose_segment(config, segment)
@@ -295,8 +303,7 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
     with G_k G_k'(t) = exp(i (omega_k + omega_k') t).  Labels are 1-based.
     """
-    if not (1 <= k <= config.n_max and 1 <= kp <= config.n_max):
-        raise ValueError(f"mode labels must lie in 1..{config.n_max}, got k={k}, k'={kp}")
+    _check_labels(config.n_max, k, kp)
     omega = mode_frequencies(config)
     s = omega[k - 1] + omega[kp - 1]
     phase1 = np.exp(1j * s * tau1)

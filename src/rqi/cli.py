@@ -212,9 +212,10 @@ def cmd_fermion_negativity(params):
 def cmd_oneway_surface(params):
     us = grid_values(params["u"])
     vs = grid_values(params["v"])
-    with _user_input():
-        cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
     k = params["k"]
+    with _user_input():  # the mode label must lie in the window
+        cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
+        cfg.bogo.index(k)
     rows = [(u, v, fermion.oneway_f(cfg, 2 * u * cfg.delta, 2 * v * cfg.delta, k)) for u in us for v in vs]
     return ["u", "v", "f_oneway"], rows, {}
 
@@ -222,7 +223,7 @@ def cmd_oneway_surface(params):
 def cmd_detector_rate(params):
     gaps = grid_values(params["gap"])
     with _user_input():
-        profile = _build_profile(params)
+        profile = udw.SpatialProfile(kind=params["profile"], sigma=params["sigma"], peak=params["peak"], accel=params["a"])
     if params["dim"] not in udw.DIMS:
         raise ConfigError(f"dim must be one of {list(udw.DIMS)}, got {params['dim']!r}")
     rows = []
@@ -236,15 +237,6 @@ def cmd_detector_rate(params):
             raise ConfigError("trajectory must be 'inertial' or 'accelerated'")
         rows.append((gap, rate))
     return ["gap", "rate"], rows, {}
-
-
-def _build_profile(params):
-    kind = params["profile"]
-    if kind == "point":
-        return udw.SpatialProfile()
-    if kind in (udw.GAUSSIAN, udw.RINDLER_GAUSSIAN):
-        return udw.SpatialProfile(kind=kind, sigma=params["sigma"], peak=params["peak"], accel=params["a"])
-    raise ConfigError(f"unknown profile {kind!r}")
 
 
 def cmd_nonpert_evolve(params):

@@ -12,7 +12,8 @@ structure [[V, U], [conj(U), conj(V)]], and S is symplectic when
 S K S+ = K with K = diag(I, -I).  The symplectic eigenvalues are the positive
 eigenvalues of K Gamma.  A `SymplecticMap` is certified (defect <= defect_tol)
 once, where it is made; products formed inside a computation are not
-re-checked, only the map it returns.
+re-checked, only the map it returns.  Every quadratic generator, of the
+maps here and of the `rqi.nonpert` basis, comes from `quadratic_generator`.
 
 The interleaved quadratures (x1, p1, ..., xN, pN) are a read-only view:
 `real_basis_matrix` is the unitary change to them and `real_covariance` the
@@ -180,27 +181,28 @@ def phase_rotation(thetas):
     return SymplecticMap(thetas.size, _phase_matrix(thetas))
 
 
-def _pair_hamiltonian(r, n_modes, modes, squeeze):
-    """Generator of a beam splitter, 2ir(a+ b - a b+), or with `squeeze` of a two-mode squeezer, 2ir(a+ b+ - a b).
+def quadratic_generator(n_modes, i, j, value, squeeze=False):
+    """Complex-form generator [[X, Y], [conj(Y), conj(X)]] with one entry pair in X or, with `squeeze`, in Y.
 
-    The first fills the A block with ir (E_ij - E_ji), the second the B block with ir (E_ij + E_ji).
+    X_ij = value, X_ji = conj(value): a phase rotation (i = j, real value) or
+    a beam splitter; Y_ij = Y_ji = value: a single-mode (i = j) or two-mode
+    squeezer.  The other block is zero.
     """
-    i, j = modes
     e = np.zeros((n_modes, n_modes), dtype=complex)
-    e[i, j] = 1j * r
-    e[j, i] = 1j * r if squeeze else -1j * r
-    a, b = (np.zeros_like(e), e) if squeeze else (e, np.zeros_like(e))
-    return np.block([[a, b], [b.conj(), a.conj()]])
+    e[j, i] = value if squeeze else np.conj(value)
+    e[i, j] = value
+    x, y = (np.zeros_like(e), e) if squeeze else (e, np.zeros_like(e))
+    return np.block([[x, y], [y.conj(), x.conj()]])
 
 
 def beam_splitter(r, n_modes=2, modes=(0, 1)):
-    """Beam-splitter symplectic map with rotation blocks cos(r), sin(r)."""
-    return symplectic_from_hamiltonian(_pair_hamiltonian(r, n_modes, modes, squeeze=False))
+    """Beam-splitter symplectic map with rotation blocks cos(r), sin(r): generator 2ir(a+ b - a b+)."""
+    return symplectic_from_hamiltonian(quadratic_generator(n_modes, *modes, 1j * r))
 
 
 def two_mode_squeezer(r, n_modes=2, modes=(0, 1)):
-    """Two-mode squeezing map, cosh(r) / sinh(r) blocks."""
-    return symplectic_from_hamiltonian(_pair_hamiltonian(r, n_modes, modes, squeeze=True))
+    """Two-mode squeezing map, cosh(r) / sinh(r) blocks: generator 2ir(a+ b+ - a b)."""
+    return symplectic_from_hamiltonian(quadratic_generator(n_modes, *modes, 1j * r, squeeze=True))
 
 
 def two_mode_squeezed_state(r):
@@ -338,9 +340,9 @@ def random_symplectic(n_modes, rng, n_factors=6, strength=0.6):
         elif n_modes > 1:
             i, j = rng.choice(n_modes, size=2, replace=False)
             r = rng.uniform(-np.pi, np.pi) if kind == 1 else rng.uniform(-strength, strength)
-            fac = _exp_hamiltonian(_pair_hamiltonian(r, n_modes, (int(i), int(j)), squeeze=kind == 2))
+            fac = _exp_hamiltonian(quadratic_generator(n_modes, int(i), int(j), 1j * r, squeeze=kind == 2))
         else:  # a single-mode squeezer
             z = rng.uniform(-strength, strength) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            fac = _exp_hamiltonian(np.array([[0.0, z], [np.conj(z), 0.0]]))
+            fac = _exp_hamiltonian(quadratic_generator(1, 0, 0, z, squeeze=True))
         s = fac @ s
     return SymplecticMap(n_modes, s, defect_tol=1e-9)

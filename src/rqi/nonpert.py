@@ -24,7 +24,8 @@ and K G_j P_j = K G_j (sigma_j = +1 for phase rotations and beam splitters,
     exp(i f K G_j) = 1 + (c(f) - 1) P_j + i s(f) K G_j,
 
 with (c, s) = (cos, sin) or (cosh, sinh): no matrix exponential is computed
-on the factor side.  F_j values depend on the factor ordering (fixed to the
+on the factor side.  The generators come from `gaussian.quadratic_generator`,
+and a basis builds the tables of these closed forms once, on first use.  F_j values depend on the factor ordering (fixed to the
 basis order); Gamma(t) does not.
 
 The fixed-step oracle integrates dS/dt directly (midpoint rule; batched
@@ -35,12 +36,13 @@ and shares nothing with the factor machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .gaussian import kay, real_basis_matrix, symplectic_defect
+from .gaussian import kay, quadratic_generator, real_basis_matrix, symplectic_defect
 
 # condition number above which the factor matching system counts as singular
 COND_MAX = 1e10
@@ -71,60 +73,29 @@ class GeneratorBasis:
     def dim(self):
         return len(self.generators)
 
-
-def _gen(n, x=None, y=None):
-    g = np.zeros((2 * n, 2 * n), dtype=complex)
-    if x is not None:
-        g[:n, :n] = x
-        g[n:, n:] = x.conj()
-    if y is not None:
-        g[:n, n:] = y
-        g[n:, :n] = y.conj()
-    return g
+    @cached_property
+    def factor_tables(self):
+        """`_factor_tables` of this basis, built on first use."""
+        return _factor_tables(self)
 
 
 def build_generator_basis(n_modes):
     """All N(2N+1) independent quadratic generators in canonical order."""
     n = n_modes
+    singles = [(i, i) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     gens, labels = [], []
-    for i in range(n):
-        x = np.zeros((n, n), dtype=complex)
-        x[i, i] = 1.0
-        gens.append(_gen(n, x=x))
-        labels.append(f"phase[{i}]")
-    for i in range(n):
-        y = np.zeros((n, n), dtype=complex)
-        y[i, i] = 1.0
-        gens.append(_gen(n, y=y))
-        labels.append(f"sms_re[{i}]")
-        y2 = np.zeros((n, n), dtype=complex)
-        y2[i, i] = 1j
-        gens.append(_gen(n, y=y2))
-        labels.append(f"sms_im[{i}]")
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j] = 1.0
-            x[j, i] = 1.0
-            gens.append(_gen(n, x=x))
-            labels.append(f"bs_re[{i},{j}]")
-            x2 = np.zeros((n, n), dtype=complex)
-            x2[i, j] = 1j
-            x2[j, i] = -1j
-            gens.append(_gen(n, x=x2))
-            labels.append(f"bs_im[{i},{j}]")
-    for i in range(n):
-        for j in range(i + 1, n):
-            y = np.zeros((n, n), dtype=complex)
-            y[i, j] = 1.0
-            y[j, i] = 1.0
-            gens.append(_gen(n, y=y))
-            labels.append(f"tms_re[{i},{j}]")
-            y2 = np.zeros((n, n), dtype=complex)
-            y2[i, j] = 1j
-            y2[j, i] = 1j
-            gens.append(_gen(n, y=y2))
-            labels.append(f"tms_im[{i},{j}]")
+    # (label stem, entry in the Y block, mode pairs, entry value of each label part)
+    for stem, squeeze, modes, values in (
+        ("phase", False, singles, {"": 1.0}),
+        ("sms", True, singles, {"_re": 1.0, "_im": 1j}),
+        ("bs", False, pairs, {"_re": 1.0, "_im": 1j}),
+        ("tms", True, pairs, {"_re": 1.0, "_im": 1j}),
+    ):
+        for i, j in modes:
+            for part, value in values.items():
+                gens.append(quadratic_generator(n, i, j, value, squeeze))
+                labels.append(f"{stem}{part}[{i}]" if i == j else f"{stem}{part}[{i},{j}]")
     assert len(gens) == n * (2 * n + 1)
     return GeneratorBasis(n_modes=n, generators=tuple(gens), labels=tuple(labels))
 
@@ -208,7 +179,7 @@ def derive_F_odes(basis, schedule):
     pseudo-inverse projection of all columns onto the basis.  Raises (with
     the condition number) if the matching matrix degenerates.
     """
-    ikg, proj, hyper = _factor_tables(basis)
+    ikg, proj, hyper = basis.factor_tables
     tables = (_to_quadrature(ikg), _to_quadrature(proj), hyper)
     gens = _to_quadrature(np.stack(basis.generators))
     dim = basis.dim
@@ -248,18 +219,13 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
     return sol
 
 
-def _factor_product(tables, factors):
-    """prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost) from prebuilt factor tables."""
-    e = _factor_exponentials(tables, -np.asarray(factors, dtype=float))
+def evolution_operator(basis, factors):
+    """S = prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost), from the closed forms."""
+    e = _factor_exponentials(basis.factor_tables, -np.asarray(factors, dtype=float))
     s = e[0]
     for ej in e[1:]:
         s = s @ ej
     return s
-
-
-def evolution_operator(basis, factors):
-    """S = prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost), from the closed forms."""
-    return _factor_product(_factor_tables(basis), factors)
 
 
 def covariance_trajectory(basis, factors, gamma0=None):
@@ -269,10 +235,9 @@ def covariance_trajectory(basis, factors, gamma0=None):
     """
     if gamma0 is None:
         gamma0 = np.eye(2 * basis.n_modes, dtype=complex)
-    tables = _factor_tables(basis)
     gammas = []
     for column in np.asarray(factors).T:
-        s = _factor_product(tables, column)
+        s = evolution_operator(basis, column)
         defect = symplectic_defect(s)
         if defect > 1e-8:
             raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")

@@ -96,11 +96,10 @@ def segment_first_order(config, segment):
 
 
 def f_sums(scenario):
-    """(f_alpha, f_beta, f_alphabeta) for Rob's mode k'.
+    """(f_alpha, f_beta) for Rob's mode k'.
 
-    f_alpha = 1/2 sum_n |A1[n, k']|^2 and likewise for f_beta; f_alphabeta is
-    the complex row sum A1[k', n] B1[k', n] entering the printed second-order
-    covariance entries.  All sums skip n = k' (the diagonals vanish anyway).
+    f_alpha = 1/2 sum_n |A1[n, k']|^2 and likewise for f_beta.  Both sums
+    skip n = k' (the diagonals vanish anyway).
     """
     a1, b1 = segment_first_order(scenario.config, scenario.segment)
     i = scenario.kp - 1
@@ -108,8 +107,7 @@ def f_sums(scenario):
     mask[i] = False
     f_alpha = 0.5 * float(np.sum(np.abs(a1[mask, i]) ** 2))
     f_beta = 0.5 * float(np.sum(np.abs(b1[mask, i]) ** 2))
-    f_ab = complex(np.sum(a1[i, mask] * b1[i, mask]))
-    return f_alpha, f_beta, f_ab
+    return f_alpha, f_beta
 
 
 def _rot_block(alpha, beta):
@@ -184,7 +182,7 @@ def fidelity_expansion(scenario):
     diagonal data that the perturbative expansion leaves free.
     """
     r = scenario.r
-    f_alpha, f_beta, _ = f_sums(scenario)
+    f_alpha, f_beta = f_sums(scenario)
     f0 = 1.0 / (1.0 + np.cosh(2 * r) - np.cos(scenario.phi) * np.sinh(2 * r))
     f2 = f0**2 * (1.0 + np.exp(-2 * r)) * (f_beta + f_alpha * np.tanh(r))
     return float(f0), float(f2)
@@ -199,7 +197,7 @@ def optimal_fidelity_corrected(scenario):
     """
     if scenario.r <= 0:
         return {"fidelity": 0.5, "nu_minus": 1.0, "degenerate": True}
-    f_alpha, f_beta, _ = f_sums(scenario)
+    f_alpha, f_beta = f_sums(scenario)
     nu = np.exp(-2 * scenario.r) + (1.0 + np.exp(-2 * scenario.r)) * (
         f_beta + f_alpha * np.tanh(scenario.r)
     ) * scenario.config.h**2

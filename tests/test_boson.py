@@ -212,6 +212,25 @@ def test_linear_growth_on_resonance():
         assert linear["resonant"] and abs(exact - linear["negativity"]) < 0.01 * linear["negativity"]
 
 
+@pytest.mark.parametrize("k, kp", [(0, 2), (2, 0), (-1, 2), (2, 21)])
+def test_mode_labels_outside_1_to_n_max_rejected(k, kp):
+    # label 0 would index k - 1 = -1, the last mode, and 21 would run off the end
+    c = cfg(n_max=20, h=1e-4)
+    seg = boson.standard_segment(c.h, 0.3, 0.3)
+    smap = boson.compose_segment(c, seg)
+    calls = [
+        lambda: boson.resonance_check(c, smap, k, kp),
+        lambda: boson.resonance_negativity(c, seg, k, kp, 3),
+        lambda: boson.resonance_negativity(c, seg, k, kp, 0),
+        lambda: boson.resonant_times(c, k, kp),
+        lambda: boson.closed_form_b_magnitude(c, 0.3, 0.3, 1.0, k, kp),
+        lambda: boson.two_mode_reduced_state(smap, k, kp),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"1\.\.20"):
+            call()
+
+
 def test_validity_warning_for_large_repetitions():
     c = cfg(n_max=8, h=0.02)
     seg = boson.standard_segment(c.h, 1.0 / 3.0, 1.0 / 3.0, 1.0)

@@ -412,8 +412,10 @@ OUT_OF_RANGE = [
     ["resonance-sweep", "--h", "2.5", "--tau1", "[0.5]", "--tau2", "[0.5]"],
     ["teleport-fidelity", "--n-max", "1", "--kp", "1", "--tau", "[0.5]", "--h", "[0.01]"],
     ["oneway-surface", "--s", "1.5", "--u", "[0.5]", "--v", "[0.5]"],
+    ["oneway-surface", "--k", "500", "--u", "[0.5]", "--v", "[0.5]"],
     ["fermion-negativity", "--n-side", "1", "--u", "[0.5]"],
     ["detector-rate", "--profile", "gaussian", "--sigma", "-1", "--gap", "[1.0]"],
+    ["detector-rate", "--profile", "banana", "--gap", "[1.0]"],
     ["box-entangle", "--v", "0.2", "--h", "[0.5]", "--kappa", "[0.0]", "--n-cut", "3"],
 ]
 

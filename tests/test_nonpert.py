@@ -188,7 +188,8 @@ def test_generic_hermitian_generator_rejected():
     n = 2
     x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     y = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    g = nonpert._gen(n, x=x + x.conj().T, y=y + y.T)
+    x, y = x + x.conj().T, y + y.T
+    g = np.block([[x, y], [y.conj(), x.conj()]])
     std = nonpert.build_generator_basis(n)
     basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (g,), std.labels[:-1] + ("generic",))
     with pytest.raises(ValueError, match="generic"):
@@ -200,6 +201,17 @@ def test_generic_hermitian_generator_rejected():
     basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (lopsided,), std.labels[:-1] + ("lopsided",))
     with pytest.raises(ValueError, match="block structure"):
         nonpert.derive_F_odes(basis, lambda t: np.zeros(basis.dim))
+
+
+def test_factor_tables_built_once_per_basis(monkeypatch):
+    calls = []
+    build = nonpert._factor_tables
+    monkeypatch.setattr(nonpert, "_factor_tables", lambda basis: calls.append(basis) or build(basis))
+    basis = nonpert.detector_field_basis()
+    sched = nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0)
+    _, factors, _ = nonpert.evolve_state(basis, sched, (0.0, 2.0), t_eval=[1.0, 2.0])
+    nonpert.evolution_operator(basis, factors[:, -1])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
@@ -287,3 +299,31 @@ def test_three_mode_passive_drive_against_oracle():
     nd_o = np.array([nonpert.detector_number_expectation(g) for g in oracle])
     assert np.ptp(nd) > 0.1  # the drive moves quanta off the detector
     assert np.abs(nd - nd_o).max() < 1e-6
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    n=st.sampled_from([2, 3]),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3 * 9, max_size=3 * 9),
+    r=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+)
+def test_random_passive_drive_conserves_total_number(n, coeffs, r):
+    """Phase and beam-splitter drives a + b cos(3 w t) with random a, b, w conserve sum_i <n_i>."""
+    basis = BASES[n - 1]
+    passive = [j for j, lab in enumerate(basis.labels) if lab.startswith(("phase", "bs_"))]
+    a, b, w = np.reshape(coeffs, (3, -1))[:, : len(passive)]
+    # weak beam splitters: the product form's coordinates turn singular once a beam-splitter factor nears pi/4
+    scale = np.where([basis.labels[j].startswith("bs_") for j in passive], 0.08, 1.0)
+
+    def sched(t):
+        lam = np.zeros(basis.dim)
+        lam[passive] = scale * (a + b * np.cos(3.0 * w * t))
+        return lam
+
+    r = np.array(r[:n])
+    gamma0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    gamma0[:n, :n] = gamma0[n:, n:] = np.diag(np.cosh(2 * r))
+    gamma0[:n, n:] = gamma0[n:, :n] = np.diag(np.sinh(2 * r))
+    _, _, gammas = nonpert.evolve_state(basis, sched, (0.0, 2.0), gamma0=gamma0, t_eval=np.linspace(0.0, 2.0, 5))
+    totals = [nonpert.mean_occupations(g).sum() for g in gammas]
+    assert np.ptp(totals) < 1e-8 * max(1.0, totals[0])

@@ -52,17 +52,17 @@ def test_transformed_state_phi_2pi_recovers_tmss():
 
 def test_f_sums_nonnegative_and_convergent():
     sc = scenario(n_max=40)
-    fa, fb, fab = teleport.f_sums(sc)
+    fa, fb = teleport.f_sums(sc)
     assert fa >= 0 and fb >= 0
     sc_big = scenario(n_max=80)
-    fa2, fb2, _ = teleport.f_sums(sc_big)
+    fa2, fb2 = teleport.f_sums(sc_big)
     assert abs(fa2 - fa) < 1e-8
     assert abs(fb2 - fb) < 1e-8
 
 
 def test_fidelity_expansion_zero_without_mixing():
     sc = scenario(h=1e-9, tau=2.0)  # phases aligned: A1, B1 columns vanish
-    fa, fb, _ = teleport.f_sums(sc)
+    fa, fb = teleport.f_sums(sc)
     assert fa < 1e-12 and fb < 1e-12
     _, f2 = teleport.fidelity_expansion(sc)
     assert f2 < 1e-12
@@ -164,8 +164,8 @@ def test_massless_periodicity_in_tau():
     # all outputs are periodic in the acceleration time with period 2 delta
     base = scenario(h=0.05, tau=0.37)
     shifted = scenario(h=0.05, tau=0.37 + 2.0)
-    fa0, fb0, _ = teleport.f_sums(base)
-    fa1, fb1, _ = teleport.f_sums(shifted)
+    fa0, fb0 = teleport.f_sums(base)
+    fa1, fb1 = teleport.f_sums(shifted)
     assert abs(fa0 - fa1) < 1e-10 and abs(fb0 - fb1) < 1e-10
     nu0 = teleport.optimal_fidelity_corrected(base)["nu_minus"]
     nu1 = teleport.optimal_fidelity_corrected(shifted)["nu_minus"]
