@@ -1,13 +1,13 @@
 """Perturbative Bogoliubov machinery for a scalar field in a moving cavity.
 
-A rigid Dirichlet cavity of proper length `delta` holding a field of
-dimensionless mass M has mode frequencies
+In units of the cavity's proper length delta, a rigid Dirichlet cavity holding
+a field of dimensionless mass M = mu delta has mode frequencies
 
-    omega_n = sqrt((n pi / delta)^2 + (M / delta)^2),   n = 1, 2, ...
+    w_n = sqrt((n pi)^2 + M^2),   n = 1, 2, ...
 
 Switching acceleration on or off mixes the modes; to first order in the
 dimensionless acceleration h = 2 delta / (a + b) the mixing coefficients have
-closed forms (in units of the dimensionless frequencies w_n = omega_n delta):
+closed forms:
 
     alpha1[m, n] = -2 pi^2 m n / (sqrt(w_m w_n) (w_m - w_n)^3)
     beta1[m, n]  = +2 pi^2 m n / (sqrt(w_m w_n) (w_m + w_n)^3)
@@ -19,7 +19,8 @@ normalised positive; the quadrature oracle in the test suite pins it down.
 Trajectories are built from blocks S_j = Q(h_j)^-1 U(tau_j) Q(h_j): jump to
 the accelerated mode basis, rotate phases for proper time tau_j, jump back.
 Products of blocks approximate arbitrary piecewise inertial/uniformly
-accelerated motion.
+accelerated motion.  `TrajectorySegment` checks tau_j >= 0 and |h_j| < 2 and
+`_check_labels` checks mode labels; nothing downstream checks them again.
 
 The first-order matrices are a pure function of the cavity config: they live
 on it as `config.coeffs`, built by `bogo_first_order` on first use.
@@ -31,7 +32,7 @@ blocks inside a composition and powers of a composed map are not re-checked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -46,20 +47,18 @@ class PerturbativeValidityWarning(UserWarning):
 
 # N |B_kk'| at or above this makes the linear-growth negativity unreliable
 NB_VALIDITY_BOUND = 0.1
+RESONANCE_TOL = 1e-6  # resonant when the commutator residual is at most this times |B_kk'|
 
 
 @dataclass(frozen=True)
 class BosonCavityConfig:
     """Cavity geometry and truncation for the perturbative treatment."""
 
-    delta: float = 1.0
     mass: float = 0.0  # dimensionless M = mu * delta
     n_max: int = 20
     h: float = 1e-4
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError("cavity length must be positive")
         if self.n_max < 2:
             raise ValueError("need at least two modes")
         if not abs(self.h) < 2.0:
@@ -82,6 +81,8 @@ class TrajectorySegment:
         for h, tau in blocks:
             if tau < 0:
                 raise ValueError("proper times must be non-negative")
+            if not abs(h) < 2.0:
+                raise ValueError("physical accelerated segments need |h| < 2")
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -100,7 +101,7 @@ class BogoCoefficients:
 def mode_frequencies(config):
     """omega_n for n = 1..n_max (units 1/delta)."""
     n = np.arange(1, config.n_max + 1)
-    return np.sqrt((n * np.pi / config.delta) ** 2 + (config.mass / config.delta) ** 2)
+    return np.sqrt((n * np.pi) ** 2 + config.mass**2)
 
 
 def bogo_first_order(config):
@@ -110,7 +111,7 @@ def bogo_first_order(config):
     antisymmetric and beta1 symmetric.
     """
     n = np.arange(1, config.n_max + 1)
-    w = np.sqrt((n * np.pi) ** 2 + config.mass**2)  # dimensionless omega * delta
+    w = mode_frequencies(config)
     m_idx, n_idx = np.meshgrid(n, n, indexing="ij")
     wm, wn = np.meshgrid(w, w, indexing="ij")
     odd = (m_idx + n_idx) % 2 == 1
@@ -128,11 +129,7 @@ def _phase_diag(config, tau):
 
 
 def _block(config, h_j, tau_j):
-    """Uncertified building block: (matrix, defect bound; O((n_max h)^2) at first order)."""
-    if tau_j < 0:
-        raise ValueError("proper time must be non-negative")
-    if not abs(h_j) < 2.0:
-        raise ValueError("physical accelerated segments need |h| < 2")
+    """Uncertified building block of a checked segment: (matrix, defect bound; O((n_max h)^2) at first order)."""
     n = config.n_max
     g = _phase_diag(config, tau_j)
     u = np.diag(np.concatenate([g.conj(), g]))
@@ -159,6 +156,7 @@ def building_block(config, h_j, tau_j):
     identity.  Emits a PerturbativeValidityWarning when n_max * |h| is not
     small, since the block is built from first-order coefficients only.
     """
+    ((h_j, tau_j),) = TrajectorySegment(((h_j, tau_j),)).blocks  # checks tau_j >= 0 and |h_j| < 2
     s, bound = _block(config, h_j, tau_j)
     return SymplecticMap(config.n_max, s, defect_tol=bound)
 
@@ -196,16 +194,16 @@ def two_mode_reduced_state(smap, k, kp):
     return _reduced_state(smap.matrix, k, kp)
 
 
-def _check_labels(n_max, k, kp):
-    """Raise ValueError unless both 1-based mode labels lie in 1..n_max (0 would read mode n_max)."""
-    if not (1 <= k <= n_max and 1 <= kp <= n_max):
-        raise ValueError(f"mode labels must lie in 1..{n_max}, got k={k}, k'={kp}")
+def _check_labels(n_max, *labels):
+    """Raise ValueError unless the 1-based mode labels lie in 1..n_max (0 would read mode n_max) and differ."""
+    if not all(1 <= k <= n_max for k in labels):
+        raise ValueError(f"mode labels must lie in 1..{n_max}, got {labels}")
+    if len(set(labels)) < len(labels):
+        raise ValueError(f"need distinct modes, got {labels}")
 
 
 def _reduced_state(s, k, kp):
     """two_mode_reduced_state of a complex-form matrix S, taken as already certified."""
-    if k == kp:
-        raise ValueError("need two distinct modes")
     n = s.shape[0] // 2
     _check_labels(n, k, kp)
     full = s @ s.conj().T
@@ -213,16 +211,12 @@ def _reduced_state(s, k, kp):
     return gaussian.partial_trace(state, [k - 1, kp - 1])
 
 
-def resonance_check(config, segment_or_map, k, kp, tol=1e-6):
-    """Commutator residual |(G_k' - conj(G_k)) B_kk'| and its verdict.
+def resonance_check(smap, k, kp):
+    """Commutator residual |(G_k' - conj(G_k)) B_kk'| of a composed map and its verdict.
 
     The residual vanishes exactly when the total time satisfies
     T (omega_k + omega_k') = 2 pi n, or trivially when B_kk' = 0 (even k + k').
     """
-    if isinstance(segment_or_map, TrajectorySegment):
-        smap = compose_segment(config, segment_or_map)
-    else:
-        smap = segment_or_map
     n = smap.n_modes
     _check_labels(n, k, kp)
     _, b = segment_blocks(smap)
@@ -236,7 +230,7 @@ def resonance_check(config, segment_or_map, k, kp, tol=1e-6):
     # residue from the composition; they are resonant for every travel time
     b_scale = float(np.abs(b - np.diag(np.diag(b))).max())
     zero_like = abs(b_kkp) <= 1e-3 * b_scale + 1e-300
-    resonant = zero_like or residual <= tol * abs(b_kkp)
+    resonant = zero_like or residual <= RESONANCE_TOL * abs(b_kkp)
     return resonant, residual
 
 
@@ -263,7 +257,7 @@ def _power_negativity(smap, k, kp, repetitions):
     return entanglement.negativity_gaussian(_reduced_state(power, k, kp))
 
 
-def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
+def resonance_negativity(config, segment, k, kp, repetitions):
     """Negativity after N segment repetitions.
 
     On resonance this is N |B_kk'| (B already carries one power of h) and the
@@ -276,7 +270,7 @@ def resonance_negativity(config, segment, k, kp, repetitions, tol=1e-6):
     if repetitions == 0:
         return {"negativity": 0.0, "resonant": True, "residual": 0.0}
     smap = compose_segment(config, segment)
-    resonant, residual = resonance_check(config, smap, k, kp, tol=tol)
+    resonant, residual = resonance_check(smap, k, kp)
     _, b = segment_blocks(smap)
     b_kkp = abs(b[k - 1, kp - 1])
     if repetitions * b_kkp >= NB_VALIDITY_BOUND:
@@ -316,6 +310,6 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
 def two_mode_convergence(config, segment, k, kp, repetitions=1):
     """Shift of the negativity when n_max doubles (truncation gate)."""
     small = segment_negativity_exact(config, segment, k, kp, repetitions)
-    big_cfg = BosonCavityConfig(config.delta, config.mass, 2 * config.n_max, config.h)
+    big_cfg = replace(config, n_max=2 * config.n_max)
     big = segment_negativity_exact(big_cfg, segment, k, kp, repetitions)
     return abs(big - small)

@@ -10,7 +10,7 @@ payloads are written with 17 significant digits so reruns are bit-identical.
 
 Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
 number, or a value the physics rejects, such as a mode label outside
-1..n_max), 3 numeric failure.
+1..n_max, a repeated mode label or a squeezing r <= 0), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ def cmd_resonance_sweep(params):
     with _user_input():  # the first grid point checks the cavity and the mode labels
         cfg = boson.BosonCavityConfig(mass=params["mass"], n_max=params["n_max"], h=params["h"])
         boson.closed_form_b_magnitude(cfg, tau1[0], tau2[0], lam, k, kp)
+        if reps < 0:
+            raise ValueError("repetitions must be non-negative")
     rows = []
     for t1 in tau1:
         for t2 in tau2:
@@ -201,7 +203,7 @@ def cmd_fermion_negativity(params):
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
     with _user_input():
         cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in (0.0, 0.25, 0.5, 0.75)]
-    rows = [(u, *(fermion.f_k(cfg, 2.0 * u * cfg.delta, k) for cfg in cfgs for k in (1, -1))) for u in us]
+    rows = [(u, *(fermion.f_k(cfg, 2.0 * u, k) for cfg in cfgs for k in (1, -1))) for u in us]
     # convergence probe: window doubling at a generic point (cfgs[0] has s = 0)
     probe_small = fermion.f_k(cfgs[0], 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
@@ -216,34 +218,35 @@ def cmd_oneway_surface(params):
     with _user_input():  # the mode label must lie in the window
         cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
         cfg.bogo.index(k)
-    rows = [(u, v, fermion.oneway_f(cfg, 2 * u * cfg.delta, 2 * v * cfg.delta, k)) for u in us for v in vs]
+    rows = [(u, v, fermion.oneway_f(cfg, 2 * u, 2 * v, k)) for u in us for v in vs]
     return ["u", "v", "f_oneway"], rows, {}
 
 
 def cmd_detector_rate(params):
     gaps = grid_values(params["gap"])
+    trajectory, dim = params["trajectory"], params["dim"]
+    if trajectory not in ("inertial", "accelerated"):
+        raise ConfigError("trajectory must be 'inertial' or 'accelerated'")
+    if trajectory == "accelerated" and params["a"] <= 0:
+        raise ConfigError("the accelerated trajectory needs a positive acceleration --a")
+    if dim not in udw.DIMS:
+        raise ConfigError(f"dim must be one of {list(udw.DIMS)}, got {dim!r}")
     with _user_input():
-        profile = udw.SpatialProfile(kind=params["profile"], sigma=params["sigma"], peak=params["peak"], accel=params["a"])
-    if params["dim"] not in udw.DIMS:
-        raise ConfigError(f"dim must be one of {list(udw.DIMS)}, got {params['dim']!r}")
-    rows = []
-    for gap in gaps:
-        det = udw.DetectorParams(gap=float(gap), mass=params["mass"], accel=params["a"])
-        if params["trajectory"] == "inertial":
-            rate = udw.transition_rate_inertial(det, profile)
-        elif params["trajectory"] == "accelerated":
-            rate = udw.transition_rate_accelerated(det, profile, dim=params["dim"])
-        else:
-            raise ConfigError("trajectory must be 'inertial' or 'accelerated'")
-        rows.append((gap, rate))
-    return ["gap", "rate"], rows, {}
+        profile = udw.SpatialProfile(kind=params["profile"], sigma=params["sigma"], peak=params["peak"])
+        dets = [udw.DetectorParams(gap=float(gap), mass=params["mass"], accel=params["a"]) for gap in gaps]
+    if trajectory == "inertial":
+        rates = [udw.transition_rate_inertial(det, profile) for det in dets]
+    else:
+        rates = [udw.transition_rate_accelerated(det, profile, dim=dim) for det in dets]
+    return ["gap", "rate"], list(zip(gaps, rates)), {}
 
 
 def cmd_nonpert_evolve(params):
     basis = nonpert.detector_field_basis()
-    schedule = nonpert.detector_example_schedule(
-        basis, coupling=params["coupling"], t_mod=np.sqrt(params["t_sq"]), gap=params["gap"]
-    )
+    with _user_input():  # the schedule refuses t_mod = sqrt(t_sq) <= 0
+        schedule = nonpert.detector_example_schedule(
+            basis, coupling=params["coupling"], t_mod=np.sqrt(max(params["t_sq"], 0.0)), gap=params["gap"]
+        )
     t_end = params["t_end"]
     t_eval = np.linspace(0.0, t_end, 201) if params["tau"] is None else grid_values(params["tau"])
     if t_eval[0] < 0.0 or (np.diff(t_eval) <= 0.0).any():

@@ -1,10 +1,10 @@
 """Dirac-cavity Bogoliubov coefficients and perturbative entanglement degradation.
 
-A massless Dirac field in a cavity of length `delta` with boundary parameter
-s has frequencies omega_n = (n + s) pi / delta, n in Z; n >= 0 are particles
-and n < 0 antiparticles.  The second boundary parameter theta cancels from
-every implemented observable and is not modelled.  The s = 0 zero mode is
-handled as the s -> 0+ limit (all quantities below are continuous there).
+Lengths and times are in units of the cavity length delta.  A massless Dirac
+field with boundary parameter s has frequencies omega_n = (n + s) pi, n in Z;
+n >= 0 are particles, n < 0 antiparticles.  The second boundary parameter
+theta cancels from every implemented observable and is not modelled; the
+s = 0 zero mode is the s -> 0+ limit (all quantities are continuous there).
 
 The acceleration expansion of the mode-matching matrix A reads
 
@@ -35,7 +35,6 @@ class FermionCavityConfig:
     """Cavity and truncation parameters for the Dirac treatment."""
 
     s: float = 0.0
-    delta: float = 1.0
     h: float = 1e-2
     n_side: int = 200  # mode window [-n_side, n_side]
 
@@ -44,8 +43,6 @@ class FermionCavityConfig:
             raise ValueError("spectrum offset s must lie in [0, 1)")
         if not 0.0 <= self.h < 2.0:
             raise ValueError("acceleration parameter must lie in [0, 2)")
-        if self.delta <= 0:
-            raise ValueError("cavity length must be positive")
         if self.n_side < 2:
             raise ValueError("mode window too small")
 
@@ -75,10 +72,10 @@ class DiracBogo:
 
 
 def frequencies(config, modes=None):
-    """omega_n = (n + s) pi / delta over the window."""
+    """omega_n = (n + s) pi over the window."""
     if modes is None:
         modes = config.modes
-    return (np.asarray(modes) + config.s) * np.pi / config.delta
+    return (np.asarray(modes) + config.s) * np.pi
 
 
 def a1_entry(m, n, s=0.0):
@@ -128,13 +125,13 @@ def compose_I_to_III(config, tau1):
 def _degradation_terms(config, k, travel_times):
     """Terms prod_t |E(t)^(k-p) - 1|^2 |A1[k, p]|^2 over the window p.
 
-    E(t) = exp(i pi t / delta); one factor per travel time t.
+    E(t) = exp(i pi t); one factor per travel time t.
     """
     bogo = config.bogo
     p = bogo.modes
     weights = 1.0
     for t in travel_times:
-        e = np.exp(1j * np.pi * t / config.delta)
+        e = np.exp(1j * np.pi * t)
         weights = weights * np.abs(e ** (k - p) - 1.0) ** 2
     return weights * np.abs(bogo.a1[bogo.index(k), :]) ** 2
 
@@ -142,8 +139,8 @@ def _degradation_terms(config, k, travel_times):
 def f_k(config, tau1, k):
     """Degradation sum f_k = sum_p |E1^(k-p) - 1|^2 |A1[k, p]|^2.
 
-    E1 = exp(i pi tau1 / delta); periodic in tau1 with period 2 delta and
-    vanishing iff tau1 is an integer multiple of 2 delta.  Even in k for s=0.
+    E1 = exp(i pi tau1); periodic in tau1 with period 2 and
+    vanishing iff tau1 is an even integer.  Even in k for s=0.
     """
     terms = _degradation_terms(config, k, (tau1,))
     total = float(np.sum(terms))
@@ -176,6 +173,8 @@ def _warn_if_large(config, value):
 
 def _charge_negativity(config, k, kp, travel_times, fk, fkp):
     """1/2 - (f_k + f_k') h^2 / 4 + inter h^2 / 2; inter is the p = k' term of f_k."""
+    if k < 0 or kp >= 0:
+        raise ValueError("charge state requires k >= 0 and k' < 0")
     inter = _degradation_terms(config, k, travel_times)[config.bogo.index(kp)]
     _warn_if_large(config, fk + fkp)
     return 0.5 - 0.25 * (fk + fkp) * config.h**2 + 0.5 * inter * config.h**2
@@ -198,8 +197,6 @@ def negativity_charge_state(config, tau1, k, kp):
     the interference term is nonzero iff k and k' differ in parity and always
     diminishes the degradation.
     """
-    if k < 0 or kp >= 0:
-        raise ValueError("charge state requires k >= 0 and k' < 0")
     return _charge_negativity(config, k, kp, (tau1,), f_k(config, tau1, k), f_k(config, tau1, kp))
 
 
@@ -219,8 +216,6 @@ def oneway_negativities(config, tau1, tau2, k, kp=None):
     two_mode = 0.5 * (1.0 - fk * config.h**2)
     if kp is None:
         return {"two_mode": two_mode}
-    if k < 0 or kp >= 0:
-        raise ValueError("charge state requires k >= 0 and k' < 0")
     fkp = oneway_f(config, tau1, tau2, kp)
     charge = _charge_negativity(config, k, kp, (tau1, tau1 + tau2), fk, fkp)
     return {"two_mode": two_mode, "charge": charge}

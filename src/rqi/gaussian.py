@@ -330,19 +330,19 @@ def from_json(text):
     raise ValueError(f"unknown kind {payload['kind']!r}")
 
 
-def random_symplectic(n_modes, rng, n_factors=6, strength=0.6):
-    """Random composed symplectic map for tests and sweeps; only the product is certified."""
+def random_symplectic(n_modes, rng):
+    """Random product of six phase, beam-splitter or squeezing factors (squeezing |r| <= 0.6); only the product is certified."""
     s = np.eye(2 * n_modes, dtype=complex)
-    for _ in range(n_factors):
+    for _ in range(6):
         kind = rng.integers(0, 3)
         if kind == 0 or (kind == 1 and n_modes == 1):
             fac = _phase_matrix(rng.uniform(0, 2 * np.pi, n_modes))
         elif n_modes > 1:
             i, j = rng.choice(n_modes, size=2, replace=False)
-            r = rng.uniform(-np.pi, np.pi) if kind == 1 else rng.uniform(-strength, strength)
+            r = rng.uniform(-np.pi, np.pi) if kind == 1 else rng.uniform(-0.6, 0.6)
             fac = _exp_hamiltonian(quadratic_generator(n_modes, int(i), int(j), 1j * r, squeeze=kind == 2))
         else:  # a single-mode squeezer
-            z = rng.uniform(-strength, strength) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+            z = rng.uniform(-0.6, 0.6) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             fac = _exp_hamiltonian(quadratic_generator(1, 0, 0, z, squeeze=True))
         s = fac @ s
     return SymplecticMap(n_modes, s, defect_tol=1e-9)

@@ -284,6 +284,8 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
     with cos / sin of the gap phase (the 1/2 keeps the matrix representation
     equal to the monopole-times-field Hamiltonian).
     """
+    if not t_mod > 0:
+        raise ValueError("modulation time t_mod must be positive")
     idx = {lab: i for i, lab in enumerate(basis.labels)}
     want = ("tms_re", "tms_im", "bs_re", "bs_im")
     if not all(w in idx for w in want):

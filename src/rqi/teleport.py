@@ -1,9 +1,10 @@
 """Continuous-variable teleportation between an inertial and a moving cavity.
 
 Alice (mode k, inertial) and Rob (mode k', non-uniformly moving) share a
-two-mode squeezed state with squeezing r > 0.  Rob's motion mixes his mode
-with the rest of his cavity; the resource state picks up O(h^2) corrections
-that degrade the teleportation fidelity
+two-mode squeezed state with squeezing r > 0; `TeleportScenario` checks r and
+Rob's label once.  Rob's motion mixes his mode with the rest of his cavity;
+the resource state picks up O(h^2) corrections that degrade the teleportation
+fidelity
 
     F = 2 / sqrt(4 + 2 tr(N) + det(N)),
     N = s3 A s3 + s3 C + C^T s3 + B,
@@ -33,7 +34,8 @@ class TeleportScenario:
     Alice's mode k enters only through `alice_phase`, her accumulated phase
     omega_k t; Rob's zero-order phase omega_k' T follows from his 1-based
     mode label k' and the segment.  r > 0 is required by the
-    perturbative expansion of the smallest symplectic eigenvalue.
+    perturbative expansion of the smallest symplectic eigenvalue; both are
+    checked here and nowhere downstream.
     """
 
     r: float
@@ -43,8 +45,9 @@ class TeleportScenario:
     alice_phase: float = 0.0
 
     def __post_init__(self):
-        if not 1 <= self.kp <= self.config.n_max:
-            raise ValueError(f"Rob's mode label must lie in 1..{self.config.n_max}, got k'={self.kp}")
+        if not self.r > 0:
+            raise ValueError("squeezing must be positive")
+        boson._check_labels(self.config.n_max, self.kp)
 
     @property
     def phi(self):
@@ -78,12 +81,11 @@ def segment_first_order(config, segment):
     n = config.n_max
     omega = boson.mode_frequencies(config)
     alpha, beta = config.coeffs.alpha1, config.coeffs.beta1
-    h_scale = config.h
     zero = np.array([np.exp(1j * omega * tau) for _, tau in segment.blocks])
     a1 = np.zeros((n, n), dtype=complex)
     b1 = np.zeros((n, n), dtype=complex)
     for j, (h_j, _) in enumerate(segment.blocks):
-        lam = h_j / h_scale if h_scale != 0 else 0.0
+        lam = h_j / config.h if config.h != 0 else 0.0
         if lam == 0.0:
             continue
         g = zero[j]
@@ -131,8 +133,6 @@ def transformed_resource_state(scenario):
     with the free phase / local-squeeze parts set to zero (they are local and
     drop from every optimal quantity).
     """
-    if scenario.r <= 0:
-        raise ValueError("squeezing must be positive")
     cfg = scenario.config
     h = cfg.h
     n = cfg.n_max
@@ -146,11 +146,10 @@ def transformed_resource_state(scenario):
     f_alpha_row = 0.5 * float(np.sum(np.abs(a1[i, mask]) ** 2))
     f_beta_row = 0.5 * float(np.sum(np.abs(b1[i, mask]) ** 2))
     alpha2 = g_kp * (f_beta_row - f_alpha_row)
-    beta2 = 0.0
 
     ch, sh = np.cosh(2 * scenario.r), np.sinh(2 * scenario.r)
     o_alice = _rot_block(np.exp(1j * scenario.alice_phase), 0.0)
-    s_kpkp = _rot_block(g_kp + alpha2 * h**2, beta2 * h**2)
+    s_kpkp = _rot_block(g_kp + alpha2 * h**2, 0.0)
     gamma = np.zeros((4, 4))
     gamma[:2, :2] = ch * np.eye(2)
     # resource orientation matched to the Bell measurement of the fidelity
@@ -192,13 +191,10 @@ def optimal_fidelity_corrected(scenario):
     """Phase-independent optimal fidelity 1 / (1 + nu-) to O(h^2).
 
     nu- = exp(-2r) + (1 + exp(-2r)) [f_beta + f_alpha tanh r] h^2 (see
-    `fidelity_expansion` for why the tanh argument is r).  The degenerate
-    r <= 0 case returns the classical value with a flag instead of raising.
+    `fidelity_expansion` for why the tanh argument is r).
     """
-    if scenario.r <= 0:
-        return {"fidelity": 0.5, "nu_minus": 1.0, "degenerate": True}
     f_alpha, f_beta = f_sums(scenario)
     nu = np.exp(-2 * scenario.r) + (1.0 + np.exp(-2 * scenario.r)) * (
         f_beta + f_alpha * np.tanh(scenario.r)
     ) * scenario.config.h**2
-    return {"fidelity": float(1.0 / (1.0 + nu)), "nu_minus": float(nu), "degenerate": False}
+    return {"fidelity": float(1.0 / (1.0 + nu)), "nu_minus": float(nu)}

@@ -1,10 +1,12 @@
 """Spatially smeared Unruh-DeWitt detectors: windows and transition rates.
 
 A detector with spatial profile f(x) couples to the field through the
-frequency window |f~(k)|^2.  The point-like limit reproduces the textbook
-rates; our normalisation is fixed so that the inertial massless point-like
-detector gives -(1/2pi) Delta Theta(-Delta), and the same convention is used
-for every smeared rate.
+frequency window |f~(k)|^2; a `SpatialProfile` holds only that shape, and
+`DetectorParams` the gap, field mass and acceleration.  The point-like limit
+reproduces the textbook rates; our normalisation is fixed so that the
+inertial massless point-like detector gives -(1/2pi) Delta Theta(-Delta), and
+the same convention is used for every smeared rate (whose Gaussian window
+tends to 2, not 1, as sigma -> 0).
 
 Accelerated rates are thermal: F(Delta) = Xi(Delta) / (exp(2 pi Delta/a) - 1)
 with Xi odd in Delta, so the Kubo-Martin-Schwinger ratio
@@ -38,14 +40,12 @@ class SpatialProfile:
     kind "gaussian": Gaussian of width sigma beating against exp(+-i lambda x);
     window exp(-s^2 (k - l)^2 / 2) + exp(-s^2 (k + l)^2 / 2).
     kind "rindler-gaussian": same window in the Rindler frequency after the
-    exp(-2 a xi) metric compensation.
+    exp(-2 a xi) metric compensation, a being the detector's acceleration.
     """
 
     kind: str = POINT
     sigma: float = 1.0
     peak: float = 0.0
-    accel: float = 0.0
-    normalized: bool = False  # divide the window by its sigma -> 0 sup (= 2)
 
     def __post_init__(self):
         if self.kind not in (POINT, GAUSSIAN, RINDLER_GAUSSIAN):
@@ -56,22 +56,25 @@ class SpatialProfile:
 
 @dataclass(frozen=True)
 class DetectorParams:
-    """Internal gap Delta (signed) plus field mass / proper acceleration."""
+    """Internal gap Delta (signed) plus field mass / proper acceleration (0 for inertial)."""
 
     gap: float
     mass: float = 0.0
     accel: float = 0.0
 
+    def __post_init__(self):
+        if self.mass < 0 or self.accel < 0:
+            raise ValueError("field mass and acceleration must be non-negative")
 
-def profile_position(profile, x, a=None):
-    """Real-space profile f(x), normalised to match the closed-form window."""
+
+def profile_position(profile, x, a=0.0):
+    """Real-space profile f(x), normalised to match the closed-form window; `a` weights the Rindler kind."""
     x = np.asarray(x, dtype=float)
     if profile.kind == POINT:
         raise ValueError("point-like profile has no smooth position representation")
     gauss = np.exp(-0.5 * x**2 / profile.sigma**2) * 2.0 * np.cos(profile.peak * x)
     norm = 1.0 / (profile.sigma * np.sqrt(2.0 * np.pi))
     if profile.kind == RINDLER_GAUSSIAN:
-        a = profile.accel if a is None else a
         return norm * np.exp(-2.0 * a * x) * gauss
     return norm * gauss
 
@@ -86,11 +89,10 @@ def frequency_window(profile):
         return lambda k: np.ones_like(np.asarray(k, dtype=float))
     s2 = profile.sigma**2
     lam = profile.peak
-    scale = 0.5 if profile.normalized else 1.0
 
     def window(k):
         k = np.asarray(k, dtype=float)
-        return scale * (np.exp(-0.5 * s2 * (k - lam) ** 2) + np.exp(-0.5 * s2 * (k + lam) ** 2))
+        return np.exp(-0.5 * s2 * (k - lam) ** 2) + np.exp(-0.5 * s2 * (k + lam) ** 2)
 
     return window
 

@@ -144,7 +144,7 @@ def test_criterion_05_teleportation():
 def test_criterion_06_fermion_surfaces():
     cfg = fermion.FermionCavityConfig(s=0.0, h=1e-2, n_side=200)
     period = abs(
-        fermion.f_k(cfg, 0.37, 1) - fermion.f_k(cfg, 0.37 + 2 * cfg.delta, 1)
+        fermion.f_k(cfg, 0.37, 1) - fermion.f_k(cfg, 0.37 + 2, 1)
     )
     zeros = max(abs(fermion.f_k(cfg, 2.0 * j, 1)) for j in (0, 1, 2))
     parity = abs(fermion.f_k(cfg, 0.81, 1) - fermion.f_k(cfg, 0.81, -1))

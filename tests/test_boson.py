@@ -163,14 +163,14 @@ def test_resonance_check_cases():
     omega = boson.mode_frequencies(c)
     t_res = 2 * np.pi / (omega[0] + omega[1])
     seg = boson.TrajectorySegment(((c.h, t_res / 2), (0.0, t_res / 2)))
-    ok, res = boson.resonance_check(c, seg, 1, 2)
+    ok, res = boson.resonance_check(boson.compose_segment(c, seg), 1, 2)
     assert ok and res < 1e-10
     seg_off = boson.TrajectorySegment(((c.h, 0.37), (0.0, 0.21)))
-    ok_off, res_off = boson.resonance_check(c, seg_off, 1, 2)
+    ok_off, res_off = boson.resonance_check(boson.compose_segment(c, seg_off), 1, 2)
     assert not ok_off and res_off > 1e-8
     # B = 0 at first order for even k + k': resonant for any time, with
     # only an O(h^2) composition residue
-    ok_even, res_even = boson.resonance_check(c, seg_off, 1, 3)
+    ok_even, res_even = boson.resonance_check(boson.compose_segment(c, seg_off), 1, 3)
     assert ok_even and res_even < 100 * c.h**2
 
 
@@ -219,7 +219,7 @@ def test_mode_labels_outside_1_to_n_max_rejected(k, kp):
     seg = boson.standard_segment(c.h, 0.3, 0.3)
     smap = boson.compose_segment(c, seg)
     calls = [
-        lambda: boson.resonance_check(c, smap, k, kp),
+        lambda: boson.resonance_check(smap, k, kp),
         lambda: boson.resonance_negativity(c, seg, k, kp, 3),
         lambda: boson.resonance_negativity(c, seg, k, kp, 0),
         lambda: boson.resonant_times(c, k, kp),
@@ -229,6 +229,28 @@ def test_mode_labels_outside_1_to_n_max_rejected(k, kp):
     for call in calls:
         with pytest.raises(ValueError, match=r"1\.\.20"):
             call()
+
+
+@pytest.mark.parametrize("k, kp", [(2, 2), (1, 1)])
+def test_repeated_mode_labels_rejected(k, kp):
+    c = cfg(n_max=20, h=1e-4)
+    seg = boson.standard_segment(c.h, 0.3, 0.3)
+    smap = boson.compose_segment(c, seg)
+    calls = [
+        lambda: boson.closed_form_b_magnitude(c, 0.3, 0.3, 1.0, k, kp),
+        lambda: boson.resonance_check(smap, k, kp),
+        lambda: boson.resonance_negativity(c, seg, k, kp, 3),
+        lambda: boson.two_mode_reduced_state(smap, k, kp),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="distinct"):
+            call()
+
+
+def test_segment_owns_block_limits():
+    for blocks in (((2.5, 0.1),), ((-2.0, 0.1),), ((0.01, -0.1),)):
+        with pytest.raises(ValueError):
+            boson.TrajectorySegment(blocks)
 
 
 def test_validity_warning_for_large_repetitions():

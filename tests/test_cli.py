@@ -417,6 +417,14 @@ OUT_OF_RANGE = [
     ["detector-rate", "--profile", "gaussian", "--sigma", "-1", "--gap", "[1.0]"],
     ["detector-rate", "--profile", "banana", "--gap", "[1.0]"],
     ["box-entangle", "--v", "0.2", "--h", "[0.5]", "--kappa", "[0.0]", "--n-cut", "3"],
+    ["teleport-fidelity", "--r", "0", "--tau", "[0.5]", "--h", "[0.01]"],
+    ["teleport-fidelity", "--r", "-0.5", "--tau", "[0.5]", "--h", "[0.01]"],
+    ["resonance-sweep", "--repetitions", "-1", "--tau1", "[0.3]", "--tau2", "[0.2]"],
+    ["resonance-sweep", "--kp", "1", "--tau1", "[0.3]", "--tau2", "[0.2]"],
+    ["detector-rate", "--a", "0", "--gap", "[1.0]"],
+    ["detector-rate", "--trajectory", "inertial", "--mass", "-1", "--gap", "[-0.5]"],
+    ["nonpert-evolve", "--t-sq", "0", "--tau", "[0.0, 1.0]"],
+    ["nonpert-evolve", "--t-sq", "-4", "--tau", "[0.0, 1.0]"],
 ]
 
 

@@ -1,8 +1,9 @@
-"""The demos reference only `rqi` names and keyword arguments that exist.
+"""The demos reference only `rqi` names and keyword arguments that exist, and call them with a fitting arity.
 
 Tier-1 does not run the demos (together they take about 20 s), so a deleted
-function, class, constant or keyword would otherwise break them silently.
-This parses each demo with `ast` and resolves what it uses without running it.
+function, class, constant or keyword, or a changed signature, would otherwise
+break them silently.  This parses each demo with `ast`, resolves what it uses
+and binds each call's arguments to the signature, without running it.
 """
 
 import ast
@@ -16,7 +17,11 @@ DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("
 
 
 def rqi_uses(tree):
-    """(module, attribute, keyword names) for each `rqi` attribute the code touches."""
+    """(module, attribute, call) for each `rqi` attribute the code touches.
+
+    call is None for a bare reference and for a call with * or ** unpacking,
+    else (number of positional arguments, keyword names).
+    """
     aliases = {}  # local name -> rqi module name
     uses = []
     for node in ast.walk(tree):
@@ -25,34 +30,43 @@ def rqi_uses(tree):
                 if node.module == "rqi":
                     aliases[alias.asname or alias.name] = "rqi." + alias.name
                 else:
-                    uses.append((node.module, alias.name, ()))
+                    uses.append((node.module, alias.name, None))
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.startswith("rqi.") and alias.asname:
                     aliases[alias.asname] = alias.name
-    keywords = {}
+    calls = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            keywords[id(node.func)] = tuple(k.arg for k in node.keywords if k.arg is not None)
+            keywords = tuple(k.arg for k in node.keywords)
+            unpacked = None in keywords or any(isinstance(a, ast.Starred) for a in node.args)
+            calls[id(node.func)] = None if unpacked else (len(node.args), keywords)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
-            uses.append((aliases[node.value.id], node.attr, keywords.get(id(node), ())))
+            uses.append((aliases[node.value.id], node.attr, calls.get(id(node))))
     return uses
 
 
 def missing_references(source):
-    """Problems with the `rqi` names and keywords a source text uses; empty when all resolve."""
+    """Problems with the `rqi` names, keywords and call arities a source text uses; empty when all resolve."""
     uses = rqi_uses(ast.parse(source))
     if not uses:
         return ["uses no rqi name"]
     problems = []
-    for module, attr, kwargs in uses:
+    for module, attr, call in uses:
         obj = getattr(importlib.import_module(module), attr, None)
         if obj is None:
             problems.append(f"{module}.{attr} does not exist")
-        elif kwargs:
-            params = inspect.signature(obj).parameters
-            problems += [f"{module}.{attr} takes no keyword {k!r}" for k in kwargs if k not in params]
+        elif call is not None:
+            n_args, kwargs = call
+            signature = inspect.signature(obj)
+            unknown = [k for k in kwargs if k not in signature.parameters]
+            problems += [f"{module}.{attr} takes no keyword {k!r}" for k in unknown]
+            try:
+                if not unknown:
+                    signature.bind(*range(n_args), **dict.fromkeys(kwargs))
+            except TypeError as exc:
+                problems.append(f"{module}.{attr}: {exc}")
     return problems
 
 
@@ -66,8 +80,13 @@ def test_checker_reports_missing_names_and_keywords():
         "from rqi import boxpair, udw\n"
         "boxpair.no_such_function(s)\n"
         "udw.wavepacket_overlap(p, f, 0.0, n_grid=11, no_such_keyword=3.0)\n"
+        "udw.frequency_window(p, 2.0)\n"
+        "udw.transition_rate_inertial()\n"
+        "udw.frequency_window(*profiles)\n"
     )
     assert missing_references(source) == [
         "rqi.boxpair.no_such_function does not exist",
         "rqi.udw.wavepacket_overlap takes no keyword 'no_such_keyword'",
+        "rqi.udw.frequency_window: too many positional arguments",
+        "rqi.udw.transition_rate_inertial: missing a required argument: 'params'",
     ]

@@ -96,10 +96,10 @@ def test_compose_orders_and_unitarity():
 
 def test_f_k_periodicity_zeros_parity():
     c = cfg()
-    assert abs(fermion.f_k(c, 2.0 * c.delta, 1)) < 1e-10
-    assert abs(fermion.f_k(c, 4.0 * c.delta, 2)) < 1e-10
+    assert abs(fermion.f_k(c, 2.0, 1)) < 1e-10
+    assert abs(fermion.f_k(c, 4.0, 2)) < 1e-10
     v1 = fermion.f_k(c, 0.37, 1)
-    v2 = fermion.f_k(c, 0.37 + 2.0 * c.delta, 1)
+    v2 = fermion.f_k(c, 0.37 + 2.0, 1)
     assert abs(v1 - v2) < 1e-8
     # s = 0 parity
     assert abs(fermion.f_k(c, 0.81, 1) - fermion.f_k(c, 0.81, -1)) < 1e-10
@@ -302,17 +302,17 @@ modes = st.integers(1, 4)
 @given(u=interior_u, k=modes, turns=st.integers(1, 3))
 def test_f_k_period_and_parity_property(u, k, turns):
     c = PROP_CFG
-    val = fermion.f_k(c, 2 * u * c.delta, k)
+    val = fermion.f_k(c, 2 * u, k)
     assert val >= 0.0
-    assert abs(val - fermion.f_k(c, 2 * (u + turns) * c.delta, k)) < 1e-8
-    assert abs(val - fermion.f_k(c, 2 * u * c.delta, -k)) < 1e-10
+    assert abs(val - fermion.f_k(c, 2 * (u + turns), k)) < 1e-8
+    assert abs(val - fermion.f_k(c, 2 * u, -k)) < 1e-10
 
 
 @PROPS
 @given(u=st.floats(0.0, 3.0), v=st.floats(0.0, 3.0), n=st.integers(0, 3), k=modes)
 def test_oneway_zero_lines_property(u, v, n, k):
     c = PROP_CFG
-    assert fermion.oneway_f(c, 2 * u * c.delta, 2 * v * c.delta, k) >= 0.0
-    assert abs(fermion.oneway_f(c, 2 * n * c.delta, 2 * v * c.delta, k)) < 1e-10  # u in Z
+    assert fermion.oneway_f(c, 2 * u, 2 * v, k) >= 0.0
+    assert abs(fermion.oneway_f(c, 2 * n, 2 * v, k)) < 1e-10  # u in Z
     v_line = np.ceil(u) + n - u  # v >= 0 with u + v an integer
-    assert abs(fermion.oneway_f(c, 2 * u * c.delta, 2 * v_line * c.delta, k)) < 1e-10
+    assert abs(fermion.oneway_f(c, 2 * u, 2 * v_line, k)) < 1e-10

@@ -236,6 +236,12 @@ def test_batched_oracle_matches_sequential_referee(coupling, grid, dt):
     assert np.abs(batched - referee).max() < 1e-12 * np.abs(referee).max()
 
 
+@pytest.mark.parametrize("t_mod", [0.0, -2.0, float("nan")])
+def test_example_schedule_rejects_non_positive_t_mod(t_mod):
+    with pytest.raises(ValueError, match="t_mod"):
+        nonpert.detector_example_schedule(nonpert.detector_field_basis(), t_mod=t_mod)
+
+
 def test_hamiltonian_matrix_stacks():
     basis = nonpert.build_generator_basis(2)
     lam = np.random.default_rng(3).normal(size=(basis.dim, 5))

@@ -94,14 +94,17 @@ def test_optimal_fidelity_limits():
     sc0 = scenario(h=1e-10)
     res = teleport.optimal_fidelity_corrected(sc0)
     assert abs(res["fidelity"] - 1.0 / (1.0 + np.exp(-1.0))) < 1e-12
-    degenerate = teleport.optimal_fidelity_corrected(
+    with pytest.raises(ValueError, match="squeezing"):
         teleport.TeleportScenario(
             r=0.0, kp=3, config=boson.BosonCavityConfig(n_max=8, h=0.01),
             segment=boson.TrajectorySegment(((0.01, 0.5),)),
         )
-    )
-    assert degenerate["degenerate"] and degenerate["nu_minus"] == 1.0
-    assert degenerate["fidelity"] == 0.5
+
+
+@pytest.mark.parametrize("r, kp", [(-0.5, 3), (0.5, 0), (0.5, 21), (float("nan"), 3)])
+def test_scenario_owns_squeezing_and_rob_label(r, kp):
+    with pytest.raises(ValueError):
+        scenario(r=r, kp=kp)
 
 
 def test_closed_form_nu_vs_direct_symplectic_route_h4():

@@ -31,9 +31,9 @@ def test_window_matches_fourier_quadrature():
 
 def test_rindler_adapted_profile_compensates_metric():
     a = 0.7
-    prof = udw.SpatialProfile(kind=udw.RINDLER_GAUSSIAN, sigma=1.0, peak=3.0, accel=a)
+    prof = udw.SpatialProfile(kind=udw.RINDLER_GAUSSIAN, sigma=1.0, peak=3.0)
     xs = np.linspace(-30, 30, 400001)
-    fx = udw.profile_position(prof, xs)
+    fx = udw.profile_position(prof, xs, a)
     w = udw.frequency_window(prof)
     # the e^{2 a xi} measure of the Rindler transform cancels the profile factor
     for omega in (1.0, 3.0, 5.0):
@@ -78,6 +78,12 @@ def test_boltzmann_suppression_small_acceleration():
     assert udw.transition_rate_accelerated(det_big, dim="1+1") > 1e-3
 
 
+@pytest.mark.parametrize("mass, accel", [(-1.0, 0.0), (0.0, -0.5)])
+def test_detector_params_reject_negative_mass_or_acceleration(mass, accel):
+    with pytest.raises(ValueError):
+        udw.DetectorParams(gap=1.0, mass=mass, accel=accel)
+
+
 def test_accelerated_requires_positive_acceleration():
     with pytest.raises(ValueError):
         udw.transition_rate_accelerated(udw.DetectorParams(gap=1.0, accel=0.0))
@@ -107,15 +113,16 @@ def test_accelerated_zero_gap_continuous_when_smeared_and_massive():
 
 
 def test_window_limit_recovers_point_like():
-    # sigma -> 0 with the normalised window: within 2 percent at sigma 0.01
-    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.01, peak=5.0, normalized=True)
+    # sigma -> 0: the window tends to its sup 2, so the rate to 4x the
+    # point-like one; within 2 percent at sigma 0.01
+    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.01, peak=5.0)
     det = udw.DetectorParams(gap=-1.0, accel=1.0)
     smeared = udw.transition_rate_accelerated(det, prof, dim="1+1")
     point = udw.transition_rate_accelerated(det, dim="1+1")
-    assert abs(smeared / point - 1.0) < 0.02
+    assert abs(smeared / (4.0 * point) - 1.0) < 0.02
     inertial_sm = udw.transition_rate_inertial(udw.DetectorParams(gap=-1.0), prof)
     inertial_pt = udw.transition_rate_inertial(udw.DetectorParams(gap=-1.0))
-    assert abs(inertial_sm / inertial_pt - 1.0) < 0.02
+    assert abs(inertial_sm / (4.0 * inertial_pt) - 1.0) < 0.02
 
 
 def gaussian_packet(center=5.0):
