@@ -203,7 +203,7 @@ def cmd_fermion_negativity(params):
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
     with _user_input():
         cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in (0.0, 0.25, 0.5, 0.75)]
-    rows = [(u, *(fermion.f_k(cfg, 2.0 * u, k) for cfg in cfgs for k in (1, -1))) for u in us]
+    rows = list(zip(us, *(fermion.f_k(cfg, 2.0 * us, k) for cfg in cfgs for k in (1, -1))))
     # convergence probe: window doubling at a generic point (cfgs[0] has s = 0)
     probe_small = fermion.f_k(cfgs[0], 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
@@ -217,8 +217,8 @@ def cmd_oneway_surface(params):
     k = params["k"]
     with _user_input():  # the mode label must lie in the window
         cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
-        cfg.bogo.index(k)
-    rows = [(u, v, fermion.oneway_f(cfg, 2 * u, 2 * v, k)) for u in us for v in vs]
+        cfg.index(k)
+    rows = [(u, v, f) for u in us for v, f in zip(vs, fermion.oneway_f(cfg, 2 * u, 2 * vs, k))]
     return ["u", "v", "f_oneway"], rows, {}
 
 

@@ -10,20 +10,21 @@ The acceleration expansion of the mode-matching matrix A reads
 
     A[m, n] = delta_mn + A1[m, n] h + A2[m, n] h^2 + O(h^3)
 
-with the closed forms of `dirac_bogo`.  Grafting an acceleration of proper
-duration tau1 between two inertial stretches gives the region-I -> region-III
-matrix calA = A+ G(tau1) A whose order-by-order blocks feed the negativity
-formulas for two-mode and charge-entangled Bell states.
-
-The matrices are a pure function of (s, n_side): they live on the config as
-`config.bogo`, built by `dirac_bogo` on first use.
+with the closed-form entries `a1_entry` and `a2_entry`; nothing caches the
+matrices.  The degradation sums `f_k` and `oneway_f` read one row of A1 over
+the mode window [-n_side, n_side]; they take a scalar or an array of travel
+times (the window is broadcast on a last axis) and give a float or an array
+of the same shape.  Grafting an acceleration of proper duration tau1 between
+two inertial stretches gives the region-I -> region-III matrix
+calA = A+ G(tau1) A, built from the entries over the window by
+`compose_I_to_III`; its order-by-order blocks feed the printed density
+matrices of the two-mode and charge-entangled Bell states.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,23 +51,10 @@ class FermionCavityConfig:
     def modes(self):
         return np.arange(-self.n_side, self.n_side + 1)
 
-    @cached_property
-    def bogo(self):
-        """Bogoliubov matrices over the mode window, built on first use."""
-        return dirac_bogo(self)
-
-
-@dataclass(frozen=True)
-class DiracBogo:
-    """Perturbative Bogoliubov matrices over the mode window."""
-
-    modes: np.ndarray
-    a1: np.ndarray
-    a2: np.ndarray
-
     def index(self, n):
-        i = int(n) - int(self.modes[0])
-        if not 0 <= i < self.modes.size:
+        """Position of mode n in `modes`."""
+        i = int(n) + self.n_side
+        if not 0 <= i <= 2 * self.n_side:
             raise ValueError(f"mode {n} outside window")
         return i
 
@@ -99,13 +87,6 @@ def a2_entry(m, n, s=0.0):
     return np.where(m == n, diag, off)
 
 
-def dirac_bogo(config):
-    """Bogoliubov matrices A1, A2 over the configured mode window."""
-    modes = config.modes
-    m, n = np.meshgrid(modes, modes, indexing="ij")
-    return DiracBogo(modes=modes, a1=a1_entry(m, n, config.s), a2=a2_entry(m, n, config.s))
-
-
 def compose_I_to_III(config, tau1):
     """Order-by-order blocks of calA = A+ G(tau1) A.
 
@@ -114,46 +95,51 @@ def compose_I_to_III(config, tau1):
     is not printed for fermions and is set to zero (its effect sits in the
     pure-phase part that cancels from every implemented observable).
     """
-    bogo = config.bogo
+    m, n = np.meshgrid(config.modes, config.modes, indexing="ij")
+    a1, a2 = a1_entry(m, n, config.s), a2_entry(m, n, config.s)
     g0 = np.exp(1j * frequencies(config) * tau1)
-    a1_g0 = bogo.a1.conj().T * g0[None, :]
-    cal1 = g0[:, None] * bogo.a1 + a1_g0
-    cal2 = g0[:, None] * bogo.a2 + bogo.a2.conj().T * g0[None, :] + a1_g0 @ bogo.a1
+    a1_g0 = a1.conj().T * g0[None, :]
+    cal1 = g0[:, None] * a1 + a1_g0
+    cal2 = g0[:, None] * a2 + a2.conj().T * g0[None, :] + a1_g0 @ a1
     return np.diag(g0), cal1, cal2
 
 
 def _degradation_terms(config, k, travel_times):
-    """Terms prod_t |E(t)^(k-p) - 1|^2 |A1[k, p]|^2 over the window p.
+    """Terms prod_t |E(t)^(k-p) - 1|^2 |A1[k, p]|^2, the window p on the last axis.
 
-    E(t) = exp(i pi t); one factor per travel time t.
+    E(t) = exp(i pi t); one factor per travel time t, each a scalar or an
+    array (the factors broadcast together).
     """
-    bogo = config.bogo
-    p = bogo.modes
+    config.index(k)  # the mode must lie in the window
+    p = config.modes
     weights = 1.0
     for t in travel_times:
-        e = np.exp(1j * np.pi * t)
+        e = np.exp(1j * np.pi * np.asarray(t, dtype=float))[..., None]
         weights = weights * np.abs(e ** (k - p) - 1.0) ** 2
-    return weights * np.abs(bogo.a1[bogo.index(k), :]) ** 2
+    return weights * np.abs(a1_entry(k, p, config.s)) ** 2
 
 
 def f_k(config, tau1, k):
     """Degradation sum f_k = sum_p |E1^(k-p) - 1|^2 |A1[k, p]|^2.
 
     E1 = exp(i pi tau1); periodic in tau1 with period 2 and
-    vanishing iff tau1 is an even integer.  Even in k for s=0.
+    vanishing iff tau1 is an even integer.  Even in k for s=0.  An array
+    tau1 gives an array; the whole call is refused if any point is.
     """
     terms = _degradation_terms(config, k, (tau1,))
-    total = float(np.sum(terms))
+    total = np.sum(terms, axis=-1)
     # truncation sanity: the tail of |A1|^2 decays like 1/(k-p)^6
-    if terms[0] + terms[-1] > 1e-6 * max(total, 1e-30):
-        raise RuntimeError("mode window too small for a converged f_k")
-    return total
+    refused = terms[..., 0] + terms[..., -1] > 1e-6 * np.maximum(total, 1e-30)
+    if np.any(refused):
+        first = float(np.asarray(tau1, dtype=float)[refused][0])
+        raise RuntimeError(f"mode window too small for a converged f_k at tau1 = {first}")
+    return float(total) if total.ndim == 0 else total
 
 
 def _split(config, cal1, k):
     """(particle, antiparticle) parts of sum_p |calA1[p, k]|^2."""
-    col = np.abs(cal1[:, config.bogo.index(k)]) ** 2
-    pos = config.bogo.modes >= 0
+    col = np.abs(cal1[:, config.index(k)]) ** 2
+    pos = config.modes >= 0
     return float(col[pos].sum()), float(col[~pos].sum())
 
 
@@ -175,7 +161,7 @@ def _charge_negativity(config, k, kp, travel_times, fk, fkp):
     """1/2 - (f_k + f_k') h^2 / 4 + inter h^2 / 2; inter is the p = k' term of f_k."""
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
-    inter = _degradation_terms(config, k, travel_times)[config.bogo.index(kp)]
+    inter = _degradation_terms(config, k, travel_times)[..., config.index(kp)]
     _warn_if_large(config, fk + fkp)
     return 0.5 - 0.25 * (fk + fkp) * config.h**2 + 0.5 * inter * config.h**2
 
@@ -201,8 +187,12 @@ def negativity_charge_state(config, tau1, k, kp):
 
 
 def oneway_f(config, tau1, tau2, k):
-    """One-way journey sum f~~_k with both E1 and E1 E2 phase factors."""
-    return float(np.sum(_degradation_terms(config, k, (tau1, tau1 + tau2))))
+    """One-way journey sum f~~_k with both E1 and E1 E2 phase factors.
+
+    tau1 and tau2 broadcast together; scalars give a float.
+    """
+    total = np.sum(_degradation_terms(config, k, (tau1, np.add(tau1, tau2))), axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def oneway_negativities(config, tau1, tau2, k, kp=None):
@@ -232,7 +222,7 @@ def two_mode_density_matrix(config, tau1, k, sign=+1):
     f_plus, f_minus = _split(config, cal1, k)
     f_same, f_opp = (f_minus, f_plus) if zeta_minus else (f_plus, f_minus)
     g_k = np.exp(1j * frequencies(config, [k])[0] * tau1)
-    k_i = config.bogo.index(k)
+    k_i = config.index(k)
     a2_kk = cal2[k_i, k_i]
     if zeta_minus:
         g_k, a2_kk = np.conj(g_k), np.conj(a2_kk)
@@ -256,14 +246,14 @@ def charge_density_matrix(config, tau1, k, kp, sign=+1):
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
     _, cal1, cal2 = compose_I_to_III(config, tau1)
-    k_i, kp_i = config.bogo.index(k), config.bogo.index(kp)
+    k_i, kp_i = config.index(k), config.index(kp)
     h2 = config.h**2
     omega = frequencies(config, [k, kp])
     g_k = np.exp(1j * omega[0] * tau1)
     g_kp = np.exp(1j * omega[1] * tau1)
     col_k = cal1[:, k_i]
     col_kp = cal1[:, kp_i]
-    pos = config.bogo.modes >= 0
+    pos = config.modes >= 0
     f_k_plus, f_k_minus = _split(config, cal1, k)
     f_kp_plus, f_kp_minus = _split(config, cal1, kp)
     a1_sq = abs(cal1[kp_i, k_i]) ** 2

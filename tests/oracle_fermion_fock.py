@@ -56,11 +56,10 @@ def region_i_states(config, tau1, window_modes, reference):
     """
     ordered = list(reference) + [m for m in window_modes if m not in reference]
     fock = FockWindow(ordered)
-    bogo = fermion.dirac_bogo(config)
     cal0, cal1, cal2 = fermion.compose_I_to_III(config, tau1)
     h = config.h
     cal = cal0 + cal1 * h + cal2 * h * h
-    idx = {m: bogo.index(m) for m in window_modes}
+    idx = {m: config.index(m) for m in window_modes}
 
     w_op = np.zeros((fock.dim, fock.dim), dtype=complex)
     for p in window_modes:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rqi import boson, cli, fermion
+from rqi import boson, cli
 
 
 def run(argv):
@@ -101,6 +101,13 @@ def test_fermion_negativity_csv(tmp_path):
     assert len(lines) == 6
     row0 = [float(x) for x in lines[1].split(",")]
     assert all(abs(v) < 1e-9 for v in row0[1:])  # u = 0: all f vanish
+
+
+def test_fermion_negativity_refusal_names_travel_time(tmp_path, capsys):
+    # u = 0.9995 sits next to a zero of f_k, where the window's tail dominates
+    assert run(["fermion-negativity", "--u", "[0.5, 0.9995]", "--out", str(tmp_path / "f")]) == 3
+    assert not (tmp_path / "f.csv").exists()
+    assert "1.999" in capsys.readouterr().err
 
 
 def test_oneway_surface_zero_lines(tmp_path):
@@ -375,12 +382,6 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_bogoliubov_matrices_built_once_per_config(tmp_path, monkeypatch):
-    built = count_calls(monkeypatch, fermion, "dirac_bogo")
-    grid = ["--u", '{"min": 0.1, "max": 0.9, "steps": 3}', "--n-side", "60"]
-    assert run(["fermion-negativity", *grid, "--out", str(tmp_path / "f")]) == 0
-    # four s values plus the doubled window of the convergence probe
-    assert sorted((c.s, c.n_side) for c in built) == [(0.0, 60), (0.0, 120), (0.25, 60), (0.5, 60), (0.75, 60)]
-
     built = count_calls(monkeypatch, boson, "bogo_first_order")
     grid = ["--tau", "[0.3, 0.6, 0.9]", "--h", "[0.01, 0.02]", "--n-max", "6"]
     assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0

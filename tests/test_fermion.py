@@ -60,35 +60,33 @@ def test_a1_against_inner_product_quadrature():
         assert abs(num - closed) < max(2e-6 * abs(closed), 5e-8)
 
 
-def test_dirac_bogo_window_and_index():
+def test_window_and_index():
     c = cfg(n_side=6)
-    bogo = fermion.dirac_bogo(c)
-    assert bogo.modes[0] == -6 and bogo.modes[-1] == 6
-    assert bogo.index(0) == 6
+    assert c.modes[0] == -6 and c.modes[-1] == 6
+    assert c.index(0) == 6
     with pytest.raises(ValueError):
-        bogo.index(9)
+        c.index(9)
 
 
 def test_compose_orders_and_unitarity():
     c = cfg(n_side=30)
-    bogo = fermion.dirac_bogo(c)
+    a1 = fermion.a1_entry(*np.meshgrid(c.modes, c.modes, indexing="ij"))
     cal0, cal1, cal2 = fermion.compose_I_to_III(c, 0.0)
-    assert np.abs(cal1 - (bogo.a1 + bogo.a1.conj().T)).max() < 1e-14
+    assert np.abs(cal1 - (a1 + a1.conj().T)).max() < 1e-14
     assert np.abs(np.diag(cal1)).max() < 1e-14
     tau1 = 0.63
     cal0, cal1, cal2 = fermion.compose_I_to_III(c, tau1)
     # calA1[n, k] = (G_n - G_k) A1[n, k]
     g = np.diag(cal0)
-    expect = (g[:, None] - g[None, :]) * bogo.a1
+    expect = (g[:, None] - g[None, :]) * a1
     assert np.abs(cal1 - expect).max() < 1e-12
     # first-order unitarity: conj(G0) calA1 + calA1+ G0 = 0
     res = cal0.conj() @ cal1 + cal1.conj().T @ cal0
     assert np.abs(res).max() < 1e-12
     # 2 Re(conj(G_k) calA2_kk) = -f_k: exact up to the window tail
     c_wide = cfg(n_side=200)
-    bogo_w = fermion.dirac_bogo(c_wide)
     cal0w, _, cal2w = fermion.compose_I_to_III(c_wide, tau1)
-    k_i = bogo_w.index(1)
+    k_i = c_wide.index(1)
     lhs = 2 * np.real(np.conj(cal0w[k_i, k_i]) * cal2w[k_i, k_i])
     fk = fermion.f_k(c_wide, tau1, 1)
     assert abs(lhs + fk) < 1e-9
@@ -316,3 +314,20 @@ def test_oneway_zero_lines_property(u, v, n, k):
     assert abs(fermion.oneway_f(c, 2 * n, 2 * v, k)) < 1e-10  # u in Z
     v_line = np.ceil(u) + n - u  # v >= 0 with u + v an integer
     assert abs(fermion.oneway_f(c, 2 * u, 2 * v_line, k)) < 1e-10
+
+
+@PROPS
+@given(
+    points=st.lists(st.tuples(interior_u, st.floats(0.0, 6.0)), min_size=1, max_size=8),
+    k=st.sampled_from([-4, -3, -2, -1, 1, 2, 3, 4]),
+    s=st.sampled_from([0.0, 0.25]),
+)
+def test_array_calls_equal_scalar_calls(points, k, s):
+    c = cfg(s=s)
+    taus = 2 * np.array([u for u, _ in points])
+    tau2s = np.array([t2 for _, t2 in points])
+    assert np.array_equal(fermion.f_k(c, taus, k), [fermion.f_k(c, t, k) for t in taus])
+    got = fermion.oneway_f(c, taus, tau2s, k)
+    assert np.array_equal(got, [fermion.oneway_f(c, t1, t2, k) for t1, t2 in zip(taus, tau2s)])
+    assert isinstance(fermion.f_k(c, taus[0], k), float)
+    assert isinstance(fermion.oneway_f(c, taus[0], tau2s[0], k), float)

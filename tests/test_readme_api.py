@@ -26,6 +26,8 @@ def rqi_names(text):
 
 def missing_names(text):
     """The `rqi` names in `text` that do not resolve."""
+    for module in MODULES:  # `rqi.<module>` resolves only once the submodule is imported
+        importlib.import_module("rqi." + module)
     problems = []
     for span in rqi_names(text):
         head, *rest = span.split(".")
