@@ -296,15 +296,20 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
 
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
     with G_k G_k'(t) = exp(i (omega_k + omega_k') t).  Labels are 1-based.
+    tau1 and tau2 broadcast together; scalars give a float.  The segment's
+    limits are checked at the smallest tau1 and tau2.
     """
     _check_labels(config.n_max, k, kp)
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    standard_segment(config.h, tau1.min(), tau2.min(), lam)  # checks tau >= 0 and |lam h| < 2
     omega = mode_frequencies(config)
     s = omega[k - 1] + omega[kp - 1]
-    phase1 = np.exp(1j * s * tau1)
-    phase2 = np.exp(1j * s * (tau1 + tau2))
-    return float(
-        abs(config.h * config.coeffs.beta1[k - 1, kp - 1]) * abs(1.0 - phase1) * abs(1.0 + lam * phase2)
-    )
+    z1 = 1.0 - np.exp(1j * s * tau1)
+    z2 = 1.0 + lam * np.exp(1j * s * (tau1 + tau2))
+    scale = abs(config.h * config.coeffs.beta1[k - 1, kp - 1])
+    # hypot, not np.abs: on a complex array np.abs can differ from the scalar abs by an ulp
+    b = scale * np.hypot(z1.real, z1.imag) * np.hypot(z2.real, z2.imag)
+    return float(b) if b.ndim == 0 else b
 
 
 def two_mode_convergence(config, segment, k, kp, repetitions=1):

@@ -10,7 +10,8 @@ payloads are written with 17 significant digits so reruns are bit-identical.
 
 Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
 number, or a value the physics rejects, such as a mode label outside
-1..n_max, a repeated mode label or a squeezing r <= 0), 3 numeric failure.
+1..n_max, a repeated mode label, a negative travel time or a squeezing
+r <= 0), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -29,19 +30,11 @@ class ConfigError(Exception):
     pass
 
 
-def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return str(bool(x))
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
-
-
 def write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(format(float(x), ".17g") for x in row) + "\n")
 
 
 def write_summary(path, payload):
@@ -159,18 +152,15 @@ def cmd_resonance_sweep(params):
     k, kp, lam, reps = params["k"], params["kp"], params["lam"], params["repetitions"]
     tau1 = grid_values(params["tau1"])
     tau2 = grid_values(params["tau2"])
-    with _user_input():  # the first grid point checks the cavity and the mode labels
+    with _user_input():  # the cavity, the mode labels and the segment's limits
         cfg = boson.BosonCavityConfig(mass=params["mass"], n_max=params["n_max"], h=params["h"])
-        boson.closed_form_b_magnitude(cfg, tau1[0], tau2[0], lam, k, kp)
         if reps < 0:
             raise ValueError("repetitions must be non-negative")
-    rows = []
-    for t1 in tau1:
-        for t2 in tau2:
-            b = boson.closed_form_b_magnitude(cfg, t1, t2, lam, k, kp)
-            rows.append((t1, t2, 2.0 * reps * b))
-    # rows where resonance_negativity would warn: nu_correction = 2 N |B|
-    flagged = sum(1 for _, _, nu in rows if nu / 2.0 >= boson.NB_VALIDITY_BOUND)
+        nu = 2.0 * reps * boson.closed_form_b_magnitude(cfg, tau1[:, None], tau2[None, :], lam, k, kp)
+    t1, t2 = np.meshgrid(tau1, tau2, indexing="ij")
+    rows = list(zip(t1.ravel(), t2.ravel(), nu.ravel()))
+    # points where resonance_negativity would warn: nu_correction = 2 N |B|
+    flagged = int(np.count_nonzero(nu / 2.0 >= boson.NB_VALIDITY_BOUND))
     extras = {"validity_warnings": flagged, "n_max_h": cfg.n_max * abs(cfg.h)}
     return ["tau1", "tau2", "nu_correction"], rows, extras
 
@@ -201,9 +191,9 @@ def cmd_fermion_negativity(params):
     us = grid_values(params["u"])
     n_side = params["n_side"]
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
-    with _user_input():
+    with _user_input():  # the window and the travel times
         cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in (0.0, 0.25, 0.5, 0.75)]
-    rows = list(zip(us, *(fermion.f_k(cfg, 2.0 * us, k) for cfg in cfgs for k in (1, -1))))
+        rows = list(zip(us, *(fermion.f_k(cfg, 2.0 * us, k) for cfg in cfgs for k in (1, -1))))
     # convergence probe: window doubling at a generic point (cfgs[0] has s = 0)
     probe_small = fermion.f_k(cfgs[0], 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
@@ -215,10 +205,9 @@ def cmd_oneway_surface(params):
     us = grid_values(params["u"])
     vs = grid_values(params["v"])
     k = params["k"]
-    with _user_input():  # the mode label must lie in the window
+    with _user_input():  # the window, the mode label and the travel times
         cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
-        cfg.index(k)
-    rows = [(u, v, f) for u in us for v, f in zip(vs, fermion.oneway_f(cfg, 2 * u, 2 * vs, k))]
+        rows = [(u, v, f) for u in us for v, f in zip(vs, fermion.oneway_f(cfg, 2 * u, 2 * vs, k))]
     return ["u", "v", "f_oneway"], rows, {}
 
 

@@ -13,12 +13,12 @@ The acceleration expansion of the mode-matching matrix A reads
 with the closed-form entries `a1_entry` and `a2_entry`; nothing caches the
 matrices.  The degradation sums `f_k` and `oneway_f` read one row of A1 over
 the mode window [-n_side, n_side]; they take a scalar or an array of travel
-times (the window is broadcast on a last axis) and give a float or an array
-of the same shape.  Grafting an acceleration of proper duration tau1 between
-two inertial stretches gives the region-I -> region-III matrix
-calA = A+ G(tau1) A, built from the entries over the window by
-`compose_I_to_III`; its order-by-order blocks feed the printed density
-matrices of the two-mode and charge-entangled Bell states.
+times (the window is broadcast on a last axis), refuse a negative one and
+give a float or an array of the same shape.  Grafting an acceleration of
+proper duration tau1 between two inertial stretches gives the region-I ->
+region-III matrix calA = A+ G(tau1) A, built from the entries over the
+window by `compose_I_to_III`; its order-by-order blocks feed the printed
+density matrices of the two-mode and charge-entangled Bell states.
 """
 
 from __future__ import annotations
@@ -105,16 +105,20 @@ def compose_I_to_III(config, tau1):
 
 
 def _degradation_terms(config, k, travel_times):
-    """Terms prod_t |E(t)^(k-p) - 1|^2 |A1[k, p]|^2, the window p on the last axis.
+    """Terms prod_j |E(t_j)^(k-p) - 1|^2 |A1[k, p]|^2, the window p on the last axis.
 
-    E(t) = exp(i pi t); one factor per travel time t, each a scalar or an
-    array (the factors broadcast together).
+    E(t) = exp(i pi t) and t_j is the sum of the first j travel times, each
+    a scalar or an array (they broadcast together) and never negative.
     """
     config.index(k)  # the mode must lie in the window
     p = config.modes
-    weights = 1.0
-    for t in travel_times:
-        e = np.exp(1j * np.pi * np.asarray(t, dtype=float))[..., None]
+    weights, t = 1.0, 0.0
+    for tau in travel_times:
+        tau = np.asarray(tau, dtype=float)
+        if not np.all(tau >= 0.0):  # NaN is refused too
+            raise ValueError("travel times must be non-negative")
+        t = t + tau
+        e = np.exp(1j * np.pi * t)[..., None]
         weights = weights * np.abs(e ** (k - p) - 1.0) ** 2
     return weights * np.abs(a1_entry(k, p, config.s)) ** 2
 
@@ -191,7 +195,7 @@ def oneway_f(config, tau1, tau2, k):
 
     tau1 and tau2 broadcast together; scalars give a float.
     """
-    total = np.sum(_degradation_terms(config, k, (tau1, np.add(tau1, tau2))), axis=-1)
+    total = np.sum(_degradation_terms(config, k, (tau1, tau2)), axis=-1)
     return float(total) if total.ndim == 0 else total
 
 
@@ -207,7 +211,7 @@ def oneway_negativities(config, tau1, tau2, k, kp=None):
     if kp is None:
         return {"two_mode": two_mode}
     fkp = oneway_f(config, tau1, tau2, kp)
-    charge = _charge_negativity(config, k, kp, (tau1, tau1 + tau2), fk, fkp)
+    charge = _charge_negativity(config, k, kp, (tau1, tau2), fk, fkp)
     return {"two_mode": two_mode, "charge": charge}
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracle_boson import first_order_oracle
 from rqi import boson, gaussian
@@ -253,6 +255,14 @@ def test_segment_owns_block_limits():
             boson.TrajectorySegment(blocks)
 
 
+def test_closed_form_refuses_what_its_segment_refuses():
+    c = cfg(n_max=8, h=1e-4)
+    # at any grid point, not only the first
+    for tau1, tau2, lam in ((np.array([0.3, -0.5]), 0.3, 1.0), (0.3, np.array([0.2, -0.1]), 1.0), (0.3, 0.3, 1e5)):
+        with pytest.raises(ValueError):
+            boson.closed_form_b_magnitude(c, tau1, tau2, lam, 1, 2)
+
+
 def test_validity_warning_for_large_repetitions():
     c = cfg(n_max=8, h=0.02)
     seg = boson.standard_segment(c.h, 1.0 / 3.0, 1.0 / 3.0, 1.0)
@@ -318,3 +328,21 @@ def test_block_validity_warning_points_at_the_caller():
         with pytest.warns(boson.PerturbativeValidityWarning) as record:
             build()
         assert {w.filename for w in record} == {__file__}
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    points=st.lists(st.tuples(st.floats(0.0, 6.0), st.floats(0.0, 6.0)), min_size=1, max_size=8),
+    lam=st.floats(-5.0, 5.0),
+    labels=st.lists(st.integers(1, 8), min_size=2, max_size=2, unique=True),
+    mass=st.sampled_from([0.0, 1.3]),
+)
+def test_closed_form_array_calls_equal_scalar_calls(points, lam, labels, mass):
+    c = cfg(n_max=8, h=1e-3, mass=mass)
+    k, kp = labels
+    tau1, tau2 = np.array(points).T
+    scalar = [boson.closed_form_b_magnitude(c, t1, t2, lam, k, kp) for t1, t2 in points]
+    assert np.array_equal(boson.closed_form_b_magnitude(c, tau1, tau2, lam, k, kp), scalar)
+    grid = boson.closed_form_b_magnitude(c, tau1[:, None], tau2[None, :], lam, k, kp)
+    assert np.array_equal(grid, [[boson.closed_form_b_magnitude(c, t1, t2, lam, k, kp) for t2 in tau2] for t1 in tau1])
+    assert all(isinstance(b, float) for b in scalar)

@@ -426,6 +426,11 @@ OUT_OF_RANGE = [
     ["detector-rate", "--trajectory", "inertial", "--mass", "-1", "--gap", "[-0.5]"],
     ["nonpert-evolve", "--t-sq", "0", "--tau", "[0.0, 1.0]"],
     ["nonpert-evolve", "--t-sq", "-4", "--tau", "[0.0, 1.0]"],
+    ["resonance-sweep", "--tau1", "[-0.5]", "--tau2", "[-0.3]"],
+    ["resonance-sweep", "--lam", "1e5", "--tau1", "[0.5]", "--tau2", "[0.5]"],
+    ["fermion-negativity", "--u", "[-0.3]"],
+    ["oneway-surface", "--u", "[-0.5]", "--v", "[0.5]"],
+    ["oneway-surface", "--u", "[0.5]", "--v", "[-0.5]"],
 ]
 
 

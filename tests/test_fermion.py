@@ -68,6 +68,22 @@ def test_window_and_index():
         c.index(9)
 
 
+def test_negative_travel_times_refused():
+    # u + v >= 0 is not enough: each stretch of the journey must be non-negative
+    c = cfg(n_side=20)
+    calls = [
+        lambda: fermion.f_k(c, np.array([0.5, -0.2]), 1),
+        lambda: fermion.f_k(c, np.nan, 1),
+        lambda: fermion.oneway_f(c, -0.5, 0.6, 1),
+        lambda: fermion.oneway_f(c, 1.0, np.array([0.3, -0.5]), 1),
+        lambda: fermion.negativity_charge_state(c, -0.3, 1, -2),
+        lambda: fermion.oneway_negativities(c, 0.8, -0.3, 1, -2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="non-negative"):
+            call()
+
+
 def test_compose_orders_and_unitarity():
     c = cfg(n_side=30)
     a1 = fermion.a1_entry(*np.meshgrid(c.modes, c.modes, indexing="ij"))
