@@ -8,7 +8,8 @@ spectrum, in `tests/oracle_rindler.py`.
 
 from __future__ import annotations
 
-import numpy as np
+import math
+
 from scipy.integrate import quad
 
 
@@ -17,13 +18,14 @@ K_QUAD_TOL = 1e-11
 
 
 def bessel_K_imag_order(nu, x):
-    """K_{i nu}(x) = int_0^inf exp(-x cosh t) cos(nu t) dt, real for real inputs."""
+    """K_{i nu}(x) = int_0^inf exp(-x cosh t) cos(nu t) dt, a float; the integrand takes one float at a time."""
+    nu, x = float(nu), float(x)
     if x <= 0:
         raise ValueError("argument must be positive")
     # integrand support: exp(-x cosh t) is negligible once x cosh t > x + 40
-    t_max = np.arccosh(1.0 + 45.0 / x) + 1.0
+    t_max = math.acosh(1.0 + 45.0 / x) + 1.0
     val, err = quad(
-        lambda t: np.exp(-x * np.cosh(t)) * np.cos(nu * t),
+        lambda t: math.exp(-x * math.cosh(t)) * math.cos(nu * t),
         0.0,
         t_max,
         epsabs=K_QUAD_TOL,

@@ -79,7 +79,7 @@ class TrajectorySegment:
     def __post_init__(self):
         blocks = tuple((float(h), float(tau)) for h, tau in self.blocks)
         for h, tau in blocks:
-            if tau < 0:
+            if not tau >= 0:
                 raise ValueError("proper times must be non-negative")
             if not abs(h) < 2.0:
                 raise ValueError("physical accelerated segments need |h| < 2")

@@ -222,11 +222,11 @@ def cmd_detector_rate(params):
         raise ConfigError(f"dim must be one of {list(udw.DIMS)}, got {dim!r}")
     with _user_input():
         profile = udw.SpatialProfile(kind=params["profile"], sigma=params["sigma"], peak=params["peak"])
-        dets = [udw.DetectorParams(gap=float(gap), mass=params["mass"], accel=params["a"]) for gap in gaps]
+        det = udw.DetectorParams(gap=gaps, mass=params["mass"], accel=params["a"])
     if trajectory == "inertial":
-        rates = [udw.transition_rate_inertial(det, profile) for det in dets]
+        rates = udw.transition_rate_inertial(det, profile)
     else:
-        rates = [udw.transition_rate_accelerated(det, profile, dim=dim) for det in dets]
+        rates = udw.transition_rate_accelerated(det, profile, dim=dim)
     return ["gap", "rate"], list(zip(gaps, rates)), {}
 
 

@@ -37,6 +37,19 @@ def test_k_dual_route_agreement():
         assert abs(ser - integ) < 1e-8 * max(abs(integ), 1e-8)
 
 
+@pytest.mark.parametrize("nu", [0.0, 0.5, 2.0, 5.0, 10.0])
+def test_k_matches_mpmath(nu):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for x in (0.05, 0.25, 1.0, 4.0, 20.0):
+            ref = float(mpmath.re(mpmath.besselk(1j * nu, x)))
+            assert abs(b.bessel_K_imag_order(nu, x) - ref) < 1e-14
+
+
+def test_k_returns_a_python_float():
+    assert type(b.bessel_K_imag_order(np.float64(2.0), np.float64(1.5))) is float
+
+
 def test_k_positive_and_decaying():
     # beyond the turning point x ~ nu the function is positive and decaying
     for nu in (0.0, 0.7, 2.0):

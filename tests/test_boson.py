@@ -250,7 +250,7 @@ def test_repeated_mode_labels_rejected(k, kp):
 
 
 def test_segment_owns_block_limits():
-    for blocks in (((2.5, 0.1),), ((-2.0, 0.1),), ((0.01, -0.1),)):
+    for blocks in (((2.5, 0.1),), ((-2.0, 0.1),), ((0.01, -0.1),), ((0.0, float("nan")),)):
         with pytest.raises(ValueError):
             boson.TrajectorySegment(blocks)
 
@@ -258,7 +258,7 @@ def test_segment_owns_block_limits():
 def test_closed_form_refuses_what_its_segment_refuses():
     c = cfg(n_max=8, h=1e-4)
     # at any grid point, not only the first
-    for tau1, tau2, lam in ((np.array([0.3, -0.5]), 0.3, 1.0), (0.3, np.array([0.2, -0.1]), 1.0), (0.3, 0.3, 1e5)):
+    for tau1, tau2, lam in ((np.array([0.3, -0.5]), 0.3, 1.0), (0.3, np.array([0.2, -0.1]), 1.0), (0.3, 0.3, 1e5), (np.nan, 0.3, 1.0)):
         with pytest.raises(ValueError):
             boson.closed_form_b_magnitude(c, tau1, tau2, lam, 1, 2)
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rqi import udw
 
@@ -49,6 +51,8 @@ def test_inertial_rates():
     assert udw.transition_rate_inertial(udw.DetectorParams(gap=-0.5, mass=1.0)) == 0.0
     assert udw.transition_rate_inertial(udw.DetectorParams(gap=-1.0, mass=1.0)) == 0.0
     assert udw.transition_rate_inertial(udw.DetectorParams(gap=-2.0, mass=1.0)) > 0.0
+    rates = udw.transition_rate_inertial(udw.DetectorParams(gap=np.array([-2.0, -1.0, -0.5, 1.0]), mass=1.0))
+    assert rates[0] > 0.0 and np.all(rates[1:] == 0.0)
 
 
 def test_accelerated_point_like_curves():
@@ -78,7 +82,7 @@ def test_boltzmann_suppression_small_acceleration():
     assert udw.transition_rate_accelerated(det_big, dim="1+1") > 1e-3
 
 
-@pytest.mark.parametrize("mass, accel", [(-1.0, 0.0), (0.0, -0.5)])
+@pytest.mark.parametrize("mass, accel", [(-1.0, 0.0), (0.0, -0.5), (np.nan, 1.0), (0.0, np.nan)])
 def test_detector_params_reject_negative_mass_or_acceleration(mass, accel):
     with pytest.raises(ValueError):
         udw.DetectorParams(gap=1.0, mass=mass, accel=accel)
@@ -152,3 +156,53 @@ def test_wightman_vacuum_term_factorises():
     res2 = udw.single_particle_correction(prof, lambda k: 2 * packet(k), 1.0, -1.0, n_grid=801)
     assert abs(res2["iota"] - 2 * res1["iota"]) < 1e-10 * abs(res1["iota"]) + 1e-14
     assert abs(res2["rate_delta"] - 4 * res1["rate_delta"]) < 1e-8 * abs(res1["rate_delta"]) + 1e-14
+
+
+def assert_array_call_equals_scalar_calls(rate, half, **det):
+    """A gap array of +-pairs and 0 gives exactly the per-gap scalar rates; a scalar gives a float."""
+    gaps = np.concatenate([-np.array(half), [0.0], half])
+    got = rate(udw.DetectorParams(gap=gaps, **det))
+    scalars = [rate(udw.DetectorParams(gap=float(g), **det)) for g in gaps]
+    assert all(type(r) is float for r in scalars)
+    assert got.shape == gaps.shape and np.array_equal(got, scalars)
+
+
+PROFILES = [
+    udw.SpatialProfile(),
+    udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0),
+    udw.SpatialProfile(kind=udw.RINDLER_GAUSSIAN, sigma=1.3, peak=1.0),
+]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(half=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6), a=st.floats(0.3, 3.0), mass=st.floats(0.0, 2.0), profile=st.sampled_from(PROFILES))
+def test_rate_array_equals_scalar_calls_closed_paths(half, a, mass, profile):
+    # 1+1 (any window and mass) and point-like massless 3+1; the inertial rate likewise
+    accel_11 = lambda det: udw.transition_rate_accelerated(det, profile, dim="1+1")
+    assert_array_call_equals_scalar_calls(accel_11, half, mass=mass, accel=a)
+    accel_31 = lambda det: udw.transition_rate_accelerated(det, dim="3+1")
+    assert_array_call_equals_scalar_calls(accel_31, half, accel=a)
+    inertial = lambda det: udw.transition_rate_inertial(det, profile)
+    assert_array_call_equals_scalar_calls(inertial, half, mass=mass)
+
+
+@settings(max_examples=4, deadline=None, database=None)
+@given(
+    half=st.lists(st.floats(0.1, 4.0), min_size=1, max_size=2),
+    a=st.floats(0.5, 2.0),
+    profile_mass=st.sampled_from([(p, m) for p in PROFILES for m in (0.0, 0.5)][1:]),  # all but point-like massless
+)
+def test_rate_array_equals_scalar_calls_3p1_quadrature(half, a, profile_mass):
+    profile, mass = profile_mass
+    accel_31 = lambda det: udw.transition_rate_accelerated(det, profile, dim="3+1")
+    assert_array_call_equals_scalar_calls(accel_31, half, mass=mass, accel=a)
+
+
+def test_pm_gap_pair_shares_one_density_weight(monkeypatch):
+    calls = []
+    weight = udw._density_weight
+    monkeypatch.setattr(udw, "_density_weight", lambda *args: calls.append(args[0]) or weight(*args))
+    det = udw.DetectorParams(gap=np.array([-1.0, 0.0, 1.0]), mass=0.5, accel=1.0)
+    rates = udw.transition_rate_accelerated(det, dim="3+1")
+    assert sorted(calls) == [0.0, 1.0]
+    assert abs(rates[0] / rates[2] - np.exp(2 * np.pi)) < 1e-9 * np.exp(2 * np.pi)
