@@ -20,6 +20,8 @@ K_QUAD_TOL = 1e-11
 def bessel_K_imag_order(nu, x):
     """K_{i nu}(x) = int_0^inf exp(-x cosh t) cos(nu t) dt, a float; the integrand takes one float at a time."""
     nu, x = float(nu), float(x)
+    if not (math.isfinite(nu) and math.isfinite(x)):
+        raise ValueError(f"order and argument must be finite, got nu = {nu!r}, x = {x!r}")
     if x <= 0:
         raise ValueError("argument must be positive")
     # integrand support: exp(-x cosh t) is negligible once x cosh t > x + 40
@@ -32,6 +34,6 @@ def bessel_K_imag_order(nu, x):
         epsrel=K_QUAD_TOL,
         limit=200,
     )
-    if err > 100 * max(K_QUAD_TOL, abs(val) * K_QUAD_TOL):
+    if not err <= 100 * max(K_QUAD_TOL, abs(val) * K_QUAD_TOL):  # a NaN error fails too
         raise RuntimeError("K integral failed to converge")
     return val

@@ -15,7 +15,8 @@ alpha for generator j is the coordinate vector of W_j^{-+} G_j W_j^{-1} with
 W_j = S_1 ... S_{j-1}, read off by a pseudo-inverse projection onto the
 basis, so no hand-derived structure constants are needed.  The right-hand
 side evaluates it in the real quadrature form, where every matrix involved
-is real.
+is real, and `solve_factors` integrates it with the eighth-order DOP853
+scheme.
 
 Every basis generator satisfies (K G_j)^2 = sigma_j P_j with P_j a projector
 and K G_j P_j = K G_j (sigma_j = +1 for phase rotations and beam splitters,
@@ -28,9 +29,11 @@ on the factor side.  The generators come from `gaussian.quadratic_generator`,
 and a basis builds the tables of these closed forms once, on first use.  F_j values depend on the factor ordering (fixed to the
 basis order); Gamma(t) does not.
 
-The fixed-step oracle integrates dS/dt directly (midpoint rule; batched
-Taylor steps, or `scipy.linalg.expm` for steps of norm above TAYLOR_THETA)
-and shares nothing with the factor machinery.
+A schedule maps a time t to the coefficients lambda(t): a float gives a
+(dim,) array, an array of n times a (dim, n) array.  The fixed-step oracle
+integrates dS/dt directly (midpoint rule; one schedule call per batch of
+midpoints, batched Taylor steps, or `scipy.linalg.expm` for steps of norm
+above TAYLOR_THETA) and shares nothing with the factor machinery.
 """
 
 from __future__ import annotations
@@ -177,24 +180,26 @@ def derive_F_odes(basis, schedule):
     their closed forms, the chain W_j^{-1} = S_{j-1}^{-1} ... S_1^{-1}, one
     batched conjugation W_j^{-T} G_j W_j^{-1} of all generators and one
     pseudo-inverse projection of all columns onto the basis.  Raises (with
-    the condition number) if the matching matrix degenerates.
+    the 2-norm condition number) if the matching matrix degenerates.
     """
     ikg, proj, hyper = basis.factor_tables
     tables = (_to_quadrature(ikg), _to_quadrature(proj), hyper)
     gens = _to_quadrature(np.stack(basis.generators))
     dim = basis.dim
     lstsq_ops = np.linalg.pinv(gens.reshape(dim, -1).T)
-    eye = np.eye(gens.shape[1])
+    v = np.empty_like(gens)  # v[j] = (S_1 ... S_{j-1})^-1, rewritten by every call
+    v[0] = np.eye(gens.shape[1])
+    v_rows = list(v)  # views: np.dot into them costs less per call than matmul
 
     def rhs(t, f):
         lam = np.asarray(schedule(t), dtype=float)
-        v = [eye]  # v[j] = (S_1 ... S_{j-1})^-1
-        for e in _factor_exponentials(tables, f)[:-1]:
-            v.append(e @ v[-1])
-        v = np.array(v)
+        e = _factor_exponentials(tables, f)
+        for j in range(dim - 1):
+            np.dot(e[j], v_rows[j], out=v_rows[j + 1])
         cols = lstsq_ops @ (v.transpose(0, 2, 1) @ gens @ v).reshape(dim, -1).T
-        cond = np.linalg.cond(cols)
-        if not np.isfinite(cond) or cond > COND_MAX:
+        s = np.linalg.svd(cols, compute_uv=False)  # 2-norm condition number s[0] / s[-1]
+        cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
+        if not cond <= COND_MAX:
             raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
         return np.linalg.solve(cols, lam)
 
@@ -202,13 +207,13 @@ def derive_F_odes(basis, schedule):
 
 
 def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
-    """Integrate the F_j(t) ODEs from F(0) = 0 over `t_span`."""
+    """Integrate the F_j(t) ODEs from F(0) = 0 over `t_span` (DOP853)."""
     rhs = derive_F_odes(basis, schedule)
     sol = solve_ivp(
         rhs,
         t_span,
         np.zeros(basis.dim),
-        method="RK45",
+        method="DOP853",
         t_eval=t_eval,
         rtol=rtol,
         atol=atol,
@@ -282,7 +287,8 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
 
     The drive populates the two-mode squeezer and beam-splitter generators
     with cos / sin of the gap phase (the 1/2 keeps the matrix representation
-    equal to the monopole-times-field Hamiltonian).
+    equal to the monopole-times-field Hamiltonian).  t is a float or a numpy
+    array of times; cos and sin are computed once each.
     """
     if not t_mod > 0:
         raise ValueError("modulation time t_mod must be positive")
@@ -292,12 +298,10 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
         raise ValueError("schedule needs the detector-field generator labels")
 
     def schedule(t):
-        lam = np.zeros(basis.dim)
+        lam = np.zeros((basis.dim, *np.shape(t)))
         env = 0.5 * coupling * t**2 * np.exp(-(t**2) / t_mod**2)
-        lam[idx["tms_re"]] = env * np.cos(gap * t)
-        lam[idx["tms_im"]] = env * np.sin(gap * t)
-        lam[idx["bs_re"]] = env * np.cos(gap * t)
-        lam[idx["bs_im"]] = env * np.sin(gap * t)
+        lam[idx["tms_re"]] = lam[idx["bs_re"]] = env * np.cos(gap * t)
+        lam[idx["tms_im"]] = lam[idx["bs_im"]] = env * np.sin(gap * t)
         return lam
 
     return schedule
@@ -359,11 +363,13 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
 
     Steps of `dt` from t_grid[0], each output time ending a shorter step.
     Per output interval (in batches of at most ORACLE_BATCH steps) the
-    schedule is called at every midpoint, the step propagators come from a
-    Taylor series (small steps) or `scipy.linalg.expm` (large steps), and
-    their ordered product from a pairwise reduction.  Returns Gamma at the
-    grid times (complex form, vacuum start by default).  Independent of the
-    product-decomposition machinery: it never touches the factor tables.
+    schedule is called once on the array of the batch's n midpoints (a
+    result of any shape but (dim, n) raises ValueError), the step
+    propagators come from a Taylor series (small steps) or
+    `scipy.linalg.expm` (large steps), and their ordered product from a
+    pairwise reduction.  Returns Gamma at the grid times (complex form,
+    vacuum start by default).  Independent of the product-decomposition
+    machinery: it never touches the factor tables.
     A `dt` that needs more than ORACLE_MAX_STEPS steps raises ValueError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
@@ -381,7 +387,9 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     out = [gamma0]
     for t_a, t_b in zip(t_grid[:-1], t_grid[1:]):
         for mids, lengths in _midpoint_steps(t_a, t_b, dt):
-            lam = np.array([schedule(t) for t in mids], dtype=float).T
+            lam = np.asarray(schedule(mids), dtype=float)
+            if lam.shape != (basis.dim, mids.size):
+                raise ValueError(f"schedule of {mids.size} times gave shape {lam.shape}, not {(basis.dim, mids.size)}")
             kh = kdiag * hamiltonian_matrix(basis, lam)
             s = _ordered_product(_step_propagators((-1j * lengths)[:, None, None] * kh)) @ s
         out.append(s @ gamma0 @ s.conj().T)

@@ -68,6 +68,8 @@ class DetectorParams:
     accel: float = 0.0
 
     def __post_init__(self):
+        if not np.isfinite(self.gap).all():
+            raise ValueError("gap must be finite")
         if not (self.mass >= 0 and self.accel >= 0):
             raise ValueError("field mass and acceleration must be non-negative")
 
@@ -109,9 +111,11 @@ def transition_rate_inertial(params, profile=SpatialProfile()):
     the threshold Delta = -m evaluates to the left limit, i.e. zero.
     """
     gap, mass = np.asarray(params.gap, dtype=float), params.mass
+    flat = gap.reshape(-1)  # a float gap takes the array's numpy loops (x**2 on a numpy scalar is pow, not x*x)
     with np.errstate(invalid="ignore"):
-        rate = np.where(-gap <= mass, 0.0, np.sqrt(gap**2 - mass**2) * frequency_window(profile)(-gap) ** 2 / (2.0 * np.pi))
-    return float(rate) if rate.ndim == 0 else rate
+        window2 = frequency_window(profile)(-flat) ** 2
+        rate = np.where(-flat <= mass, 0.0, np.sqrt(flat**2 - mass**2) * window2 / (2.0 * np.pi))
+    return float(rate[0]) if gap.ndim == 0 else rate.reshape(gap.shape)
 
 
 def _density_weight(delta_abs, params, profile, dim):
@@ -131,8 +135,14 @@ def _density_weight(delta_abs, params, profile, dim):
     cut = max(10.0 / sigma, 10.0 * a, 10.0 * delta_abs, 10.0)
     win2 = float(window(delta_abs) ** 2)
 
+    k_values = {}  # K_{i nu}(x) by x: a massless smeared integrand meets the calibration's nodes again
+
     def raw(kp, mass):  # scalar math: quad passes one float at a time
-        return kp * bessel_K_imag_order(nu, math.sqrt(kp**2 + mass**2) / a) ** 2
+        x = math.sqrt(kp**2 + mass**2) / a
+        k = k_values.get(x)
+        if k is None:
+            k = k_values[x] = bessel_K_imag_order(nu, x)
+        return kp * k**2
 
     def integrate(f):
         val, _ = quad(f, 0.0, cut, epsabs=QUAD_TOL, epsrel=QUAD_TOL, limit=200)

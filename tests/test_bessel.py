@@ -46,6 +46,18 @@ def test_k_matches_mpmath(nu):
             assert abs(b.bessel_K_imag_order(nu, x) - ref) < 1e-14
 
 
+@pytest.mark.parametrize("nu, x", [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)])
+def test_k_rejects_non_finite_order_or_argument(nu, x):
+    with pytest.raises(ValueError, match="finite"):
+        b.bessel_K_imag_order(nu, x)
+
+
+def test_k_refuses_a_nan_error_estimate(monkeypatch):
+    monkeypatch.setattr(b, "quad", lambda *args, **kwargs: (0.5, float("nan")))
+    with pytest.raises(RuntimeError, match="converge"):
+        b.bessel_K_imag_order(1.0, 1.0)
+
+
 def test_k_returns_a_python_float():
     assert type(b.bessel_K_imag_order(np.float64(2.0), np.float64(1.5))) is float
 

@@ -205,21 +205,21 @@ GOLDEN_BOX_ROWS = [
     (0.5, 1.0, 0.69301675682996799),
 ]
 
-# nonpert-evolve: (tau, n_d, F1..F10) rows of the same recording, made when the
-# factor exponentials still came from scipy's expm.  The closed forms moved them
-# by at most 2.2e-16, so they are compared to 1e-15.
+# nonpert-evolve: (tau, n_d, F1..F10) rows recorded with the DOP853 solve.  The
+# RK45 rows before them lay 9.9e-11 from a tight reference (DOP853 at rtol 1e-13,
+# atol 1e-15); these lie 7.1e-12 from it.  Compared to 1e-15.
 GOLDEN_NONPERT_ARGS = ["--coupling", "0.4", "--t-sq", "4.0", "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"]
 GOLDEN_NONPERT_ROWS = [
     (0.0,) * 12,
     (
-        3.0, 0.0010368924147559078, -0.0027788184302350786, -0.032027724817805733, 0.00022266480365082329,
-        0.0010117000297892927, -0.043367235586329329, -0.0029321016061241998, -0.0041877833366047662,
-        -0.031919431270683425, 8.9510425636253323e-05, -0.043790255618491328,
+        3.0, 0.0010368924188279838, -0.002778818512353118, -0.032027724872359033, 0.00022266488612524362,
+        0.0010117000664648891, -0.043367235575709123, -0.0029321016120642152, -0.0041877834365879867,
+        -0.031919431322386269, 8.951042962156192e-05, -0.043790255696315492,
     ),
     (
-        6.0, 3.4948740613716112e-06, 3.8407750572590476e-05, -0.0018668532006322004, 2.5972606330489655e-08,
-        3.4906520807520349e-06, -0.048542264636334494, -0.0023673042124299393, -5.2510462862789048e-05,
-        -0.0018665184479554041, 3.3922885520649639e-07, -0.048695864965341139,
+        6.0, 3.4948740610385443e-06, 3.8407751465218536e-05, -0.0018668532004532594, 2.5969832761925498e-08,
+        3.490654304759125e-06, -0.048542264617327135, -0.0023673042098907868, -5.2510461974411915e-05,
+        -0.0018665184479289591, 3.3923183177735821e-07, -0.048695864947692423,
     ),
 ]
 

@@ -272,8 +272,37 @@ def test_oracle_rejects_bad_grid(grid):
 
 def test_oracle_rejects_non_finite_schedule():
     basis = nonpert.detector_field_basis()
+    sched = lambda t: np.full((basis.dim, *np.shape(t)), np.nan)
     with pytest.raises(ValueError, match="non-finite"):
-        nonpert.product_integrator_oracle(basis, lambda t: np.full(basis.dim, np.nan), [0.0, 0.1], dt=1e-2)
+        nonpert.product_integrator_oracle(basis, sched, [0.0, 0.1], dt=1e-2)
+
+
+def test_oracle_rejects_schedule_that_does_not_broadcast():
+    basis = nonpert.detector_field_basis()
+    with pytest.raises(ValueError, match=r"gave shape \(10,\), not \(10, 10\)"):
+        nonpert.product_integrator_oracle(basis, lambda t: np.zeros(basis.dim), [0.0, 0.1], dt=1e-2)
+
+
+def test_example_schedule_on_an_array_matches_scalar_calls():
+    basis = nonpert.detector_field_basis()
+    sched = nonpert.detector_example_schedule(basis, coupling=0.7, t_mod=3.0, gap=2.5)
+    times = np.random.default_rng(11).uniform(0.0, 40.0, 257)
+    batch = sched(times)
+    stacked = np.stack([sched(float(t)) for t in times], axis=1)
+    assert batch.shape == stacked.shape == (basis.dim, times.size)
+    assert np.abs(batch - stacked).max() <= 1e-14 * np.abs(stacked).max()
+    assert sched(1.3).shape == (basis.dim,)
+
+
+def test_singular_matching_system_raises():
+    """A beam-splitter factor reaching pi/4 with its partner drive non-zero makes the matching system singular."""
+    basis = nonpert.build_generator_basis(2)
+    idx = {lab: i for i, lab in enumerate(basis.labels)}
+    lam = np.zeros(basis.dim)
+    lam[idx["bs_re[0,1]"]] = 0.5
+    lam[idx["bs_im[0,1]"]] = 1e-9
+    with pytest.raises(RuntimeError, match="matching system singular"):
+        nonpert.evolve_state(basis, lambda t: lam, (0.0, 3.0))
 
 
 def test_three_mode_passive_drive_against_oracle():
@@ -281,8 +310,8 @@ def test_three_mode_passive_drive_against_oracle():
     basis = nonpert.build_generator_basis(3)
     idx = {lab: i for i, lab in enumerate(basis.labels)}
 
-    def sched(t):
-        lam = np.zeros(basis.dim)
+    def sched(t):  # a float gives (dim,), an array of times (dim, n)
+        lam = np.zeros((basis.dim, *np.shape(t)))
         lam[idx["phase[0]"]] = 1.0
         lam[idx["phase[1]"]] = 1.5
         lam[idx["phase[2]"]] = 2.2

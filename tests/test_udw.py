@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rqi import udw
@@ -176,6 +176,7 @@ PROFILES = [
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(half=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=6), a=st.floats(0.3, 3.0), mass=st.floats(0.0, 2.0), profile=st.sampled_from(PROFILES))
+@example(half=[4.884536585987863], a=1.0, mass=0.0, profile=PROFILES[2])  # a float gap once squared by pow, an array by x*x
 def test_rate_array_equals_scalar_calls_closed_paths(half, a, mass, profile):
     # 1+1 (any window and mass) and point-like massless 3+1; the inertial rate likewise
     accel_11 = lambda det: udw.transition_rate_accelerated(det, profile, dim="1+1")
@@ -206,3 +207,19 @@ def test_pm_gap_pair_shares_one_density_weight(monkeypatch):
     rates = udw.transition_rate_accelerated(det, dim="3+1")
     assert sorted(calls) == [0.0, 1.0]
     assert abs(rates[0] / rates[2] - np.exp(2 * np.pi)) < 1e-9 * np.exp(2 * np.pi)
+
+
+def test_massless_smeared_3p1_weight_evaluates_each_k_once(monkeypatch):
+    """The smeared massless integrand meets the calibration integral's nodes: each K_{i nu}(x) is computed once."""
+    args = []
+    k = udw.bessel_K_imag_order
+    monkeypatch.setattr(udw, "bessel_K_imag_order", lambda nu, x: args.append((nu, x)) or k(nu, x))
+    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.0, peak=2.0)
+    udw._density_weight(1.0, udw.DetectorParams(gap=1.0, accel=0.5), prof, "3+1")
+    assert len(args) == len(set(args)) > 0
+
+
+@pytest.mark.parametrize("gap", [np.nan, np.inf, [1.0, np.nan], np.array([-np.inf, 0.5])])
+def test_detector_params_reject_non_finite_gap(gap):
+    with pytest.raises(ValueError, match="gap"):
+        udw.DetectorParams(gap=gap, mass=0.5, accel=1.0)
