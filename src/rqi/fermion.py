@@ -14,11 +14,15 @@ with the closed-form entries `a1_entry` and `a2_entry`; nothing caches the
 matrices.  The degradation sums `f_k` and `oneway_f` read one row of A1 over
 the mode window [-n_side, n_side]; they take a scalar or an array of travel
 times (the window is broadcast on a last axis), refuse a negative one and
-give a float or an array of the same shape.  Grafting an acceleration of
-proper duration tau1 between two inertial stretches gives the region-I ->
-region-III matrix calA = A+ G(tau1) A, built from the entries over the
-window by `compose_I_to_III`; its order-by-order blocks feed the printed
-density matrices of the two-mode and charge-entangled Bell states.
+give a float or an array of the same shape.  Each phase weight is real,
+|E(t)^(k-p) - 1|^2 = (2 sin(pi t (k-p) / 2))^2 with E(t) = exp(i pi t), so
+no complex power is formed and every term is a non-negative square.
+
+Grafting an acceleration of proper duration tau1 between two inertial
+stretches gives the region-I -> region-III matrix calA = A+ G(tau1) A, built
+from the entries over the window by `compose_I_to_III`; its order-by-order
+blocks feed the printed density matrices of the two-mode and
+charge-entangled Bell states.
 """
 
 from __future__ import annotations
@@ -108,18 +112,19 @@ def _degradation_terms(config, k, travel_times):
     """Terms prod_j |E(t_j)^(k-p) - 1|^2 |A1[k, p]|^2, the window p on the last axis.
 
     E(t) = exp(i pi t) and t_j is the sum of the first j travel times, each
-    a scalar or an array (they broadcast together) and never negative.
+    a scalar or an array (they broadcast together) and never negative.  The
+    weights are taken in sine form (see the module docstring).
     """
     config.index(k)  # the mode must lie in the window
     p = config.modes
+    half_q = 0.5 * np.pi * (k - p)
     weights, t = 1.0, 0.0
     for tau in travel_times:
         tau = np.asarray(tau, dtype=float)
         if not np.all(tau >= 0.0):  # NaN is refused too
             raise ValueError("travel times must be non-negative")
         t = t + tau
-        e = np.exp(1j * np.pi * t)[..., None]
-        weights = weights * np.abs(e ** (k - p) - 1.0) ** 2
+        weights = weights * (2.0 * np.sin(t[..., None] * half_q)) ** 2
     return weights * np.abs(a1_entry(k, p, config.s)) ** 2
 
 
@@ -132,8 +137,11 @@ def f_k(config, tau1, k):
     """
     terms = _degradation_terms(config, k, (tau1,))
     total = np.sum(terms, axis=-1)
-    # truncation sanity: the tail of |A1|^2 decays like 1/(k-p)^6
-    refused = terms[..., 0] + terms[..., -1] > 1e-6 * np.maximum(total, 1e-30)
+    # truncation sanity: the tail of |A1|^2 decays like 1/(k-p)^4.  A1[k, p]
+    # vanishes for even k - p, so the outermost non-zero term on each side is
+    # one of the two outermost modes.
+    edges = terms[..., :2].sum(axis=-1) + terms[..., -2:].sum(axis=-1)
+    refused = edges > 1e-6 * np.maximum(total, 1e-30)
     if np.any(refused):
         first = float(np.asarray(tau1, dtype=float)[refused][0])
         raise RuntimeError(f"mode window too small for a converged f_k at tau1 = {first}")

@@ -17,6 +17,7 @@ smallest symplectic eigenvalue of the partially transposed resource state
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,11 @@ class TeleportScenario:
     def phi(self):
         omega = boson.mode_frequencies(self.config)
         return self.alice_phase + omega[self.kp - 1] * self.segment.total_time
+
+    @cached_property
+    def mode_sums(self):
+        """(f_alpha, f_beta) of `f_sums`, computed once: the scenario is frozen."""
+        return f_sums(self)
 
 
 def fidelity(state):
@@ -181,7 +187,7 @@ def fidelity_expansion(scenario):
     diagonal data that the perturbative expansion leaves free.
     """
     r = scenario.r
-    f_alpha, f_beta = f_sums(scenario)
+    f_alpha, f_beta = scenario.mode_sums
     f0 = 1.0 / (1.0 + np.cosh(2 * r) - np.cos(scenario.phi) * np.sinh(2 * r))
     f2 = f0**2 * (1.0 + np.exp(-2 * r)) * (f_beta + f_alpha * np.tanh(r))
     return float(f0), float(f2)
@@ -193,7 +199,7 @@ def optimal_fidelity_corrected(scenario):
     nu- = exp(-2r) + (1 + exp(-2r)) [f_beta + f_alpha tanh r] h^2 (see
     `fidelity_expansion` for why the tanh argument is r).
     """
-    f_alpha, f_beta = f_sums(scenario)
+    f_alpha, f_beta = scenario.mode_sums
     nu = np.exp(-2 * scenario.r) + (1.0 + np.exp(-2 * scenario.r)) * (
         f_beta + f_alpha * np.tanh(scenario.r)
     ) * scenario.config.h**2

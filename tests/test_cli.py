@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from rqi import boson, cli
+from rqi import boson, cli, teleport
 
 
 def run(argv):
@@ -173,6 +173,9 @@ def test_box_entangle_csv(tmp_path):
 
 # Small fixed grids and the sha256 of the CSV each command wrote on them before
 # the CLI became table-driven, with the summary JSON keys of the same runs.
+# fermion-negativity and oneway-surface were re-recorded when the degradation
+# weights moved to sine form: 8 cells of each moved, all on the zero lines
+# (u = 1, and u + v = 1 for the one-way sum), by at most 8.8e-34.
 GOLDEN = {
     "resonance-sweep": (
         ["--tau1", '{"min": 0.2, "max": 1.0, "steps": 4}', "--tau2", '{"min": 0.0, "max": 1.0, "steps": 3}', "--n-max", "8"],
@@ -186,12 +189,12 @@ GOLDEN = {
     ),
     "fermion-negativity": (
         ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
-        "62baf35191ac0ce7a3cc461aa9b2d2695464308a903e431c23b29227c25c9803",
+        "2652e9499ce11470cd8abe9d9a751ddaab3d8c7094632afa0d350acf103d5a57",
         {"command", "converged", "params", "rows", "window_doubling_shift"},
     ),
     "oneway-surface": (
         ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--v", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
-        "f53a7e87acc01075ed577252db31a8a4d79e291c27fadb9427737bdd2130db0b",
+        "f6dbd49a219b71baae8ee5af449e2cc004c1c4c09209a287f4def40016c3ba0f",
         {"command", "params", "rows"},
     ),
 }
@@ -386,6 +389,26 @@ def test_bogoliubov_matrices_built_once_per_config(tmp_path, monkeypatch):
     grid = ["--tau", "[0.3, 0.6, 0.9]", "--h", "[0.01, 0.02]", "--n-max", "6"]
     assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
     assert sorted(c.h for c in built) == [0.01, 0.02]
+
+
+def test_teleport_mode_sums_once_per_grid_point(tmp_path, monkeypatch):
+    scenarios = count_calls(monkeypatch, teleport, "f_sums")
+    grid = ["--tau", "[0.3, 0.6]", "--h", "[0.01, 0.02]", "--n-max", "6"]
+    assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
+    assert len(scenarios) == 4 == len({id(sc) for sc in scenarios})
+
+
+def test_write_csv_matches_per_cell_format(tmp_path):
+    awkward = [-0.0, 5e-324, 1e308, 3.0, 2.0**53, -1.0 / 3.0, float("inf"), float("nan")]
+    rows = [
+        (np.float64(awkward[i % 8]), awkward[(3 * i + 1) % 8], float(i)) for i in range(2 * cli.CSV_CHUNK_ROWS + 5)
+    ]
+    path = tmp_path / "w.csv"
+    cli.write_csv(str(path), ["a", "b", "c"], rows)
+    expect = "a,b,c\n" + "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+    assert path.read_text(encoding="utf-8") == expect
+    cli.write_csv(str(path), ["a"], [])
+    assert path.read_text(encoding="utf-8") == "a\n"
 
 
 def test_resonance_validity_warnings_count_rows(tmp_path):

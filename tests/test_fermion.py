@@ -151,6 +151,14 @@ def test_f_k_large_k_quadratic_divergence():
     assert abs(f32 / f16 - 4.0) < 0.4
 
 
+@pytest.mark.parametrize("n_side, tau1, k", [(3, 0.9, 1), (60, 0.001, 2)])
+def test_f_k_guard_reads_the_outermost_nonzero_terms(n_side, tau1, k):
+    # k + n_side even: the two edge modes have even k - p, so A1[k, p] = 0
+    # there and the first non-zero tail term sits one mode further in
+    with pytest.raises(RuntimeError, match="mode window too small"):
+        fermion.f_k(cfg(n_side=n_side), tau1, k)
+
+
 def test_window_convergence():
     tau1 = 0.45
     small = fermion.f_k(cfg(n_side=200), tau1, 3)
@@ -347,3 +355,45 @@ def test_array_calls_equal_scalar_calls(points, k, s):
     assert np.array_equal(got, [fermion.oneway_f(c, t1, t2, k) for t1, t2 in zip(taus, tau2s)])
     assert isinstance(fermion.f_k(c, taus[0], k), float)
     assert isinstance(fermion.oneway_f(c, taus[0], tau2s[0], k), float)
+
+
+def direct_window_sum(n_side, s, k, travel_times):
+    """sum_p prod_j |exp(i pi t_j (k-p)) - 1|^2 |A1[k, p]|^2 over p in [-n_side, n_side] at 30 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        times = [mpmath.mpf(float(t)) for t in travel_times]
+        total = mpmath.mpf(0)
+        for p in range(-n_side, n_side + 1):
+            q = k - p
+            if q % 2 == 0:  # A1 vanishes on the diagonal and for even k - p
+                continue
+            a1 = (k + p + 2 * mpmath.mpf(s)) / (mpmath.pi**2 * q**3)  # |A1[k, p]| for odd k - p
+            term, t = a1**2, mpmath.mpf(0)
+            for tau in times:
+                t += tau
+                term *= abs(mpmath.expjpi(t * q) - 1) ** 2
+            total += term
+        return float(total)
+
+
+@PROPS
+@given(
+    tau1=st.floats(0.0, 6.0),
+    tau2=st.floats(0.0, 6.0),
+    k=st.integers(-4, 4),
+    s=st.floats(0.0, 0.99),
+    n_side=st.integers(4, 60),
+)
+def test_window_sums_match_mpmath_direct_sum(tau1, tau2, k, s, n_side):
+    c = cfg(s=s, n_side=n_side)
+    got = fermion.oneway_f(c, tau1, tau2, k)
+    ref = direct_window_sum(n_side, s, k, (tau1, tau2))
+    assert got >= 0.0
+    assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
+    try:
+        got = fermion.f_k(c, tau1, k)
+    except RuntimeError:  # the window is too small for tau1; the guard's own test covers it
+        return
+    ref = direct_window_sum(n_side, s, k, (tau1,))
+    assert got >= 0.0
+    assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
