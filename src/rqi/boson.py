@@ -32,7 +32,7 @@ blocks inside a composition and powers of a composed map are not re-checked.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -311,10 +311,3 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
     b = scale * np.hypot(z1.real, z1.imag) * np.hypot(z2.real, z2.imag)
     return float(b) if b.ndim == 0 else b
 
-
-def two_mode_convergence(config, segment, k, kp, repetitions=1):
-    """Shift of the negativity when n_max doubles (truncation gate)."""
-    small = segment_negativity_exact(config, segment, k, kp, repetitions)
-    big_cfg = replace(config, n_max=2 * config.n_max)
-    big = segment_negativity_exact(big_cfg, segment, k, kp, repetitions)
-    return abs(big - small)

@@ -178,25 +178,20 @@ def cmd_resonance_sweep(params):
 
 
 def cmd_teleport_fidelity(params):
-    n_max = params["n_max"]
-    taus = grid_values(params["tau"])
-    hs = grid_values(params["h"])
-    with _user_input():  # every grid point's scenario is checked before the sweep
-        cfgs = [boson.BosonCavityConfig(n_max=n_max, h=float(h)) for h in hs]
-        points = [
-            (tau, h, teleport.TeleportScenario(
-                r=params["r"], kp=params["kp"], config=cfg, segment=boson.TrajectorySegment(((h, tau),))
-            ))
-            for tau in taus
-            for h, cfg in zip(hs, cfgs)
-        ]
-    rows = []
-    for tau, h, scen in points:
-        f0, f2 = teleport.fidelity_expansion(scen)
-        rows.append((tau, h, f0 - f2 * h * h, teleport.optimal_fidelity_corrected(scen)["fidelity"]))
-    h_max = float(np.max(np.abs(hs)))
-    extras = {"n_max_h": n_max * h_max, "perturbative_ok": n_max * h_max < 1.0}
-    return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras
+    n_max, r, kp = params["n_max"], params["r"], params["kp"]
+    taus, hs = grid_values(params["tau"]), grid_values(params["h"])
+    h_far = float(hs[np.argmax(np.abs(hs))])
+    with _user_input():  # r, k', n_max, |h| < 2 and tau >= 0, checked at the grid's extremes
+        cfg = boson.BosonCavityConfig(n_max=n_max, h=h_far)
+        teleport.TeleportScenario(r=r, kp=kp, config=cfg, segment=boson.TrajectorySegment(((h_far, taus.min()),)))
+    fid, opt = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
+    t, a = np.meshgrid(taus, hs, indexing="ij")
+    # truncation probe: the optimal fidelity over the grid with n_max doubled
+    doubled = boson.BosonCavityConfig(n_max=2 * n_max, h=h_far)
+    shift = float(np.max(np.abs(teleport.block_fidelities(r, kp, doubled, taus[:, None], hs[None, :])[1] - opt)))
+    extras = {"n_max_h": n_max * abs(h_far), "perturbative_ok": n_max * abs(h_far) < 1.0}
+    extras.update(n_max_doubling_shift=shift, converged=shift < 1e-6)
+    return ["tau", "a", "fidelity", "fidelity_opt"], list(zip(t.ravel(), a.ravel(), fid.ravel(), opt.ravel())), extras
 
 
 def cmd_fermion_negativity(params):

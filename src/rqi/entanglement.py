@@ -2,8 +2,7 @@
 
 All Gaussian-state measures use the natural logarithm; that choice is forced
 by the two-mode squeezed-state results (log-negativity 2r, negativity
-(exp(2r) - 1)/2).  The Hilbert-space measures accept a `base` argument since
-qubit examples are conventionally quoted in log2.
+(exp(2r) - 1)/2).
 """
 
 from __future__ import annotations
@@ -85,25 +84,14 @@ def partial_transpose_dm(rho, dims):
     return rho.reshape(da, db, da, db).transpose(0, 3, 2, 1).reshape(da * db, da * db)
 
 
-def _pt_eigenvalues(rho, dims):
-    """Eigenvalues of the partial transpose of a Hermitian density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    if np.abs(rho - rho.conj().T).max() > 1e-9 * max(1.0, np.abs(rho).max()):
-        raise ValueError("density matrix must be Hermitian")
-    return np.linalg.eigvalsh(partial_transpose_dm(rho, dims))
-
-
 def negativity_density_matrix(rho, dims):
-    """Negativity |sum of negative eigenvalues| of the partial transpose.
+    """Negativity |sum of negative eigenvalues| of the partial transpose of a Hermitian density matrix.
 
     On unit-trace states it equals (||rho^tp||_1 - 1)/2.  Eigenvalues within
     1e-12 of zero count as 0.
     """
-    w = _pt_eigenvalues(rho, dims)
+    rho = np.asarray(rho, dtype=complex)
+    if np.abs(rho - rho.conj().T).max() > 1e-9 * max(1.0, np.abs(rho).max()):
+        raise ValueError("density matrix must be Hermitian")
+    w = np.linalg.eigvalsh(partial_transpose_dm(rho, dims))
     return float(-np.sum(w[w < -EIG_ZERO_TOL]))
-
-
-def log_negativity_density_matrix(rho, dims, base=2.0):
-    """log_base of the PT trace norm (qubit convention defaults to log2)."""
-    w = _pt_eigenvalues(rho, dims)
-    return float(np.log(np.sum(np.abs(w))) / np.log(base))

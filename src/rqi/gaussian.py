@@ -23,7 +23,6 @@ and the Williamson form read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,13 +130,6 @@ def vacuum_state(n_modes):
     return CovarianceState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
-def coherent_state(alphas):
-    """Coherent state: identity covariance, first moments (alpha, conj(alpha))."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    n = alphas.size
-    return CovarianceState(n, np.concatenate([alphas, alphas.conj()]), np.eye(2 * n))
-
-
 def thermal_state(nus):
     """Product state with symplectic eigenvalues `nus` (nu >= 1)."""
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
@@ -173,12 +165,6 @@ def symplectic_from_hamiltonian(h):
 def _phase_matrix(thetas):
     g = np.exp(1j * thetas)
     return np.diag(np.concatenate([g.conj(), g]))
-
-
-def phase_rotation(thetas):
-    """Free-evolution phases: a_k -> exp(-i theta_k) a_k."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return SymplecticMap(thetas.size, _phase_matrix(thetas))
 
 
 def quadratic_generator(n_modes, i, j, value, squeeze=False):
@@ -294,40 +280,6 @@ def williamson(state):
     scale = np.repeat(1.0 / np.sqrt(nus), 2)
     s = root @ q @ np.diag(scale)
     return nus, s
-
-
-def to_json(obj):
-    """Serialise a state or map to the documented JSON schema.
-
-    Schema: {"kind": "state"|"map", "n_modes": N, "matrix": row-major
-    [re, im] pairs of the complex form, and for states "first_moments"}.
-    """
-    def cplx(a):
-        a = np.asarray(a, dtype=complex)
-        return [[float(x.real), float(x.imag)] for x in a.ravel()]
-
-    if isinstance(obj, CovarianceState):
-        payload = {"kind": "state", "first_moments": cplx(obj.first_moments), "matrix": cplx(obj.covariance)}
-    elif isinstance(obj, SymplecticMap):
-        payload = {"kind": "map", "matrix": cplx(obj.matrix)}
-    else:
-        raise TypeError("expected CovarianceState or SymplecticMap")
-    return json.dumps({**payload, "n_modes": obj.n_modes})
-
-
-def from_json(text):
-    payload = json.loads(text)
-    n = int(payload["n_modes"])
-
-    def decode(entries, shape):
-        return np.array([complex(re, im) for re, im in entries]).reshape(shape)
-
-    matrix = decode(payload["matrix"], (2 * n, 2 * n))
-    if payload["kind"] == "state":
-        return CovarianceState(n, decode(payload["first_moments"], (2 * n,)), matrix)
-    if payload["kind"] == "map":
-        return SymplecticMap(n, matrix, defect_tol=1e-8)
-    raise ValueError(f"unknown kind {payload['kind']!r}")
 
 
 def random_symplectic(n_modes, rng):

@@ -12,12 +12,18 @@ fidelity
 and the optimal (phase-corrected) fidelity 1 / (1 + nu-), where nu- is the
 smallest symplectic eigenvalue of the partially transposed resource state
 (`entanglement.smallest_pt_eigenvalue` computes it directly).
+
+To O(h^2) both depend on the segment only through the mode sums f_alpha and
+f_beta.  `f_sums` reads them off any segment's first-order blocks;
+`block_sums` is their closed form for the one-block segment ((h, tau),),
+which broadcasts over tau and does not depend on h, so `block_fidelities`
+fills a whole (tau, h) grid in one call.  `_series` holds F0, F2 and nu-
+for both routes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +60,6 @@ class TeleportScenario:
     def phi(self):
         omega = boson.mode_frequencies(self.config)
         return self.alice_phase + omega[self.kp - 1] * self.segment.total_time
-
-    @cached_property
-    def mode_sums(self):
-        """(f_alpha, f_beta) of `f_sums`, computed once: the scenario is frozen."""
-        return f_sums(self)
 
 
 def fidelity(state):
@@ -173,34 +174,65 @@ def transformed_resource_state(scenario):
     return CovarianceState(2, np.zeros(4), m.conj().T @ gamma @ m)
 
 
-def fidelity_expansion(scenario):
-    """(F0, F2) with F = F0 - F2 h^2 + O(h^4).
+def block_sums(config, kp, tau):
+    """(f_alpha, f_beta) of `f_sums` for the one-block segment ((h, tau),), broadcast over tau.
 
-    F0 = 1 / (1 + cosh 2r - cos(phi) sinh 2r) and
-    F2 = F0^2 (1 + exp(-2r)) (f_beta + f_alpha tanh r) >= 0.
+    With one block, A1[n, k'] = alpha1[n, k'] (exp(i w_n tau) - exp(i w_k' tau)), so
+    f_alpha = 2 sum_n alpha1[n, k']^2 sin^2((w_n - w_k') tau / 2) and f_beta is
+    the same sum of beta1 with w_n + w_k'.  Both diagonals vanish, and neither
+    sum depends on h (h = 0 only multiplies them by h^2 = 0).
+    """
+    boson._check_labels(config.n_max, kp)
+    omega = boson.mode_frequencies(config)
+    i = kp - 1
+    half = 0.5 * np.asarray(tau, dtype=float)[..., None]
+    f_alpha = 2.0 * np.sum(config.coeffs.alpha1[:, i] ** 2 * np.sin((omega - omega[i]) * half) ** 2, axis=-1)
+    f_beta = 2.0 * np.sum(config.coeffs.beta1[:, i] ** 2 * np.sin((omega + omega[i]) * half) ** 2, axis=-1)
+    return f_alpha, f_beta
+
+
+def _series(r, phi, f_alpha, f_beta, h):
+    """(F0, F2, nu-) of the O(h^2) expansion; every argument broadcasts.
+
+    F0 = 1 / (1 + cosh 2r - cos(phi) sinh 2r),
+    F2 = F0^2 (1 + exp(-2r)) (f_beta + f_alpha tanh r) >= 0 and
+    nu- = exp(-2r) + (1 + exp(-2r)) (f_beta + f_alpha tanh r) h^2.
 
     The tanh argument is r, not 2r: both the assembled-state route and an
     exactly symplectic full-cavity simulation pin the h^2 coefficient to
-    f_beta + f_alpha tanh(r).  The series is exact (gauge-free) at the
-    phase-corrected points phi = 2 pi n, where the protocol attains the
-    optimal bound; at generic phi the h^2 term also depends on second-order
-    diagonal data that the perturbative expansion leaves free.
+    f_beta + f_alpha tanh(r).
     """
-    r = scenario.r
-    f_alpha, f_beta = scenario.mode_sums
-    f0 = 1.0 / (1.0 + np.cosh(2 * r) - np.cos(scenario.phi) * np.sinh(2 * r))
-    f2 = f0**2 * (1.0 + np.exp(-2 * r)) * (f_beta + f_alpha * np.tanh(r))
+    mixing = f_beta + f_alpha * np.tanh(r)
+    f0 = 1.0 / (1.0 + np.cosh(2 * r) - np.cos(phi) * np.sinh(2 * r))
+    f2 = f0**2 * (1.0 + np.exp(-2 * r)) * mixing
+    nu = np.exp(-2 * r) + (1.0 + np.exp(-2 * r)) * mixing * h**2
+    return f0, f2, nu
+
+
+def block_fidelities(r, kp, config, tau, h):
+    """(F0 - F2 h^2, 1 / (1 + nu-)) of the one-block segments ((h, tau),); tau and h broadcast.
+
+    Alice's phase is 0, so phi = w_k' tau.  r, tau and h are not checked here:
+    the CLI checks a `TeleportScenario` at its grid's largest |h| and smallest tau.
+    """
+    phi = boson.mode_frequencies(config)[kp - 1] * np.asarray(tau, dtype=float)
+    f0, f2, nu = _series(r, phi, *block_sums(config, kp, tau), h)
+    return f0 - f2 * h * h, 1.0 / (1.0 + nu)
+
+
+def fidelity_expansion(scenario):
+    """(F0, F2) with F = F0 - F2 h^2 + O(h^4); see `_series`.
+
+    The series is exact (gauge-free) at the phase-corrected points
+    phi = 2 pi n, where the protocol attains the optimal bound; at generic
+    phi the h^2 term also depends on second-order diagonal data that the
+    perturbative expansion leaves free.
+    """
+    f0, f2, _ = _series(scenario.r, scenario.phi, *f_sums(scenario), scenario.config.h)
     return float(f0), float(f2)
 
 
 def optimal_fidelity_corrected(scenario):
-    """Phase-independent optimal fidelity 1 / (1 + nu-) to O(h^2).
-
-    nu- = exp(-2r) + (1 + exp(-2r)) [f_beta + f_alpha tanh r] h^2 (see
-    `fidelity_expansion` for why the tanh argument is r).
-    """
-    f_alpha, f_beta = scenario.mode_sums
-    nu = np.exp(-2 * scenario.r) + (1.0 + np.exp(-2 * scenario.r)) * (
-        f_beta + f_alpha * np.tanh(scenario.r)
-    ) * scenario.config.h**2
+    """Phase-independent optimal fidelity 1 / (1 + nu-) to O(h^2), with nu- of `_series`."""
+    _, _, nu = _series(scenario.r, scenario.phi, *f_sums(scenario), scenario.config.h)
     return {"fidelity": float(1.0 / (1.0 + nu)), "nu_minus": float(nu)}

@@ -74,18 +74,6 @@ class DetectorParams:
             raise ValueError("field mass and acceleration must be non-negative")
 
 
-def profile_position(profile, x, a=0.0):
-    """Real-space profile f(x), normalised to match the closed-form window; `a` weights the Rindler kind."""
-    x = np.asarray(x, dtype=float)
-    if profile.kind == POINT:
-        raise ValueError("point-like profile has no smooth position representation")
-    gauss = np.exp(-0.5 * x**2 / profile.sigma**2) * 2.0 * np.cos(profile.peak * x)
-    norm = 1.0 / (profile.sigma * np.sqrt(2.0 * np.pi))
-    if profile.kind == RINDLER_GAUSSIAN:
-        return norm * np.exp(-2.0 * a * x) * gauss
-    return norm * gauss
-
-
 def frequency_window(profile):
     """Callable |f~| as a function of momentum (or Rindler frequency).
 

@@ -273,7 +273,9 @@ def test_validity_warning_for_large_repetitions():
 def test_truncation_convergence_gate():
     c = cfg(n_max=10, h=1e-4)
     seg = boson.standard_segment(c.h, 1.0 / 3.0, 1.0 / 3.0, 1.0)
-    assert boson.two_mode_convergence(c, seg, 1, 2) < 1e-6
+    doubled = cfg(n_max=20, h=1e-4)
+    shift = boson.segment_negativity_exact(doubled, seg, 1, 2, 1) - boson.segment_negativity_exact(c, seg, 1, 2, 1)
+    assert abs(shift) < 1e-6
 
 
 def test_h_range_validation():

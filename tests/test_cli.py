@@ -185,7 +185,7 @@ GOLDEN = {
     "teleport-fidelity": (
         ["--tau", '{"min": 0.0, "max": 1.0, "steps": 3}', "--h", '{"min": 0.0, "max": 0.2, "steps": 2}', "--n-max", "10"],
         "1982e427f957fef76deb79d7ecf7cb8f09e022e089dff9015b81f731ae36b096",
-        {"command", "n_max_h", "params", "perturbative_ok", "rows"},
+        {"command", "converged", "n_max_doubling_shift", "n_max_h", "params", "perturbative_ok", "rows"},
     ),
     "fermion-negativity": (
         ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
@@ -386,16 +386,32 @@ def count_calls(monkeypatch, module, name):
 
 def test_bogoliubov_matrices_built_once_per_config(tmp_path, monkeypatch):
     built = count_calls(monkeypatch, boson, "bogo_first_order")
-    grid = ["--tau", "[0.3, 0.6, 0.9]", "--h", "[0.01, 0.02]", "--n-max", "6"]
-    assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
-    assert sorted(c.h for c in built) == [0.01, 0.02]
+    for hs in ("[0.01, 0.02]", "[0.0, 0.01, -0.02, 0.03, 0.04]"):
+        built.clear()
+        grid = ["--tau", "[0.3, 0.6, 0.9]", "--h", hs, "--n-max", "6"]
+        assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
+        # one config for the surface and one for the doubled-n_max probe, whatever the h grid
+        assert [c.n_max for c in built] == [6, 12]
 
 
-def test_teleport_mode_sums_once_per_grid_point(tmp_path, monkeypatch):
-    scenarios = count_calls(monkeypatch, teleport, "f_sums")
+def test_teleport_fidelity_skips_the_per_segment_route(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the grid has closed-form sums")
+
+    for name in ("f_sums", "segment_first_order"):
+        monkeypatch.setattr(teleport, name, refuse)
     grid = ["--tau", "[0.3, 0.6]", "--h", "[0.01, 0.02]", "--n-max", "6"]
     assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
-    assert len(scenarios) == 4 == len({id(sc) for sc in scenarios})
+    assert len(read_lines(str(tmp_path / "t.csv"))) == 1 + 4
+
+
+def test_teleport_truncation_probe(tmp_path):
+    assert run(["teleport-fidelity", "--out", str(tmp_path / "d")]) == 0
+    summary = json.loads((tmp_path / "d.json").read_text())
+    assert summary["converged"] is True and 0.0 < summary["n_max_doubling_shift"] < 1e-6
+    assert run(["teleport-fidelity", "--n-max", "4", "--out", str(tmp_path / "s")]) == 0
+    summary = json.loads((tmp_path / "s.json").read_text())
+    assert summary["converged"] is False and summary["n_max_doubling_shift"] > 1e-6
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
@@ -454,6 +470,9 @@ OUT_OF_RANGE = [
     ["fermion-negativity", "--u", "[-0.3]"],
     ["oneway-surface", "--u", "[-0.5]", "--v", "[0.5]"],
     ["oneway-surface", "--u", "[0.5]", "--v", "[-0.5]"],
+    # the grid is checked at its largest |h| and smallest tau only
+    ["teleport-fidelity", "--h", "[0.01, -2.5]", "--tau", "[0.5]"],
+    ["teleport-fidelity", "--h", "[0.01]", "--tau", "[0.5, -0.1]"],
 ]
 
 
