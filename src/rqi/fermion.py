@@ -19,10 +19,16 @@ give a float or an array of the same shape.  Each phase weight is real,
 no complex power is formed and every term is a non-negative square.
 
 Grafting an acceleration of proper duration tau1 between two inertial
-stretches gives the region-I -> region-III matrix calA = A+ G(tau1) A, built
-from the entries over the window by `compose_I_to_III`; its order-by-order
-blocks feed the printed density matrices of the two-mode and
-charge-entangled Bell states.
+stretches gives the region-I -> region-III matrix calA = A+ G(tau1) A with
+phases G_p = exp(i omega_p tau1).  A1 is real and antisymmetric and A2 real,
+so the printed density matrices of the two-mode and charge-entangled Bell
+states need only one column of calA1 and one diagonal entry of calA2:
+
+    calA1[p, k] = (G_p - G_k) A1[p, k],
+    calA2[k, k] = 2 A2[k, k] G_k + sum_p A1[p, k]^2 G_p.
+
+|calA1[p, k]|^2 is the p-th term of f_k, so its particle / antiparticle parts
+are read from f_k's own weights.
 """
 
 from __future__ import annotations
@@ -63,11 +69,9 @@ class FermionCavityConfig:
         return i
 
 
-def frequencies(config, modes=None):
+def frequencies(config):
     """omega_n = (n + s) pi over the window."""
-    if modes is None:
-        modes = config.modes
-    return (np.asarray(modes) + config.s) * np.pi
+    return (config.modes + config.s) * np.pi
 
 
 def a1_entry(m, n, s=0.0):
@@ -91,21 +95,12 @@ def a2_entry(m, n, s=0.0):
     return np.where(m == n, diag, off)
 
 
-def compose_I_to_III(config, tau1):
-    """Order-by-order blocks of calA = A+ G(tau1) A.
-
-    Returns (calA0, calA1, calA2) with calA0 = G0, calA1 = G0 A1 + A1+ G0 and
-    calA2 = G0 A2 + A2+ G0 + A1+ G0 A1 + G2.  The O(h^2) phase correction G2
-    is not printed for fermions and is set to zero (its effect sits in the
-    pure-phase part that cancels from every implemented observable).
-    """
-    m, n = np.meshgrid(config.modes, config.modes, indexing="ij")
-    a1, a2 = a1_entry(m, n, config.s), a2_entry(m, n, config.s)
-    g0 = np.exp(1j * frequencies(config) * tau1)
-    a1_g0 = a1.conj().T * g0[None, :]
-    cal1 = g0[:, None] * a1 + a1_g0
-    cal2 = g0[:, None] * a2 + a2.conj().T * g0[None, :] + a1_g0 @ a1
-    return np.diag(g0), cal1, cal2
+def _column(config, tau1, k):
+    """(G_k, calA1[:, k], calA2[k, k]) of calA = A+ G(tau1) A (module docstring)."""
+    g = np.exp(1j * frequencies(config) * tau1)
+    g_k = g[config.index(k)]
+    a1 = a1_entry(config.modes, k, config.s)
+    return g_k, (g - g_k) * a1, 2.0 * a2_entry(k, k, config.s) * g_k + np.sum(a1**2 * g)
 
 
 def _degradation_terms(config, k, travel_times):
@@ -148,16 +143,11 @@ def f_k(config, tau1, k):
     return float(total) if total.ndim == 0 else total
 
 
-def _split(config, cal1, k):
-    """(particle, antiparticle) parts of sum_p |calA1[p, k]|^2."""
-    col = np.abs(cal1[:, config.index(k)]) ** 2
-    pos = config.modes >= 0
-    return float(col[pos].sum()), float(col[~pos].sum())
-
-
 def f_k_split(config, tau1, k):
-    """(f_k^+, f_k^-): particle / antiparticle split of f_k via calA1 sums."""
-    return _split(config, compose_I_to_III(config, tau1)[1], k)
+    """(f_k^+, f_k^-): the terms |calA1[p, k]|^2 of f_k summed over p >= 0 and p < 0."""
+    terms = _degradation_terms(config, k, (tau1,))
+    pos = config.modes >= 0
+    return float(terms[pos].sum()), float(terms[~pos].sum())
 
 
 def _warn_if_large(config, value):
@@ -230,12 +220,9 @@ def two_mode_density_matrix(config, tau1, k, sign=+1):
     eigensolver cross-check for `negativity_two_mode`.
     """
     zeta_minus = k < 0
-    _, cal1, cal2 = compose_I_to_III(config, tau1)
-    f_plus, f_minus = _split(config, cal1, k)
+    f_plus, f_minus = f_k_split(config, tau1, k)
     f_same, f_opp = (f_minus, f_plus) if zeta_minus else (f_plus, f_minus)
-    g_k = np.exp(1j * frequencies(config, [k])[0] * tau1)
-    k_i = config.index(k)
-    a2_kk = cal2[k_i, k_i]
+    g_k, _, a2_kk = _column(config, tau1, k)
     if zeta_minus:
         g_k, a2_kk = np.conj(g_k), np.conj(a2_kk)
     h2 = config.h**2
@@ -257,18 +244,13 @@ def charge_density_matrix(config, tau1, k, kp, sign=+1):
     """
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
-    _, cal1, cal2 = compose_I_to_III(config, tau1)
-    k_i, kp_i = config.index(k), config.index(kp)
+    f_k_plus, f_k_minus = f_k_split(config, tau1, k)
+    f_kp_plus, f_kp_minus = f_k_split(config, tau1, kp)
+    a1_sq = _degradation_terms(config, k, (tau1,))[config.index(kp)]
+    g_k, col_k, a2_kk = _column(config, tau1, k)
+    g_kp, col_kp, a2_kpkp = _column(config, tau1, kp)
     h2 = config.h**2
-    omega = frequencies(config, [k, kp])
-    g_k = np.exp(1j * omega[0] * tau1)
-    g_kp = np.exp(1j * omega[1] * tau1)
-    col_k = cal1[:, k_i]
-    col_kp = cal1[:, kp_i]
     pos = config.modes >= 0
-    f_k_plus, f_k_minus = _split(config, cal1, k)
-    f_kp_plus, f_kp_minus = _split(config, cal1, kp)
-    a1_sq = abs(cal1[kp_i, k_i]) ** 2
     cross_minus = np.sum(np.conj(col_kp[~pos]) * col_k[~pos])
     cross_plus = np.sum(np.conj(col_kp[pos]) * col_k[pos])
 
@@ -293,7 +275,7 @@ def charge_density_matrix(config, tau1, k, kp, sign=+1):
     put(a_kp, a_kp, i00, ikk, -cross_plus * h2)
     put(a_kp, a_kp, ikk, i00, -np.conj(cross_plus) * h2)
     # off-diagonal 2x2 block between Rob states |0 1_k'> and |1_k 0>
-    akk_akpkp = g_k * g_kp + g_kp * cal2[k_i, k_i] * h2 + g_k * cal2[kp_i, kp_i] * h2
+    akk_akpkp = g_k * g_kp + g_kp * a2_kk * h2 + g_k * a2_kpkp * h2
     x = g_k * g_kp * a1_sq * h2 + akk_akpkp
     put(a_k, a_kp, i0k, ik0, sign * x)
     put(a_kp, a_k, ik0, i0k, sign * np.conj(x))

@@ -8,8 +8,10 @@ are built operatorially from
     a_k   = sum_{m>=0} calA[m, k] a~_m + sum_{m<0} calA[m, k] b~+_m
 
 truncated at O(h^2), and the reduced density matrices are obtained by the
-occupation-basis partial trace over the unobserved modes.  Everything is
-independent of the closed-form negativity formulas under test.
+occupation-basis partial trace over the unobserved modes.  calA is composed
+here as dense matrices from the closed-form entries (`compose_I_to_III`), not
+by the column route of `rqi.fermion`.  Everything is independent of the
+closed-form negativity formulas under test.
 """
 
 from __future__ import annotations
@@ -17,6 +19,23 @@ from __future__ import annotations
 import numpy as np
 
 from rqi import fermion
+
+
+def compose_I_to_III(config, tau1):
+    """Order-by-order blocks of calA = A+ G(tau1) A over the whole window.
+
+    Returns (calA0, calA1, calA2) with calA0 = G0, calA1 = G0 A1 + A1+ G0 and
+    calA2 = G0 A2 + A2+ G0 + A1+ G0 A1 + G2.  The O(h^2) phase correction G2
+    is not printed for fermions and is set to zero (its effect sits in the
+    pure-phase part that cancels from every implemented observable).
+    """
+    m, n = np.meshgrid(config.modes, config.modes, indexing="ij")
+    a1, a2 = fermion.a1_entry(m, n, config.s), fermion.a2_entry(m, n, config.s)
+    g0 = np.exp(1j * (config.modes + config.s) * np.pi * tau1)
+    a1_g0 = a1.conj().T * g0[None, :]
+    cal1 = g0[:, None] * a1 + a1_g0
+    cal2 = g0[:, None] * a2 + a2.conj().T * g0[None, :] + a1_g0 @ a1
+    return np.diag(g0), cal1, cal2
 
 
 class FockWindow:
@@ -56,7 +75,7 @@ def region_i_states(config, tau1, window_modes, reference):
     """
     ordered = list(reference) + [m for m in window_modes if m not in reference]
     fock = FockWindow(ordered)
-    cal0, cal1, cal2 = fermion.compose_I_to_III(config, tau1)
+    cal0, cal1, cal2 = compose_I_to_III(config, tau1)
     h = config.h
     cal = cal0 + cal1 * h + cal2 * h * h
     idx = {m: config.index(m) for m in window_modes}

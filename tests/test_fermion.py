@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_fermion_fock import reduced_charge, reduced_two_mode
+from oracle_fermion_fock import compose_I_to_III, reduced_charge, reduced_two_mode
 from rqi import entanglement, fermion
 
 
@@ -78,6 +80,9 @@ def test_negative_travel_times_refused():
         lambda: fermion.oneway_f(c, 1.0, np.array([0.3, -0.5]), 1),
         lambda: fermion.negativity_charge_state(c, -0.3, 1, -2),
         lambda: fermion.oneway_negativities(c, 0.8, -0.3, 1, -2),
+        lambda: fermion.two_mode_density_matrix(c, -0.5, 1),
+        lambda: fermion.charge_density_matrix(c, -0.5, 1, -2),
+        lambda: fermion.f_k_split(c, np.nan, 1),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="non-negative"):
@@ -87,11 +92,11 @@ def test_negative_travel_times_refused():
 def test_compose_orders_and_unitarity():
     c = cfg(n_side=30)
     a1 = fermion.a1_entry(*np.meshgrid(c.modes, c.modes, indexing="ij"))
-    cal0, cal1, cal2 = fermion.compose_I_to_III(c, 0.0)
+    cal0, cal1, cal2 = compose_I_to_III(c, 0.0)
     assert np.abs(cal1 - (a1 + a1.conj().T)).max() < 1e-14
     assert np.abs(np.diag(cal1)).max() < 1e-14
     tau1 = 0.63
-    cal0, cal1, cal2 = fermion.compose_I_to_III(c, tau1)
+    cal0, cal1, cal2 = compose_I_to_III(c, tau1)
     # calA1[n, k] = (G_n - G_k) A1[n, k]
     g = np.diag(cal0)
     expect = (g[:, None] - g[None, :]) * a1
@@ -101,7 +106,7 @@ def test_compose_orders_and_unitarity():
     assert np.abs(res).max() < 1e-12
     # 2 Re(conj(G_k) calA2_kk) = -f_k: exact up to the window tail
     c_wide = cfg(n_side=200)
-    cal0w, _, cal2w = fermion.compose_I_to_III(c_wide, tau1)
+    cal0w, _, cal2w = compose_I_to_III(c_wide, tau1)
     k_i = c_wide.index(1)
     lhs = 2 * np.real(np.conj(cal0w[k_i, k_i]) * cal2w[k_i, k_i])
     fk = fermion.f_k(c_wide, tau1, 1)
@@ -131,14 +136,6 @@ def test_f_k_curve_shape_max_at_half_period():
     assert np.all(vals >= -1e-15)
     # symmetric about u = 1/2 for s = 0
     assert np.abs(vals - vals[::-1]).max() < 1e-10
-
-
-def test_f_k_split_consistency():
-    c = cfg(n_side=150)
-    fp, fm = fermion.f_k_split(c, 0.7, 1)
-    total = fermion.f_k(c, 0.7, 1)
-    assert abs((fp + fm) - total) < 1e-10
-    assert fp >= 0 and fm >= 0
 
 
 def test_f_k_large_k_quadratic_divergence():
@@ -287,6 +284,25 @@ def test_fock_oracle_reproduces_printed_matrices():
         assert d < 2 * c.h**3
 
 
+def test_printed_matrices_build_no_window_array():
+    # a (2 n_side + 1)^2 complex matrix at n_side = 400 is 10 MB; one column is 13 kB
+    c = cfg(n_side=400)
+    calls = [
+        lambda: fermion.two_mode_density_matrix(c, 0.7, 1),
+        lambda: fermion.charge_density_matrix(c, 0.7, 1, -2),
+        lambda: fermion.f_k_split(c, 0.7, 1),
+    ]
+    for call in calls:
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
 def test_vacuum_trace_normalisation():
     # reconstructed vacuum trace is 1 + O(h^3)
     from oracle_fermion_fock import region_i_states
@@ -355,6 +371,40 @@ def test_array_calls_equal_scalar_calls(points, k, s):
     assert np.array_equal(got, [fermion.oneway_f(c, t1, t2, k) for t1, t2 in zip(taus, tau2s)])
     assert isinstance(fermion.f_k(c, taus[0], k), float)
     assert isinstance(fermion.oneway_f(c, taus[0], tau2s[0], k), float)
+
+
+@PROPS
+@given(
+    s=st.floats(0.0, 1.0, exclude_max=True),
+    tau1=st.floats(0.0, 10.0),
+    n_side=st.integers(2, 200),
+    data=st.data(),
+)
+def test_column_route_matches_dense_composition(s, tau1, n_side, data):
+    c = cfg(s=s, n_side=n_side)
+    k = data.draw(st.integers(-n_side, n_side), label="k")
+    cal0, cal1, cal2 = compose_I_to_III(c, tau1)
+    k_i = c.index(k)
+    g_k, col, a2_kk = fermion._column(c, tau1, k)
+    a1 = fermion.a1_entry(c.modes, k, s)
+    assert g_k == cal0[k_i, k_i]
+    assert np.abs(col - cal1[:, k_i]).max() <= 1e-14 * np.abs(a1).max()
+    a1_sq = np.sum(a1**2)
+    assert abs(a2_kk - cal2[k_i, k_i]) <= 1e-14 * (2 * abs(fermion.a2_entry(k, k, s)) + a1_sq)
+    # f_k^+- against the dense |calA1[p, k]|^2.  The dense phases G_p carry a
+    # rounding error of a few eps |omega_p| tau1, which the sine-form weights do
+    # not; on the zero lines (tau1 even) f_k -> 0 and that error is all that is
+    # left, so it enters the bound as an absolute term, as does the subnormal
+    # range that a tiny tau1 reaches.
+    fp, fm = fermion.f_k_split(c, tau1, k)
+    dense = np.abs(cal1[:, k_i]) ** 2
+    pos = c.modes >= 0
+    fk = dense.sum()
+    dg = 4 * np.finfo(float).eps * np.pi * tau1 * (n_side + 1)
+    tol = 1e-10 * fk + 2 * dg * np.sqrt(fk * a1_sq) + dg**2 * a1_sq + np.finfo(float).tiny
+    assert fp >= 0.0 and fm >= 0.0
+    assert abs(fp - dense[pos].sum()) <= tol
+    assert abs(fm - dense[~pos].sum()) <= tol
 
 
 def direct_window_sum(n_side, s, k, travel_times):
