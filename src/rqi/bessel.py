@@ -1,39 +1,37 @@
 """Modified Bessel function K of imaginary order.
 
-K_{i nu}(x) weights the accelerated-detector rates of `rqi.udw`; it is
-evaluated from its real integral representation.  The I_{i nu} series and the
-accelerated-cavity root finder serve as the test referee for the box-pair
-spectrum, in `tests/oracle_rindler.py`.
+K_{i nu}(x) weights the accelerated-detector rates of `rqi.udw`.  It is the
+trapezoid sum of its integral representation: exp(-x cosh t) cos(nu t) is
+analytic in a strip about the real axis and decays doubly exponentially, so
+the plain trapezoidal rule converges exponentially in 1/step (Trefethen &
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review 56,
+2014).  The I_{i nu} series and the accelerated-cavity root finder serve as
+the test referee for the box-pair spectrum, in `tests/oracle_rindler.py`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
-from scipy.integrate import quad
+import numpy as np
 
-
-# absolute and relative tolerance of the K_{i nu} integral
-K_QUAD_TOL = 1e-11
+# trapezoid step in t; the rule's error falls like exp(pi nu / 2 - pi^2 / K_STEP)
+K_STEP = 0.05
+# below this argument cosh t overflows inside the integrand's support
+K_X_MIN = 45.0 * math.e / sys.float_info.max
 
 
 def bessel_K_imag_order(nu, x):
-    """K_{i nu}(x) = int_0^inf exp(-x cosh t) cos(nu t) dt, a float; the integrand takes one float at a time."""
+    """K_{i nu}(x) = int_0^inf exp(-x cosh t) cos(nu t) dt, a float: one trapezoid sum over a node array.
+
+    Refuses a non-finite order or argument, and x < K_X_MIN (about 6.8e-307), where cosh t overflows."""
     nu, x = float(nu), float(x)
     if not (math.isfinite(nu) and math.isfinite(x)):
         raise ValueError(f"order and argument must be finite, got nu = {nu!r}, x = {x!r}")
-    if x <= 0:
-        raise ValueError("argument must be positive")
-    # integrand support: exp(-x cosh t) is negligible once x cosh t > x + 40
-    t_max = math.acosh(1.0 + 45.0 / x) + 1.0
-    val, err = quad(
-        lambda t: math.exp(-x * math.cosh(t)) * math.cos(nu * t),
-        0.0,
-        t_max,
-        epsabs=K_QUAD_TOL,
-        epsrel=K_QUAD_TOL,
-        limit=200,
-    )
-    if not err <= 100 * max(K_QUAD_TOL, abs(val) * K_QUAD_TOL):  # a NaN error fails too
-        raise RuntimeError("K integral failed to converge")
-    return val
+    if not x >= K_X_MIN:
+        raise ValueError(f"argument must be positive and at least {K_X_MIN:.3g}, got x = {x!r}")
+    # integrand support: exp(-x cosh t) < 1e-19 once x cosh t > x + 45
+    t = np.arange(0.0, math.acosh(1.0 + 45.0 / x) + 1.0, K_STEP)
+    f = np.exp(-x * np.cosh(t)) * np.cos(nu * t)
+    return float(K_STEP * (f.sum() - 0.5 * f[0]))  # weight 1/2 at t = 0

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import iv, kv
 
 import oracle_rindler as o
@@ -52,10 +55,28 @@ def test_k_rejects_non_finite_order_or_argument(nu, x):
         b.bessel_K_imag_order(nu, x)
 
 
-def test_k_refuses_a_nan_error_estimate(monkeypatch):
-    monkeypatch.setattr(b, "quad", lambda *args, **kwargs: (0.5, float("nan")))
-    with pytest.raises(RuntimeError, match="converge"):
-        b.bessel_K_imag_order(1.0, 1.0)
+def test_k_at_a_tiny_argument_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        ref = float(mpmath.re(mpmath.besselk(2j, mpmath.mpf("1e-300"))))
+    assert abs(b.bessel_K_imag_order(2.0, 1e-300) - ref) < 1e-13
+
+
+@pytest.mark.parametrize("x", [5e-324, 0.0, -1.0])
+def test_k_refuses_a_subnormal_or_non_positive_argument(x):
+    with pytest.raises(ValueError, match="positive"):
+        b.bessel_K_imag_order(2.0, x)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(nu=st.floats(0.0, 12.0), log_x=st.floats(math.log(1e-3), math.log(60.0)))
+def test_k_matches_mpmath_over_random_order_and_argument(nu, log_x):
+    # nu = 12 lies above the largest order the CLI and benchmark grids reach (about 11.1)
+    mpmath = pytest.importorskip("mpmath")
+    x = math.exp(log_x)
+    with mpmath.workdps(30):
+        ref = float(mpmath.re(mpmath.besselk(1j * nu, x)))
+    assert abs(b.bessel_K_imag_order(nu, x) - ref) < 1e-14
 
 
 def test_k_returns_a_python_float():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from rqi import udw
 
@@ -226,6 +229,55 @@ def test_massless_smeared_3p1_weight_evaluates_each_k_once(monkeypatch):
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.0, peak=2.0)
     udw._density_weight(1.0, udw.DetectorParams(gap=1.0, accel=0.5), prof, "3+1")
     assert len(args) == len(set(args)) > 0
+
+
+def quad_k(nu, x):
+    """K_{i nu}(x) by adaptive quadrature of the same integral, the route the trapezoid rule replaced."""
+    t_max = math.acosh(1.0 + 45.0 / x) + 1.0
+    f = lambda t: math.exp(-x * math.cosh(t)) * math.cos(nu * t)
+    return quad(f, 0.0, t_max, epsabs=1e-11, epsrel=1e-11, limit=200)[0]
+
+
+def mpmath_k(nu, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        return float(mpmath.re(mpmath.besselk(1j * nu, x)))
+
+
+def rate_3p1(gap, a, mass, profile, k=None):
+    """3+1 accelerated rates at +-gap, with the library's K or with `k` in its place."""
+    det = udw.DetectorParams(gap=np.array([gap, -gap]), mass=mass, accel=a)
+    with pytest.MonkeyPatch.context() as mp:
+        if k is not None:
+            mp.setattr(udw, "bessel_K_imag_order", k)
+        return udw.transition_rate_accelerated(det, profile, dim="3+1")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    gap=st.floats(-6.0, 6.0),
+    a=st.floats(0.4, 3.0),
+    mass=st.one_of(st.just(0.0), st.floats(0.1, 1.0)),
+    kind=st.sampled_from([udw.POINT, udw.GAUSSIAN]),
+    sigma=st.floats(0.5, 2.0),
+)
+def test_3p1_rate_kms_and_agreement_with_quadrature_k(gap, a, mass, kind, sigma):
+    profile = udw.SpatialProfile(kind=kind, sigma=sigma)
+    rates = rate_3p1(gap, a, mass, profile)
+    assert np.all(np.isfinite(rates)) and np.all(rates > 0)
+    assert abs(rates[0] / rates[1] / math.exp(-2 * math.pi * gap / a) - 1) < 1e-12
+    # Both K routes sum terms of size up to 1 to a K of size exp(-pi nu / 2), so
+    # their rounding, and the rates' drift between them, grows like exp(pi nu / 2).
+    nu = abs(gap) / a
+    tol = max(1e-9, 0.5 * np.finfo(float).eps * math.exp(math.pi * nu / 2))
+    assert np.all(np.abs(rates / rate_3p1(gap, a, mass, profile, quad_k) - 1) < tol)
+
+
+@pytest.mark.parametrize("gap, a, mass", [(5.25, 0.475, 0.5), (4.8, 0.42, 0.8)])
+def test_3p1_rate_matches_mpmath_k_at_large_order(gap, a, mass):
+    """Near the largest order of the grids, the rate with the library's K against the same rate with mpmath's K."""
+    rates = rate_3p1(gap, a, mass, udw.SpatialProfile())
+    assert np.all(np.abs(rates / rate_3p1(gap, a, mass, udw.SpatialProfile(), mpmath_k) - 1) < 1e-9)
 
 
 @pytest.mark.parametrize("gap", [np.nan, np.inf, [1.0, np.nan], np.array([-np.inf, 0.5])])
