@@ -71,7 +71,7 @@ def test_k_refuses_a_subnormal_or_non_positive_argument(x):
 @settings(max_examples=150, deadline=None, database=None)
 @given(nu=st.floats(0.0, 12.0), log_x=st.floats(math.log(1e-3), math.log(60.0)))
 def test_k_matches_mpmath_over_random_order_and_argument(nu, log_x):
-    # nu = 12 lies above the largest order the CLI and benchmark grids reach (about 11.1)
+    # nu = 12 lies above the largest order the benchmark grids reach: 11.1 at a = 0.475, Delta = 5.25
     mpmath = pytest.importorskip("mpmath")
     x = math.exp(log_x)
     with mpmath.workdps(30):
