@@ -15,7 +15,7 @@ schedule = nonpert.detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(
 
 grid = np.linspace(0.0, 44.0, 23)
 times, factors, gammas = nonpert.evolve_state(basis, schedule, (0.0, 44.0), t_eval=grid)
-nd = np.array([nonpert.detector_number_expectation(g) for g in gammas])
+nd = nonpert.detector_number_expectation(gammas)
 
 print("tau, N_d(tau)  (grows with oscillations, then freezes after switch-off):")
 for t, n in zip(times, nd):
@@ -32,7 +32,5 @@ sched2 = nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0, gap=2
 sub = np.linspace(0.0, 8.0, 5)
 _, _, g_ode = nonpert.evolve_state(basis, sched2, (0.0, 8.0), t_eval=sub)
 g_oracle = nonpert.product_integrator_oracle(basis, sched2, sub, dt=1e-4)
-for i, t in enumerate(sub):
-    a = nonpert.detector_number_expectation(g_ode[i])
-    b = nonpert.detector_number_expectation(g_oracle[i])
+for t, a, b in zip(sub, nonpert.detector_number_expectation(g_ode), nonpert.detector_number_expectation(g_oracle)):
     print(f"  tau = {t}: ode {a:.10f}  oracle {b:.10f}  |diff| {abs(a-b):.1e}")

@@ -64,6 +64,10 @@ class BoxScenario:
     def kappa_m(self, m):
         return np.sqrt((m * np.pi) ** 2 + self.kappa**2)
 
+    def omega_nm(self, n, m):
+        """Inertial mode frequency sqrt((n pi)^2 + kappa_m^2); n and m broadcast."""
+        return np.sqrt((n * np.pi) ** 2 + self.kappa_m(m) ** 2)
+
 
 @dataclass(frozen=True)
 class RindlerBoxSpectrum:
@@ -116,71 +120,43 @@ def solve_rindler_spectrum(scenario):
     return RindlerBoxSpectrum.from_modes(scenario, y, omegas, profiles)
 
 
-def _lambda_exponential_terms(m, scenario):
-    """Lambda(tau(zeta)) as sum_j c_j exp(i a_j zeta), zeta = v gamma tau.
-
-    Lambda = -i eps sin^2(2 pi zeta) sin(m pi (zeta - 1/2)) exp(-i Delta zeta/(v gamma)).
-    """
-    eps = scenario.epsilon
-    dphase = -scenario.gap / (scenario.v * scenario.gamma)
-    # sin^2(2 pi z) = 1/2 - exp(4 i pi z)/4 - exp(-4 i pi z)/4
-    env = [(0.5, 0.0), (-0.25, 4.0 * np.pi), (-0.25, -4.0 * np.pi)]
-    # sin(m pi (z - 1/2)) = (exp(i m pi z) e^{-i m pi/2} - c.c.)/ 2i
-    osc = [
-        (np.exp(-1j * m * np.pi / 2.0) / 2j, m * np.pi),
-        (-np.exp(+1j * m * np.pi / 2.0) / 2j, -m * np.pi),
-    ]
-    terms = []
-    for ce, ae in env:
-        for co, ao in osc:
-            terms.append((-1j * eps * ce * co, ae + ao + dphase))
-    return terms
-
-
-def _integrate_terms(terms, extra_phase, z1, z2):
-    """int_z1^z2 sum c_j exp(i (a_j + extra) z) dz, exactly."""
-    total = 0.0 + 0.0j
-    for c, a in terms:
-        k = a + extra_phase
-        if abs(k) < 1e-12:
-            total += c * (z2 - z1)
-        else:
-            total += c * (np.exp(1j * k * z2) - np.exp(1j * k * z1)) / (1j * k)
-    return total
-
-
 # zeta = v gamma tau while the atom crosses each box; Rob's box is inertial at h = 0
 ALICE_ZETA = (-1.5, -0.5)
 ROB_ZETA = (-0.5, 0.5)
 
 
-def inertial_overlap(n, m, scenario, zeta):
-    """F_nm of an inertial box crossed for zeta in `zeta`: closed form, zero for even n.
+def inertial_overlaps(scenario, zeta):
+    """F matrix [n-1, m-1] of an inertial box crossed for zeta in `zeta`: closed form, zero for even n.
 
     `zeta` is ALICE_ZETA for Alice and ROB_ZETA for Rob at h = 0, where the
-    overlap has the f_nm (1 - (-1)^m exp(i g_nm)) structure with
-    g_nm = (gap sqrt(1 - v^2) - omega_nm) / v; constructive resonances sit at
-    |1 - (-1)^m exp(i g)| = 2.
+    overlap has the f_nm (1 - (-1)^m exp(i g_nm)) structure of
+    `resonance_phase`.  The coupling
+    Lambda = -i eps sin^2(2 pi zeta) sin(m pi (zeta - 1/2)) exp(-i Delta zeta/(v gamma))
+    times exp(i omega_nm gamma tau) = exp(i omega_nm zeta / v) is a sum of six
+    exponentials exp(i k zeta) per (n, m), each integrated exactly.
     """
-    if n % 2 == 0:
-        return 0.0 + 0.0j
-    omega = np.sqrt((n * np.pi) ** 2 + scenario.kappa_m(m) ** 2)
-    norm = np.sqrt(2.0 / omega)
-    terms = _lambda_exponential_terms(m, scenario)
-    extra = omega / scenario.v  # exp(i omega gamma tau) = exp(i omega zeta / v)
-    val = _integrate_terms(terms, extra, *zeta) / (scenario.v * scenario.gamma)
-    return norm * np.sin(n * np.pi / 2.0) * val
-
-
-def _inertial_overlaps(scenario, zeta):
-    n = scenario.n_cut
-    return np.array([[inertial_overlap(i + 1, j + 1, scenario, zeta) for j in range(n)] for i in range(n)])
+    m = np.arange(1, scenario.n_cut + 1)
+    n = m[:, None]
+    omega = scenario.omega_nm(n, m)
+    # Lambda = sum_j c_j exp(i a_j zeta) over (envelope, oscillation) pairs, env outer:
+    # sin^2(2 pi z) = 1/2 - exp(4 i pi z)/4 - exp(-4 i pi z)/4
+    env_c, env_a = np.array([0.5, -0.25, -0.25])[:, None, None], np.array([0.0, 4.0, -4.0])[:, None, None] * np.pi
+    # sin(m pi (z - 1/2)) = (exp(i m pi z) e^{-i m pi/2} - c.c.) / 2i
+    osc_c = np.stack([np.exp(-1j * m * np.pi / 2.0) / 2j, -np.exp(+1j * m * np.pi / 2.0) / 2j])
+    osc_a = np.stack([m * np.pi, -m * np.pi])
+    c = (-1j * scenario.epsilon * env_c * osc_c).reshape(6, 1, -1)
+    a = (env_a + osc_a - scenario.gap / (scenario.v * scenario.gamma)).reshape(6, 1, -1)
+    k = a + omega / scenario.v  # (term, n, m)
+    z1, z2 = zeta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(np.abs(k) < 1e-12, c * (z2 - z1), c * (np.exp(1j * k * z2) - np.exp(1j * k * z1)) / (1j * k))
+    val = terms.sum(axis=0) / (scenario.v * scenario.gamma)
+    return np.where(n % 2 == 1, np.sqrt(2.0 / omega) * np.sin(n * np.pi / 2.0) * val, 0.0)
 
 
 def resonance_phase(n, m, scenario):
     """g_nm(kappa) = (gap sqrt(1 - v^2) - omega_nm) / v."""
-    omega = np.sqrt((n * np.pi) ** 2 + scenario.kappa_m(m) ** 2)
-    return (scenario.gap * np.sqrt(1.0 - scenario.v**2) - omega) / scenario.v
+    return (scenario.gap * np.sqrt(1.0 - scenario.v**2) - scenario.omega_nm(n, m)) / scenario.v
 
 
 def rob_overlap_quadrature(scenario, spectrum=None):
@@ -191,7 +167,7 @@ def rob_overlap_quadrature(scenario, spectrum=None):
     zero (the atom has exited through the trailing wall).
     """
     if scenario.h == 0.0:
-        return _inertial_overlaps(scenario, ROB_ZETA)
+        return inertial_overlaps(scenario, ROB_ZETA)
     if spectrum is None:
         spectrum = solve_rindler_spectrum(scenario)
     t = scenario.t_half
@@ -225,7 +201,7 @@ def _leggauss(n_quad):
 
 def alice_overlaps(scenario):
     """F^A matrix indexed [n-1, m-1] (Alice is inertial)."""
-    return _inertial_overlaps(scenario, ALICE_ZETA)
+    return inertial_overlaps(scenario, ALICE_ZETA)
 
 
 def cavity_entanglement(scenario, spectrum=None, return_details=False):

@@ -36,17 +36,18 @@ CSV_CHUNK_ROWS = 256
 
 
 def write_csv(path, header, rows):
-    """Header line, then each row of the sized sequence `rows` as %.17g cells.
+    """Header line, then each row of the 2-D float array `rows` as %.17g cells.
 
     "%.17g" % x and format(x, ".17g") share one float formatter, so a chunk of
     rows is formatted at once with the same bytes as cell by cell.
     """
+    rows = np.asarray(rows, dtype=float)
     line = ",".join(["%.17g"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
             chunk = rows[start : start + CSV_CHUNK_ROWS]
-            fh.write(line * len(chunk) % tuple(float(x) for row in chunk for x in row))
+            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def write_summary(path, payload):
@@ -147,7 +148,7 @@ def _user_input():
 
 
 # --------------------------------------------------------------------------
-# commands: each returns (CSV header or None, rows, summary extras)
+# commands: each returns (CSV header or None, 2-D float array of rows, summary extras)
 
 
 def cmd_measures(params):
@@ -170,7 +171,7 @@ def cmd_resonance_sweep(params):
             raise ValueError("repetitions must be non-negative")
         nu = 2.0 * reps * boson.closed_form_b_magnitude(cfg, tau1[:, None], tau2[None, :], lam, k, kp)
     t1, t2 = np.meshgrid(tau1, tau2, indexing="ij")
-    rows = list(zip(t1.ravel(), t2.ravel(), nu.ravel()))
+    rows = np.column_stack([t1.ravel(), t2.ravel(), nu.ravel()])
     # points where resonance_negativity would warn: nu_correction = 2 N |B|
     flagged = int(np.count_nonzero(nu / 2.0 >= boson.NB_VALIDITY_BOUND))
     extras = {"validity_warnings": flagged, "n_max_h": cfg.n_max * abs(cfg.h)}
@@ -181,17 +182,17 @@ def cmd_teleport_fidelity(params):
     n_max, r, kp = params["n_max"], params["r"], params["kp"]
     taus, hs = grid_values(params["tau"]), grid_values(params["h"])
     h_far = float(hs[np.argmax(np.abs(hs))])
-    with _user_input():  # r, k', n_max, |h| < 2 and tau >= 0, checked at the grid's extremes
-        cfg = boson.BosonCavityConfig(n_max=n_max, h=h_far)
-        teleport.TeleportScenario(r=r, kp=kp, config=cfg, segment=boson.TrajectorySegment(((h_far, taus.min()),)))
-    fid, opt = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
+    with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 over the whole grid
+        cfg = boson.BosonCavityConfig(n_max=n_max)
+        fid, opt = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
     t, a = np.meshgrid(taus, hs, indexing="ij")
     # truncation probe: the optimal fidelity over the grid with n_max doubled
-    doubled = boson.BosonCavityConfig(n_max=2 * n_max, h=h_far)
+    doubled = boson.BosonCavityConfig(n_max=2 * n_max)
     shift = float(np.max(np.abs(teleport.block_fidelities(r, kp, doubled, taus[:, None], hs[None, :])[1] - opt)))
     extras = {"n_max_h": n_max * abs(h_far), "perturbative_ok": n_max * abs(h_far) < 1.0}
     extras.update(n_max_doubling_shift=shift, converged=shift < 1e-6)
-    return ["tau", "a", "fidelity", "fidelity_opt"], list(zip(t.ravel(), a.ravel(), fid.ravel(), opt.ravel())), extras
+    rows = np.column_stack([t.ravel(), a.ravel(), fid.ravel(), opt.ravel()])
+    return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras
 
 
 def cmd_fermion_negativity(params):
@@ -200,7 +201,7 @@ def cmd_fermion_negativity(params):
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
     with _user_input():  # the window and the travel times
         cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in (0.0, 0.25, 0.5, 0.75)]
-        rows = list(zip(us, *(fermion.f_k(cfg, 2.0 * us, k) for cfg in cfgs for k in (1, -1))))
+        rows = np.column_stack([us, *(fermion.f_k(cfg, 2.0 * us, k) for cfg in cfgs for k in (1, -1))])
     # convergence probe: window doubling at a generic point (cfgs[0] has s = 0)
     probe_small = fermion.f_k(cfgs[0], 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
@@ -214,8 +215,10 @@ def cmd_oneway_surface(params):
     k = params["k"]
     with _user_input():  # the window, the mode label and the travel times
         cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
-        rows = [(u, v, f) for u in us for v, f in zip(vs, fermion.oneway_f(cfg, 2 * u, 2 * vs, k))]
-    return ["u", "v", "f_oneway"], rows, {}
+        # one call per u: a single (u, v, window) broadcast would hold tens of MB per temporary
+        f = np.array([fermion.oneway_f(cfg, 2 * u, 2 * vs, k) for u in us])
+    u, v = np.meshgrid(us, vs, indexing="ij")
+    return ["u", "v", "f_oneway"], np.column_stack([u.ravel(), v.ravel(), f.ravel()]), {}
 
 
 def cmd_detector_rate(params):
@@ -234,7 +237,7 @@ def cmd_detector_rate(params):
         rates = udw.transition_rate_inertial(det, profile)
     else:
         rates = udw.transition_rate_accelerated(det, profile, dim=dim)
-    return ["gap", "rate"], list(zip(gaps, rates)), {}
+    return ["gap", "rate"], np.column_stack([gaps, rates]), {}
 
 
 def cmd_nonpert_evolve(params):
@@ -248,11 +251,8 @@ def cmd_nonpert_evolve(params):
     if t_eval[0] < 0.0 or (np.diff(t_eval) <= 0.0).any():
         raise ConfigError("--tau (or 0 to --t-end) must start at or above 0 and increase strictly")
     sol = nonpert.solve_factors(basis, schedule, (0.0, max(t_end, t_eval[-1])), t_eval=t_eval)
-    gammas = nonpert.covariance_trajectory(basis, sol.y)
-    rows = []
-    for i, t in enumerate(sol.t):
-        nd = nonpert.detector_number_expectation(gammas[i])
-        rows.append((t, nd, *sol.y[:, i]))
+    nd = nonpert.detector_number_expectation(nonpert.covariance_trajectory(basis, sol.y))
+    rows = np.column_stack([sol.t, nd, sol.y.T])
     header = ["tau", "n_d"] + [f"F{j+1}" for j in range(basis.dim)]
     final_f = sol.y[:, -1]
     zero_factors = [basis.labels[j] for j in range(basis.dim) if abs(final_f[j]) < 1e-10]
@@ -263,14 +263,13 @@ def cmd_box_entangle(params):
     hs = grid_values(params["h"])
     kappas = grid_values(params["kappa"])
     base = {key: params[key] for key in ("v", "gap", "epsilon", "n_cut")}
+    h, kap = (x.ravel() for x in np.meshgrid(hs, kappas, indexing="ij"))
     with _user_input():  # every grid point's scenario is checked before the sweep
-        points = [(h, kap, boxpair.BoxScenario(h=float(h), kappa=float(kap), **base)) for h in hs for kap in kappas]
-    rows, flagged = [], 0
-    for h, kap, scen in points:
-        res = boxpair.cavity_entanglement(scen)
-        rows.append((h, kap, res["entropy"]))
-        flagged += res["flagged"]
+        scenarios = [boxpair.BoxScenario(h=hi, kappa=ki, **base) for hi, ki in zip(h.tolist(), kap.tolist())]
+    results = [boxpair.cavity_entanglement(scen) for scen in scenarios]
     # flagged: grid points with no emission amplitude, written as entropy 0
+    flagged = sum(res["flagged"] for res in results)
+    rows = np.column_stack([h, kap, [res["entropy"] for res in results]])
     return ["h", "kappa", "entropy"], rows, {"flagged": flagged}
 
 

@@ -112,9 +112,9 @@ class SymplecticMap:
 
 
 def symplectic_defect(matrix):
-    """sup-norm of S K S+ - K for a complex-form matrix S."""
-    k = kay(matrix.shape[0] // 2)
-    return float(np.abs(matrix @ k @ matrix.conj().T - k).max())
+    """sup-norm of S K S+ - K for a complex-form matrix S; over a stack of them, the largest."""
+    k = kay(matrix.shape[-1] // 2)
+    return float(np.abs(matrix @ k @ matrix.conj().swapaxes(-1, -2) - k).max(initial=0.0))
 
 
 def real_covariance(state):

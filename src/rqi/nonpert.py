@@ -155,11 +155,11 @@ def _factor_tables(basis):
 
 
 def _factor_exponentials(tables, f):
-    """Stack of exp(i f_j K G_j) = 1 + (c - 1) P_j + s i K G_j, in the form the tables are in."""
+    """exp(i f_j K G_j) = 1 + (c - 1) P_j + s i K G_j over the last axis of f (j), in the form the tables are in."""
     ikg, proj, hyper = tables
     c = np.where(hyper, np.cosh(f), np.cos(f))
     s = np.where(hyper, np.sinh(f), np.sin(f))
-    return np.eye(ikg.shape[1]) + (c - 1.0)[:, None, None] * proj + s[:, None, None] * ikg
+    return np.eye(ikg.shape[1]) + (c - 1.0)[..., None, None] * proj + s[..., None, None] * ikg
 
 
 def _to_quadrature(mats):
@@ -225,29 +225,29 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
 
 
 def evolution_operator(basis, factors):
-    """S = prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost), from the closed forms."""
-    e = _factor_exponentials(basis.factor_tables, -np.asarray(factors, dtype=float))
-    s = e[0]
-    for ej in e[1:]:
-        s = s @ ej
+    """S = prod_j exp(-i F_j K G_j) (ordered, j = 1 leftmost), from the closed forms.
+
+    Factors of shape (dim,) give one matrix, (dim, n) a stack of n, one per column.
+    """
+    e = _factor_exponentials(basis.factor_tables, -np.asarray(factors, dtype=float).T)
+    s = e[..., 0, :, :]
+    for j in range(1, basis.dim):
+        s = s @ e[..., j, :, :]
     return s
 
 
 def covariance_trajectory(basis, factors, gamma0=None):
     """Gamma = S Gamma0 S+ for each column of `factors` (complex form, vacuum start by default).
 
-    Symplecticity |S K S+ - K| is checked at every column.
+    Symplecticity |S K S+ - K| is checked over the whole stack of S.
     """
     if gamma0 is None:
         gamma0 = np.eye(2 * basis.n_modes, dtype=complex)
-    gammas = []
-    for column in np.asarray(factors).T:
-        s = evolution_operator(basis, column)
-        defect = symplectic_defect(s)
-        if defect > 1e-8:
-            raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
-        gammas.append(s @ gamma0 @ s.conj().T)
-    return np.array(gammas)
+    s = evolution_operator(basis, factors)
+    defect = symplectic_defect(s)
+    if defect > 1e-8:
+        raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
+    return s @ gamma0 @ s.conj().swapaxes(-1, -2)
 
 
 def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, atol=1e-11):
@@ -261,8 +261,9 @@ def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, a
 
 
 def detector_number_expectation(gamma):
-    """N_d = (Gamma_11 - 1) / 2 for a zero-mean state (first mode)."""
-    return float(np.real(gamma[0, 0]) - 1.0) / 2.0
+    """N_d = (Gamma_11 - 1) / 2 for a zero-mean state (first mode); a stack of states gives an array."""
+    nd = mean_occupations(gamma)[..., 0]
+    return float(nd) if nd.ndim == 0 else nd
 
 
 def detector_number_closed_form(factors):
@@ -277,9 +278,9 @@ def detector_number_closed_form(factors):
 
 
 def mean_occupations(gamma):
-    """Per-mode <n_i> of a zero-mean state in the complex form."""
-    n = gamma.shape[0] // 2
-    return (np.real(np.diag(gamma)[:n]) - 1.0) / 2.0
+    """Per-mode <n_i> of a zero-mean state in the complex form, or of each state in a stack."""
+    n = gamma.shape[-1] // 2
+    return (np.real(np.diagonal(gamma, axis1=-2, axis2=-1)[..., :n]) - 1.0) / 2.0
 
 
 def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 * np.pi):

@@ -212,11 +212,19 @@ def _series(r, phi, f_alpha, f_beta, h):
 def block_fidelities(r, kp, config, tau, h):
     """(F0 - F2 h^2, 1 / (1 + nu-)) of the one-block segments ((h, tau),); tau and h broadcast.
 
-    Alice's phase is 0, so phi = w_k' tau.  r, tau and h are not checked here:
-    the CLI checks a `TeleportScenario` at its grid's largest |h| and smallest tau.
+    Alice's phase is 0, so phi = w_k' tau.  Like `TeleportScenario` and
+    `TrajectorySegment`, it refuses r <= 0, a label k' outside 1..n_max,
+    tau < 0 and |h| >= 2 (NaN included) with ValueError, over the whole arrays.
     """
-    phi = boson.mode_frequencies(config)[kp - 1] * np.asarray(tau, dtype=float)
-    f0, f2, nu = _series(r, phi, *block_sums(config, kp, tau), h)
+    tau, h = np.asarray(tau, dtype=float), np.asarray(h, dtype=float)
+    if not np.all(np.asarray(r) > 0):
+        raise ValueError("squeezing must be positive")
+    if not np.all(tau >= 0):
+        raise ValueError("proper times must be non-negative")
+    if not np.all(np.abs(h) < 2.0):
+        raise ValueError("physical accelerated segments need |h| < 2")
+    sums = block_sums(config, kp, tau)  # checks k' before it indexes the frequencies
+    f0, f2, nu = _series(r, boson.mode_frequencies(config)[kp - 1] * tau, *sums, h)
     return f0 - f2 * h * h, 1.0 / (1.0 + nu)
 
 

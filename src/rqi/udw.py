@@ -29,7 +29,6 @@ from .bessel import bessel_K_imag_order
 
 POINT = "point"
 GAUSSIAN = "gaussian"
-RINDLER_GAUSSIAN = "rindler-gaussian"
 # spacetime dimensions of the accelerated rate
 DIMS = ("1+1", "3+1")
 
@@ -43,9 +42,9 @@ class SpatialProfile:
 
     kind "point": delta profile, unit window.
     kind "gaussian": Gaussian of width sigma beating against exp(+-i lambda x);
-    window exp(-s^2 (k - l)^2 / 2) + exp(-s^2 (k + l)^2 / 2).
-    kind "rindler-gaussian": same window in the Rindler frequency after the
-    exp(-2 a xi) metric compensation, a being the detector's acceleration.
+    window exp(-s^2 (k - l)^2 / 2) + exp(-s^2 (k + l)^2 / 2).  An accelerated
+    detector reads the same window in the Rindler frequency when its profile
+    carries the exp(-2 a xi) metric compensation.
     """
 
     kind: str = POINT
@@ -53,7 +52,7 @@ class SpatialProfile:
     peak: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (POINT, GAUSSIAN, RINDLER_GAUSSIAN):
+        if self.kind not in (POINT, GAUSSIAN):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind != POINT and self.sigma <= 0:
             raise ValueError("width must be positive")
@@ -78,7 +77,7 @@ def frequency_window(profile):
     """Callable |f~| as a function of momentum (or Rindler frequency).
 
     Point-like -> identically 1; Gaussian-peaked -> double Gaussian around
-    +-peak; the Rindler-adapted profile gives the same window in Omega.
+    +-peak.
     """
     if profile.kind == POINT:
         return lambda k: np.ones_like(np.asarray(k, dtype=float))
@@ -149,8 +148,10 @@ def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1"):
 
     Stationary by construction (no time argument); satisfies the KMS ratio
     exp(-2 pi Delta / a) for any window.  Point-like massless reproduces
-    (Delta/2pi) / (exp(2 pi Delta / a) - 1) in both 1+1 and 3+1.  At
-    Delta = 0 the rate is its limit a w(0) / (4 pi^2).
+    (Delta/2pi) / (exp(2 pi Delta / a) - 1) in both 1+1 and 3+1.  Where
+    |2 pi Delta / a| is below the float epsilon, Delta = 0 and subnormal gaps
+    included, the rate is its limit a w(|Delta|) / (4 pi^2): the factor
+    x / expm1(x) is 1 there to rounding, and Delta / 2pi would underflow.
     """
     if params.accel <= 0:
         raise ValueError("acceleration must be positive")
@@ -159,8 +160,9 @@ def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1"):
     gap, a = np.asarray(params.gap, dtype=float), params.accel
     mags, inverse = np.unique(np.abs(gap), return_inverse=True)
     w = np.array([_density_weight(m, params, profile, dim) for m in mags.tolist()])[inverse].reshape(gap.shape)
+    x = 2.0 * np.pi * gap / a
     with np.errstate(divide="ignore", invalid="ignore"):  # where also evaluates the 0/0 at Delta = 0
-        rate = np.where(gap == 0.0, a * w / (4.0 * np.pi**2), gap / (2.0 * np.pi) * w / np.expm1(2.0 * np.pi * gap / a))
+        rate = np.where(np.abs(x) < np.finfo(float).eps, a * w / (4.0 * np.pi**2), gap / (2.0 * np.pi) * w / np.expm1(x))
     return float(rate) if rate.ndim == 0 else rate
 
 

@@ -9,6 +9,7 @@ busy host do not move.
 import time
 
 import numpy as np
+import pytest
 
 import conftest
 
@@ -261,6 +262,7 @@ def test_criterion_09_nonpert_evolution():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_box_entangler():
     from scipy.integrate import quad
 
@@ -280,7 +282,7 @@ def test_criterion_10_box_entangler():
         re, _ = quad(lambda x: np.real(f(x)), -t_half, t_half, epsabs=1e-12, limit=200)
         im, _ = quad(lambda x: np.imag(f(x)), -t_half, t_half, epsabs=1e-12, limit=200)
         direct = np.sqrt(2.0 / om) * np.sin(n * np.pi / 2) * (re + 1j * im)
-        worst = max(worst, abs(boxpair.inertial_overlap(n, m, sc0, boxpair.ROB_ZETA) - direct))
+        worst = max(worst, abs(boxpair.inertial_overlaps(sc0, boxpair.ROB_ZETA)[n - 1, m - 1] - direct))
     ok = worst < 1e-6
 
     # full 40 x 40 grid, monotone in h at fixed kappa, under 10 minutes

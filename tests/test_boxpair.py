@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import oracle_rindler
@@ -50,6 +52,7 @@ def test_spectrum_normalisation_and_boundaries():
     assert np.all(np.diff(spec.omegas, axis=0) > 0)
 
 
+@pytest.mark.slow
 def test_engines_agree():
     sc = small_scenario(h=0.5, kappa=0.5)
     s_fd = boxpair.solve_rindler_spectrum(sc)
@@ -102,7 +105,7 @@ def test_kappa_monotonicity_of_frequencies():
 
 def test_alice_overlap_even_n_zero_and_quadrature():
     sc = small_scenario(h=0.3, kappa=0.6)
-    assert boxpair.inertial_overlap(2, 1, sc, boxpair.ALICE_ZETA) == 0.0
+    assert boxpair.inertial_overlaps(sc, boxpair.ALICE_ZETA)[1, 0] == 0.0
     # closed form against direct quadrature
     for (n, m) in [(1, 1), (3, 2)]:
         om = np.sqrt((n * np.pi) ** 2 + sc.kappa_m(m) ** 2)
@@ -117,7 +120,7 @@ def test_alice_overlap_even_n_zero_and_quadrature():
         re, _ = quad(lambda x: np.real(f(x)), -3 * t, -t, epsabs=1e-12, limit=200)
         im, _ = quad(lambda x: np.imag(f(x)), -3 * t, -t, epsabs=1e-12, limit=200)
         direct = np.sqrt(2.0 / om) * np.sin(n * np.pi / 2) * (re + 1j * im)
-        assert abs(boxpair.inertial_overlap(n, m, sc, boxpair.ALICE_ZETA) - direct) < 1e-10
+        assert abs(boxpair.inertial_overlaps(sc, boxpair.ALICE_ZETA)[n - 1, m - 1] - direct) < 1e-10
 
 
 def test_rob_inertial_closed_form_vs_quadrature():
@@ -135,14 +138,14 @@ def test_rob_inertial_closed_form_vs_quadrature():
         re, _ = quad(lambda x: np.real(f(x)), -t, t, epsabs=1e-12, limit=200)
         im, _ = quad(lambda x: np.imag(f(x)), -t, t, epsabs=1e-12, limit=200)
         direct = np.sqrt(2.0 / om) * np.sin(n * np.pi / 2) * (re + 1j * im)
-        assert abs(boxpair.inertial_overlap(n, m, sc, boxpair.ROB_ZETA) - direct) < 1e-10
+        assert abs(boxpair.inertial_overlaps(sc, boxpair.ROB_ZETA)[n - 1, m - 1] - direct) < 1e-10
 
 
 def test_rob_inertial_even_n_vanishes():
     # the x-profile factor sin(n pi / 2) kills even n for Rob as well
     sc = small_scenario(h=0.0, kappa=0.9)
-    assert boxpair.inertial_overlap(2, 1, sc, boxpair.ROB_ZETA) == 0.0
-    assert abs(boxpair.inertial_overlap(1, 1, sc, boxpair.ROB_ZETA)) > 0.0
+    assert boxpair.inertial_overlaps(sc, boxpair.ROB_ZETA)[1, 0] == 0.0
+    assert abs(boxpair.inertial_overlaps(sc, boxpair.ROB_ZETA)[0, 0]) > 0.0
 
 
 def test_resonance_maximum_location():
@@ -200,3 +203,51 @@ def test_ncut_convergence():
     e6 = boxpair.cavity_entanglement(sc6)["entropy"]
     e10 = boxpair.cavity_entanglement(sc10)["entropy"]
     assert abs(e6 - e10) < 1e-4
+
+
+GL_NODES = np.polynomial.legendre.leggauss(600)
+
+
+def direct_overlaps(sc, zeta):
+    """F_nm = sqrt(2/omega) sin(n pi/2) int Lambda exp(i omega gamma tau) dtau over a zeta window, by Gauss-Legendre."""
+    x, w = GL_NODES
+    vg = sc.v * sc.gamma
+    lo, hi = zeta[0] / vg, zeta[1] / vg
+    tau = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    n = np.arange(1, sc.n_cut + 1)[:, None, None]
+    m = np.arange(1, sc.n_cut + 1)[None, :, None]
+    om = np.sqrt((n * np.pi) ** 2 + (m * np.pi) ** 2 + sc.kappa**2)
+    eps = sc.epsilon * np.sin(2 * np.pi * vg * tau) ** 2
+    lam = -1j * eps * np.sin(m * np.pi * (vg * tau - 0.5)) * np.exp(-1j * sc.gap * tau)
+    integral = 0.5 * (hi - lo) * (lam * np.exp(1j * om * sc.gamma * tau)) @ w
+    return np.sqrt(2.0 / om[..., 0]) * np.sin(n[..., 0] * np.pi / 2) * integral
+
+
+@st.composite
+def box_scenarios(draw):
+    v = draw(st.floats(0.1, 0.9))
+    n_cut = draw(st.integers(1, 4))
+    return boxpair.BoxScenario(
+        v=v,
+        h=draw(st.one_of(st.just(0.0), st.floats(0.01, 2.0 * v))),
+        kappa=draw(st.floats(0.0, 6.0)),
+        gap=draw(st.floats(0.0, 10.0)),
+        epsilon=draw(st.floats(0.1, 2.0)),
+        n_cut=n_cut,
+        n_y=draw(st.integers(n_cut + 2, 300)),
+        n_quad=draw(st.integers(1, 200)),
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sc=box_scenarios())
+def test_box_pair_properties(sc):
+    res = boxpair.cavity_entanglement(sc)
+    assert not res["flagged"]
+    assert 0.0 <= res["entropy"] <= np.log(2.0) + 4 * np.finfo(float).eps  # p = 1/2 rounds an ulp above ln 2
+    assert abs(res["p_alice"] + res["p_rob"] - 1.0) <= 1e-15
+    for zeta in (boxpair.ALICE_ZETA, boxpair.ROB_ZETA):
+        f = boxpair.inertial_overlaps(sc, zeta)
+        assert f.shape == (sc.n_cut, sc.n_cut)
+        assert np.all(f[1::2] == 0.0)  # even n, exactly
+        assert np.abs(f - direct_overlaps(sc, zeta)).max() < 1e-10

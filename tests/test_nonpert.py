@@ -183,6 +183,30 @@ def test_closed_form_factor_matches_expm(basis_index, f, pick):
     assert np.abs(closed - expm(1j * f * (k @ basis.generators[j]))).max() < 1e-13
 
 
+def test_trajectory_stack_matches_per_column_products():
+    basis = nonpert.detector_field_basis()
+    factors = np.random.default_rng(5).uniform(-0.8, 0.8, size=(basis.dim, 7))
+    gamma0 = gaussian.two_mode_squeezed_state(0.3).covariance
+    stack = nonpert.evolution_operator(basis, factors)
+    columns = [nonpert.evolution_operator(basis, f) for f in factors.T]
+    assert np.array_equal(stack, columns)
+    expect = [s @ gamma0 @ s.conj().T for s in columns]
+    assert np.array_equal(nonpert.covariance_trajectory(basis, factors, gamma0), expect)
+    # the one defect formula: a stack reads the largest of its matrices' defects
+    assert gaussian.symplectic_defect(stack) == max(gaussian.symplectic_defect(s) for s in columns)
+    nd = nonpert.detector_number_expectation(np.array(expect))
+    assert np.array_equal(nd, [nonpert.detector_number_expectation(g) for g in expect])
+
+
+def test_trajectory_refuses_one_non_symplectic_column():
+    basis = nonpert.detector_field_basis()
+    factors = np.zeros((basis.dim, 5))
+    factors[:4, 3] = 20.0  # squeezers at cosh(40): S K S+ - K is all rounding, far above 1e-8
+    assert gaussian.symplectic_defect(nonpert.evolution_operator(basis, factors[:, :3])) < 1e-12
+    with pytest.raises(RuntimeError, match="lost symplecticity"):
+        nonpert.covariance_trajectory(basis, factors)
+
+
 def test_generic_hermitian_generator_rejected():
     rng = np.random.default_rng(7)
     n = 2
@@ -294,6 +318,7 @@ def test_example_schedule_on_an_array_matches_scalar_calls():
     assert sched(1.3).shape == (basis.dim,)
 
 
+@pytest.mark.slow
 def test_singular_matching_system_raises():
     """A beam-splitter factor reaching pi/4 with its partner drive non-zero makes the matching system singular."""
     basis = nonpert.build_generator_basis(2)

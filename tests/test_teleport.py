@@ -215,3 +215,29 @@ def test_block_grid_matches_one_block_scenarios(taus, hs, n_max, kp_frac, mass, 
             f0, f2 = teleport.fidelity_expansion(sc)
             assert close(fid[i, j], f0 - f2 * a * a, w_max * t)
             assert close(opt[i, j], teleport.optimal_fidelity_corrected(sc)["fidelity"], w_max * t)
+
+
+@pytest.mark.parametrize(
+    "r, tau, h",
+    [
+        (0.0, 0.5, 0.1),
+        (-0.5, 0.5, 0.1),
+        (np.nan, 0.5, 0.1),
+        (0.5, [0.5, -0.1], 0.1),
+        (0.5, [0.5, np.nan], 0.1),
+        (0.5, 0.5, [0.1, 2.5]),
+        (0.5, 0.5, [-2.0, 0.1]),
+        (0.5, 0.5, np.nan),
+    ],
+)
+def test_block_fidelities_refuse_unphysical_inputs(r, tau, h):
+    # at |h| = 2.5 the series used to return a fidelity of -0.059 without complaint
+    cfg = boson.BosonCavityConfig(n_max=20)
+    with pytest.raises(ValueError):
+        teleport.block_fidelities(r, 3, cfg, tau, h)
+
+
+@pytest.mark.parametrize("kp", [0, 21, -1])
+def test_block_fidelities_refuse_bad_labels(kp):
+    with pytest.raises(ValueError, match="mode labels"):
+        teleport.block_fidelities(0.5, kp, boson.BosonCavityConfig(n_max=20), 0.5, 0.1)

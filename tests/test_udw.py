@@ -25,10 +25,10 @@ def test_gaussian_window_double_peaked():
 
 
 def profile_position(profile, x, a=0.0):
-    """Real-space profile f(x), normalised to match the closed-form window; `a` weights the Rindler kind."""
+    """Real-space profile f(x), normalised to match the closed-form window; a > 0 adds the exp(-2 a x) metric compensation."""
     gauss = np.exp(-0.5 * x**2 / profile.sigma**2) * 2.0 * np.cos(profile.peak * x)
     norm = 1.0 / (profile.sigma * np.sqrt(2.0 * np.pi))
-    if profile.kind == udw.RINDLER_GAUSSIAN:
+    if a:
         return norm * np.exp(-2.0 * a * x) * gauss
     return norm * gauss
 
@@ -45,7 +45,7 @@ def test_window_matches_fourier_quadrature():
 
 def test_rindler_adapted_profile_compensates_metric():
     a = 0.7
-    prof = udw.SpatialProfile(kind=udw.RINDLER_GAUSSIAN, sigma=1.0, peak=3.0)
+    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.0, peak=3.0)
     xs = np.linspace(-30, 30, 400001)
     fx = profile_position(prof, xs, a)
     w = udw.frequency_window(prof)
@@ -119,6 +119,16 @@ def test_accelerated_zero_gap_is_the_exact_limit(dim):
         assert abs(got / (a / (4 * np.pi**2)) - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("dim", udw.DIMS)
+def test_accelerated_subnormal_gap_is_the_limit(dim):
+    # Delta / 2pi underflows below about 1.4e-307: the rate used to come out 0 there
+    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0)
+    rate = lambda gap: udw.transition_rate_accelerated(udw.DetectorParams(gap=gap, mass=0.5, accel=1.0), prof, dim)
+    at_zero = rate(0.0)
+    for gap in (5e-324, -5e-324, 1e-310, -1e-300):
+        assert abs(rate(gap) / at_zero - 1.0) < 1e-15
+
+
 def test_accelerated_zero_gap_continuous_when_smeared_and_massive():
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0)
     rate = lambda gap: udw.transition_rate_accelerated(udw.DetectorParams(gap=gap, mass=0.5, accel=1.0), prof, "3+1")
@@ -182,7 +192,7 @@ def assert_array_call_equals_scalar_calls(rate, half, **det):
 PROFILES = [
     udw.SpatialProfile(),
     udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0),
-    udw.SpatialProfile(kind=udw.RINDLER_GAUSSIAN, sigma=1.3, peak=1.0),
+    udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.3, peak=1.0),
 ]
 
 
