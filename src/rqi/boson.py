@@ -207,7 +207,7 @@ def _reduced_state(s, k, kp):
     n = s.shape[0] // 2
     _check_labels(n, k, kp)
     full = s @ s.conj().T
-    state = CovarianceState(n, np.zeros(2 * n, dtype=complex), (full + full.conj().T) / 2)
+    state = CovarianceState(n, (full + full.conj().T) / 2)
     return gaussian.partial_trace(state, [k - 1, kp - 1])
 
 

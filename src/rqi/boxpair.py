@@ -20,6 +20,7 @@ the h -> 0 continuity check Omega log(chi+/chi-) -> sqrt(n^2 pi^2 + kappa_m^2).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,9 +148,9 @@ def inertial_overlaps(scenario, zeta):
     c = (-1j * scenario.epsilon * env_c * osc_c).reshape(6, 1, -1)
     a = (env_a + osc_a - scenario.gap / (scenario.v * scenario.gamma)).reshape(6, 1, -1)
     k = a + omega / scenario.v  # (term, n, m)
-    z1, z2 = zeta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(np.abs(k) < 1e-12, c * (z2 - z1), c * (np.exp(1j * k * z2) - np.exp(1j * k * z1)) / (1j * k))
+    # int exp(i k z) over the window = exp(i k z_mid) L sinc(k L / 2 pi): no cancellation as k -> 0
+    z_mid, length = (zeta[0] + zeta[1]) / 2.0, zeta[1] - zeta[0]
+    terms = c * np.exp(1j * k * z_mid) * length * np.sinc(k * length / (2.0 * np.pi))
     val = terms.sum(axis=0) / (scenario.v * scenario.gamma)
     return np.where(n % 2 == 1, np.sqrt(2.0 / omega) * np.sin(n * np.pi / 2.0) * val, 0.0)
 
@@ -234,4 +235,4 @@ def binary_entropy(p):
     if p <= 0.0 or p >= 1.0:
         return 0.0
     q = 1.0 - p
-    return float(-p * np.log(p) - q * np.log(q))
+    return min(float(-p * np.log(p) - q * np.log(q)), math.log(2))  # near p = 1/2 the sum rounds an ulp above ln 2

@@ -1,11 +1,13 @@
 """Batch front end: reproduce the figure data sets as CSV plus a summary JSON.
 
-Every command reads an optional JSON config (``--config file.json``) whose
-keys must match the command's parameters; command-line flags override file
-values.  Flag and file values alike are converted to the type of the
-parameter's default: floats, integers (integral values only), strings, and
-grids (a non-empty JSON list of numbers, or ``{"min": a, "max": b, "steps": n}``
-with exactly these keys and n an integral value of at least 1).  Numeric
+A command's parameters are the keyword arguments of its ``cmd_*`` function,
+defaults included.  Every command reads an optional JSON config
+(``--config file.json``) whose keys must match them; command-line flags
+override file values.  Flag and file values alike are converted to the type
+of the parameter's default: finite floats, integers (integral values only),
+strings, and grids (a non-empty JSON list of finite numbers, or
+``{"min": a, "max": b, "steps": n}`` with exactly these keys and n an
+integral value of at least 1); a JSON boolean is not a number.  Numeric
 payloads are written with 17 significant digits so reruns are bit-identical.
 
 Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
@@ -17,7 +19,9 @@ r <= 0), 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -56,6 +60,11 @@ def write_summary(path, payload):
         fh.write("\n")
 
 
+def grid(lo, hi, steps):
+    """The grid spec {"min": lo, "max": hi, "steps": steps}: a default of a grid parameter, never mutated."""
+    return {"min": lo, "max": hi, "steps": steps}
+
+
 def grid_values(spec):
     """A grid checked by `merge_config`: {"min": a, "max": b, "steps": n} -> inclusive linspace, a list -> array."""
     if isinstance(spec, dict):
@@ -63,8 +72,14 @@ def grid_values(spec):
     return np.asarray(spec, dtype=float)
 
 
-def merge_config(defaults, args):
+def parameters(run):
+    """A command's parameters and their defaults: the keyword arguments of its function."""
+    return {key: p.default for key, p in inspect.signature(run).parameters.items()}
+
+
+def merge_config(run, args):
     """defaults < json file < explicit flags, each typed like its default; unknown json keys rejected."""
+    defaults = parameters(run)
     given = {}
     path = getattr(args, "config", None)
     if path:
@@ -79,16 +94,11 @@ def merge_config(defaults, args):
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     given.update({key: getattr(args, key) for key in defaults if getattr(args, key, None) is not None})
-    params = dict(defaults)
-    params.update({key: _typed(key, val, defaults[key]) for key, val in given.items()})
-    bad = sorted(key for key, val in params.items() if _non_finite(val))
-    if bad:
-        raise ConfigError(f"non-finite numbers in {bad}")
-    return params
+    return {**defaults, **{key: _typed(key, val, defaults[key]) for key, val in given.items()}}
 
 
 def _typed(key, value, default):
-    """A flag text or config-file value converted to the type of `default`."""
+    """A flag text or config-file value converted to the type of `default`; NaN, ±inf and booleans refused."""
     grid = default is None or isinstance(default, dict)  # a JSON list or {"min", "max", "steps"}
     try:
         if grid:
@@ -97,19 +107,19 @@ def _typed(key, value, default):
             if not isinstance(value, str):
                 raise TypeError
             return value
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
-        if isinstance(default, int):
-            if not number.is_integer():
-                raise ValueError
-            return int(number)
-        return number
+        if not math.isfinite(number) or (isinstance(default, int) and not number.is_integer()):
+            raise ValueError
+        return int(number) if isinstance(default, int) else number
     except (TypeError, ValueError, OverflowError) as exc:
-        kind = "a grid" if grid else type(default).__name__
+        kind = "a grid" if grid else "a finite " + type(default).__name__
         raise ConfigError(f"{key}: cannot read {value!r} as {kind}") from exc
 
 
 def _grid(spec):
-    """A non-empty list of numbers, or {"min", "max", "steps"} with numbers and an integral steps >= 1."""
+    """A non-empty list of finite numbers, or {"min", "max", "steps"} with finite numbers and an integral steps >= 1."""
     if isinstance(spec, list):
         ok = bool(spec) and all(_is_number(v) for v in spec)
     else:
@@ -126,16 +136,7 @@ def _grid(spec):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _non_finite(value):
-    """True when a scalar, list or grid dict holds NaN or an infinity."""
-    if isinstance(value, dict):
-        return any(_non_finite(v) for v in value.values())
-    if isinstance(value, list):
-        return any(_non_finite(v) for v in value)
-    return isinstance(value, float) and not np.isfinite(value)
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @contextmanager
@@ -148,11 +149,11 @@ def _user_input():
 
 
 # --------------------------------------------------------------------------
-# commands: each returns (CSV header or None, 2-D float array of rows, summary extras)
+# commands: keyword parameters, defaults included; each returns (CSV header or None, 2-D float rows, summary extras)
 
 
-def cmd_measures(params):
-    state = gaussian.two_mode_squeezed_state(params["r"])
+def cmd_measures(*, r=0.5):
+    state = gaussian.two_mode_squeezed_state(r)
     extras = {
         "entropy": entanglement.entropy_of_entanglement(state, [0]),
         "negativity": entanglement.negativity_gaussian(state),
@@ -161,15 +162,15 @@ def cmd_measures(params):
     return None, None, extras
 
 
-def cmd_resonance_sweep(params):
-    k, kp, lam, reps = params["k"], params["kp"], params["lam"], params["repetitions"]
-    tau1 = grid_values(params["tau1"])
-    tau2 = grid_values(params["tau2"])
+def cmd_resonance_sweep(
+    *, k=1, kp=2, repetitions=5, h=1e-4, lam=1.0, mass=0.0, n_max=20, tau1=grid(0.01, 2.0, 50), tau2=grid(0.0, 2.0, 50)
+):
+    tau1, tau2 = grid_values(tau1), grid_values(tau2)
     with _user_input():  # the cavity, the mode labels and the segment's limits
-        cfg = boson.BosonCavityConfig(mass=params["mass"], n_max=params["n_max"], h=params["h"])
-        if reps < 0:
+        cfg = boson.BosonCavityConfig(mass=mass, n_max=n_max, h=h)
+        if repetitions < 0:
             raise ValueError("repetitions must be non-negative")
-        nu = 2.0 * reps * boson.closed_form_b_magnitude(cfg, tau1[:, None], tau2[None, :], lam, k, kp)
+        nu = 2.0 * repetitions * boson.closed_form_b_magnitude(cfg, tau1[:, None], tau2[None, :], lam, k, kp)
     t1, t2 = np.meshgrid(tau1, tau2, indexing="ij")
     rows = np.column_stack([t1.ravel(), t2.ravel(), nu.ravel()])
     # points where resonance_negativity would warn: nu_correction = 2 N |B|
@@ -178,9 +179,8 @@ def cmd_resonance_sweep(params):
     return ["tau1", "tau2", "nu_correction"], rows, extras
 
 
-def cmd_teleport_fidelity(params):
-    n_max, r, kp = params["n_max"], params["r"], params["kp"]
-    taus, hs = grid_values(params["tau"]), grid_values(params["h"])
+def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=grid(0.0, 0.245, 20)):
+    taus, hs = grid_values(tau), grid_values(h)
     h_far = float(hs[np.argmax(np.abs(hs))])
     with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 over the whole grid
         cfg = boson.BosonCavityConfig(n_max=n_max)
@@ -195,9 +195,8 @@ def cmd_teleport_fidelity(params):
     return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras
 
 
-def cmd_fermion_negativity(params):
-    us = grid_values(params["u"])
-    n_side = params["n_side"]
+def cmd_fermion_negativity(*, u=grid(0.0, 1.0, 101), n_side=200):
+    us = grid_values(u)
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
     with _user_input():  # the window and the travel times
         cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in (0.0, 0.25, 0.5, 0.75)]
@@ -209,45 +208,42 @@ def cmd_fermion_negativity(params):
     return header, rows, {"window_doubling_shift": shift, "converged": shift < 1e-6}
 
 
-def cmd_oneway_surface(params):
-    us = grid_values(params["u"])
-    vs = grid_values(params["v"])
-    k = params["k"]
+def cmd_oneway_surface(*, s=0.0, k=1, n_side=200, u=grid(0.0, 1.0, 64), v=grid(0.0, 1.0, 64)):
+    us, vs = grid_values(u), grid_values(v)
     with _user_input():  # the window, the mode label and the travel times
-        cfg = fermion.FermionCavityConfig(s=params["s"], n_side=params["n_side"])
+        cfg = fermion.FermionCavityConfig(s=s, n_side=n_side)
         # one call per u: a single (u, v, window) broadcast would hold tens of MB per temporary
-        f = np.array([fermion.oneway_f(cfg, 2 * u, 2 * vs, k) for u in us])
-    u, v = np.meshgrid(us, vs, indexing="ij")
-    return ["u", "v", "f_oneway"], np.column_stack([u.ravel(), v.ravel(), f.ravel()]), {}
+        f = np.array([fermion.oneway_f(cfg, 2 * ui, 2 * vs, k) for ui in us])
+    ug, vg = np.meshgrid(us, vs, indexing="ij")
+    return ["u", "v", "f_oneway"], np.column_stack([ug.ravel(), vg.ravel(), f.ravel()]), {}
 
 
-def cmd_detector_rate(params):
-    gaps = grid_values(params["gap"])
-    trajectory, dim = params["trajectory"], params["dim"]
+def cmd_detector_rate(
+    *, trajectory="accelerated", profile="point", dim="1+1", a=1.0, mass=0.0, sigma=1.0, peak=5.0,
+    gap=grid(-5.0, 5.0, 101),
+):
+    gaps = grid_values(gap)
     if trajectory not in ("inertial", "accelerated"):
         raise ConfigError("trajectory must be 'inertial' or 'accelerated'")
-    if trajectory == "accelerated" and params["a"] <= 0:
+    if trajectory == "accelerated" and a <= 0:
         raise ConfigError("the accelerated trajectory needs a positive acceleration --a")
     if dim not in udw.DIMS:
         raise ConfigError(f"dim must be one of {list(udw.DIMS)}, got {dim!r}")
     with _user_input():
-        profile = udw.SpatialProfile(kind=params["profile"], sigma=params["sigma"], peak=params["peak"])
-        det = udw.DetectorParams(gap=gaps, mass=params["mass"], accel=params["a"])
+        shape = udw.SpatialProfile(kind=profile, sigma=sigma, peak=peak)
+        det = udw.DetectorParams(gap=gaps, mass=mass, accel=a)
     if trajectory == "inertial":
-        rates = udw.transition_rate_inertial(det, profile)
+        rates = udw.transition_rate_inertial(det, shape)
     else:
-        rates = udw.transition_rate_accelerated(det, profile, dim=dim)
+        rates = udw.transition_rate_accelerated(det, shape, dim=dim)
     return ["gap", "rate"], np.column_stack([gaps, rates]), {}
 
 
-def cmd_nonpert_evolve(params):
+def cmd_nonpert_evolve(*, coupling=1.0, t_sq=80.0, gap=2 * np.pi, t_end=40.0, tau=None):
     basis = nonpert.detector_field_basis()
     with _user_input():  # the schedule refuses t_mod = sqrt(t_sq) <= 0
-        schedule = nonpert.detector_example_schedule(
-            basis, coupling=params["coupling"], t_mod=np.sqrt(max(params["t_sq"], 0.0)), gap=params["gap"]
-        )
-    t_end = params["t_end"]
-    t_eval = np.linspace(0.0, t_end, 201) if params["tau"] is None else grid_values(params["tau"])
+        schedule = nonpert.detector_example_schedule(basis, coupling=coupling, t_mod=np.sqrt(max(t_sq, 0.0)), gap=gap)
+    t_eval = np.linspace(0.0, t_end, 201) if tau is None else grid_values(tau)
     if t_eval[0] < 0.0 or (np.diff(t_eval) <= 0.0).any():
         raise ConfigError("--tau (or 0 to --t-end) must start at or above 0 and increase strictly")
     sol = nonpert.solve_factors(basis, schedule, (0.0, max(t_end, t_eval[-1])), t_eval=t_eval)
@@ -259,13 +255,15 @@ def cmd_nonpert_evolve(params):
     return header, rows, {"zero_factors": zero_factors, "rhs_calls": int(sol.nfev)}
 
 
-def cmd_box_entangle(params):
-    hs = grid_values(params["h"])
-    kappas = grid_values(params["kappa"])
-    base = {key: params[key] for key in ("v", "gap", "epsilon", "n_cut")}
-    h, kap = (x.ravel() for x in np.meshgrid(hs, kappas, indexing="ij"))
+def cmd_box_entangle(
+    *, v=0.5, gap=np.sqrt(2.0) * np.pi, epsilon=1.0, n_cut=8, h=grid(0.025, 1.0, 40), kappa=grid(0.0, 8.0, 40)
+):
+    h, kap = (x.ravel() for x in np.meshgrid(grid_values(h), grid_values(kappa), indexing="ij"))
     with _user_input():  # every grid point's scenario is checked before the sweep
-        scenarios = [boxpair.BoxScenario(h=hi, kappa=ki, **base) for hi, ki in zip(h.tolist(), kap.tolist())]
+        scenarios = [
+            boxpair.BoxScenario(h=hi, kappa=ki, v=v, gap=gap, epsilon=epsilon, n_cut=n_cut)
+            for hi, ki in zip(h.tolist(), kap.tolist())
+        ]
     results = [boxpair.cavity_entanglement(scen) for scen in scenarios]
     # flagged: grid points with no emission amplitude, written as entropy 0
     flagged = sum(res["flagged"] for res in results)
@@ -274,92 +272,36 @@ def cmd_box_entangle(params):
 
 
 COMMANDS = {
-    "measures": (cmd_measures, {"r": 0.5}),
-    "resonance-sweep": (
-        cmd_resonance_sweep,
-        {
-            "k": 1,
-            "kp": 2,
-            "repetitions": 5,
-            "h": 1e-4,
-            "lam": 1.0,
-            "mass": 0.0,
-            "n_max": 20,
-            "tau1": {"min": 0.01, "max": 2.0, "steps": 50},
-            "tau2": {"min": 0.0, "max": 2.0, "steps": 50},
-        },
-    ),
-    "teleport-fidelity": (
-        cmd_teleport_fidelity,
-        {
-            "r": 0.5,
-            "kp": 3,
-            "n_max": 20,
-            "tau": {"min": 0.0, "max": 2.0, "steps": 41},
-            "h": {"min": 0.0, "max": 0.245, "steps": 20},
-        },
-    ),
-    "fermion-negativity": (cmd_fermion_negativity, {"u": {"min": 0.0, "max": 1.0, "steps": 101}, "n_side": 200}),
-    "oneway-surface": (
-        cmd_oneway_surface,
-        {
-            "s": 0.0,
-            "k": 1,
-            "n_side": 200,
-            "u": {"min": 0.0, "max": 1.0, "steps": 64},
-            "v": {"min": 0.0, "max": 1.0, "steps": 64},
-        },
-    ),
-    "detector-rate": (
-        cmd_detector_rate,
-        {
-            "trajectory": "accelerated",
-            "profile": "point",
-            "dim": "1+1",
-            "a": 1.0,
-            "mass": 0.0,
-            "sigma": 1.0,
-            "peak": 5.0,
-            "gap": {"min": -5.0, "max": 5.0, "steps": 101},
-        },
-    ),
-    "nonpert-evolve": (
-        cmd_nonpert_evolve,
-        {"coupling": 1.0, "t_sq": 80.0, "gap": 2 * np.pi, "t_end": 40.0, "tau": None},
-    ),
-    "box-entangle": (
-        cmd_box_entangle,
-        {
-            "v": 0.5,
-            "gap": np.sqrt(2.0) * np.pi,
-            "epsilon": 1.0,
-            "n_cut": 8,
-            "h": {"min": 0.025, "max": 1.0, "steps": 40},
-            "kappa": {"min": 0.0, "max": 8.0, "steps": 40},
-        },
-    ),
+    "measures": cmd_measures,
+    "resonance-sweep": cmd_resonance_sweep,
+    "teleport-fidelity": cmd_teleport_fidelity,
+    "fermion-negativity": cmd_fermion_negativity,
+    "oneway-surface": cmd_oneway_surface,
+    "detector-rate": cmd_detector_rate,
+    "nonpert-evolve": cmd_nonpert_evolve,
+    "box-entangle": cmd_box_entangle,
 }
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="rqi", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, defaults) in COMMANDS.items():
+    for name, run in COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)  # no prefix of one flag may set another
         p.add_argument("--config", default=None, help="JSON parameter file")
         p.add_argument("--out", default=None, help="output prefix (default: the command name)")
-        for key in defaults:  # values stay text here; merge_config types them
+        for key in parameters(run):  # values stay text here; merge_config types them
             p.add_argument("--" + key.replace("_", "-"), default=None, dest=key)
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    run, defaults = COMMANDS[args.command]
+    run = COMMANDS[args.command]
     out_prefix = args.out or args.command.replace("-", "_")
     try:
-        params = merge_config(defaults, args)
-        header, rows, extras = run(params)
+        params = merge_config(run, args)
+        header, rows, extras = run(**params)
         summary = {"command": args.command, "params": params}
         if header is not None:
             write_csv(out_prefix + ".csv", header, rows)

@@ -51,29 +51,27 @@ def real_basis_matrix(n_modes):
 
 @dataclass(frozen=True)
 class CovarianceState:
-    """First and second moments of an N-mode Gaussian state (complex form).
+    """Second moments of an N-mode Gaussian state (complex form).
+
+    Every observable here (entropy, negativity, fidelity, the symplectic
+    spectrum) is independent of displacement, so first moments are not kept.
 
     Parameters
     ----------
     n_modes : int
-    first_moments : (2N,) array
-        (<a1>..<aN>, <a1+>..<aN+>).
     covariance : (2N, 2N) array
         Hermitian; physical states satisfy Gamma + K >= 0 up to tolerance.
     """
 
     n_modes: int
-    first_moments: np.ndarray
     covariance: np.ndarray
 
     def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.first_moments))
         g = np.asarray(self.covariance)
-        if g.shape != (2 * self.n_modes, 2 * self.n_modes) or d.shape != (2 * self.n_modes,):
-            raise ValueError("dimension mismatch between n_modes and moments")
+        if g.shape != (2 * self.n_modes, 2 * self.n_modes):
+            raise ValueError("dimension mismatch between n_modes and covariance")
         if np.linalg.norm(g - g.conj().T) > 1e-8 * max(1.0, np.linalg.norm(g)):
             raise ValueError("covariance matrix is not Hermitian")
-        object.__setattr__(self, "first_moments", d)
         object.__setattr__(self, "covariance", g)
 
     def is_physical(self, tol=PHYSICALITY_TOL):
@@ -127,14 +125,13 @@ def real_covariance(state):
 
 
 def vacuum_state(n_modes):
-    return CovarianceState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return CovarianceState(n_modes, np.eye(2 * n_modes))
 
 
 def thermal_state(nus):
     """Product state with symplectic eigenvalues `nus` (nu >= 1)."""
     nus = np.atleast_1d(np.asarray(nus, dtype=float))
-    n = nus.size
-    return CovarianceState(n, np.zeros(2 * n), np.diag(np.tile(nus, 2)))
+    return CovarianceState(nus.size, np.diag(np.tile(nus, 2)))
 
 
 def _exp_hamiltonian(h):
@@ -197,13 +194,12 @@ def two_mode_squeezed_state(r):
 
 
 def apply_map(smap, state):
-    """Transform first and second moments: d -> S d, Gamma -> S Gamma S+."""
+    """Transform the covariance: Gamma -> S Gamma S+."""
     if smap.n_modes != state.n_modes:
         raise ValueError("mode-count mismatch between map and state")
     s = smap.matrix
-    d = s @ state.first_moments
     g = s @ state.covariance @ s.conj().T
-    return CovarianceState(state.n_modes, d, (g + g.conj().T) / 2)
+    return CovarianceState(state.n_modes, (g + g.conj().T) / 2)
 
 
 def symplectic_spectrum(state):
@@ -226,9 +222,7 @@ def partial_trace(state, keep):
     if keep[0] < 0 or keep[-1] >= state.n_modes:
         raise ValueError("mode index out of range")
     idx = np.asarray(keep + [k + state.n_modes for k in keep])
-    d = state.first_moments[idx]
-    g = state.covariance[np.ix_(idx, idx)]
-    return CovarianceState(len(keep), d, g)
+    return CovarianceState(len(keep), state.covariance[np.ix_(idx, idx)])
 
 
 def partial_transpose(state, mode=1):
@@ -243,9 +237,7 @@ def partial_transpose(state, mode=1):
         raise ValueError("mode index out of range")
     idx = np.arange(2 * n)
     idx[[mode, n + mode]] = idx[[n + mode, mode]]
-    d = state.first_moments[idx]
-    g = state.covariance[np.ix_(idx, idx)]
-    return CovarianceState(n, d, g)
+    return CovarianceState(n, state.covariance[np.ix_(idx, idx)])
 
 
 def williamson(state):

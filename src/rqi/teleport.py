@@ -171,7 +171,7 @@ def transformed_resource_state(scenario):
         env += s_j @ s_j.T
     gamma[2:, 2:] = env + ch * (s_kpkp @ s_kpkp.T)
     m = gaussian.real_basis_matrix(2)
-    return CovarianceState(2, np.zeros(4), m.conj().T @ gamma @ m)
+    return CovarianceState(2, m.conj().T @ gamma @ m)
 
 
 def block_sums(config, kp, tau):

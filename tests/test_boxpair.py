@@ -244,10 +244,27 @@ def box_scenarios(draw):
 def test_box_pair_properties(sc):
     res = boxpair.cavity_entanglement(sc)
     assert not res["flagged"]
-    assert 0.0 <= res["entropy"] <= np.log(2.0) + 4 * np.finfo(float).eps  # p = 1/2 rounds an ulp above ln 2
+    assert 0.0 <= res["entropy"] <= np.log(2.0)
     assert abs(res["p_alice"] + res["p_rob"] - 1.0) <= 1e-15
     for zeta in (boxpair.ALICE_ZETA, boxpair.ROB_ZETA):
         f = boxpair.inertial_overlaps(sc, zeta)
         assert f.shape == (sc.n_cut, sc.n_cut)
         assert np.all(f[1::2] == 0.0)  # even n, exactly
         assert np.abs(f - direct_overlaps(sc, zeta)).max() < 1e-10
+
+
+def test_binary_entropy_never_exceeds_ln2():
+    # the 4,000 floats nearest 1/2: 2,000 below (spaced 2^-54) and 1/2 with 1,999 above (spaced 2^-53)
+    ps = np.concatenate([0.5 - np.arange(1, 2001) * 2.0**-54, 0.5 + np.arange(2000) * 2.0**-53])
+    assert len(set(ps.tolist())) == 4000
+    assert max(boxpair.binary_entropy(p) for p in ps.tolist()) == np.log(2.0)
+
+
+def test_inertial_overlap_phase_rate_near_zero():
+    # the gap puts the (sin^2 constant, exp(+i m pi z)) term of F_11 at phase rate k = 1e-8, where
+    # the difference form (exp(i k z2) - exp(i k z1)) / (i k) cancels and is 3.2e-10 off on Alice's window
+    sc = small_scenario(h=0.0, kappa=0.3)
+    vg = sc.v * sc.gamma
+    sc = small_scenario(h=0.0, kappa=0.3, gap=vg * (np.pi + float(sc.omega_nm(1, 1)) / sc.v - 1e-8))
+    for zeta in (boxpair.ALICE_ZETA, boxpair.ROB_ZETA):
+        assert abs(boxpair.inertial_overlaps(sc, zeta)[0, 0] - direct_overlaps(sc, zeta)[0, 0]) < 1e-13

@@ -482,13 +482,26 @@ def test_out_of_range_input_exit_2(tmp_path, argv):
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize("n_max", ["abc", 20.5, [20], "20.5"], ids=["text", "float", "list", "float-text"])
+@pytest.mark.parametrize("n_max", ["abc", 20.5, [20], "20.5", True], ids=["text", "float", "list", "float-text", "bool"])
 def test_config_value_of_wrong_type_exit_2(tmp_path, n_max):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_max": n_max}))
     args = ["resonance-sweep", "--config", str(cfg), "--tau1", "[0.5]", "--tau2", "[0.5]"]
     assert run([*args, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [(["measures"], {"r": True}), (["detector-rate", "--gap", "[1.0]"], {"a": True, "sigma": False})],
+    ids=["measures", "detector-rate"],
+)
+def test_config_boolean_for_a_number_exit_2(tmp_path, argv, config):
+    # true is not 1.0: a JSON boolean is refused wherever a number is expected, as inside a grid
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run([*argv, "--config", str(cfg), "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_config_values_typed_like_flags(tmp_path):

@@ -160,7 +160,7 @@ def test_gamma11_element_f_sum_combination():
 
 def test_fidelity_rejects_unphysical():
     bad = np.diag([0.1, 0.1, 0.1, 0.1])
-    state = gaussian.CovarianceState(2, np.zeros(4), bad)
+    state = gaussian.CovarianceState(2, bad)
     with pytest.raises(ValueError):
         teleport.fidelity(state)
 
