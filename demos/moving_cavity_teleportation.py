@@ -13,22 +13,19 @@ from rqi import boson, entanglement, teleport
 
 r, kp = 0.5, 3
 h = np.sqrt(0.06)
-cfg = boson.BosonCavityConfig(n_max=30, h=h)
+cfg = boson.BosonCavityConfig(n_max=30)
 
 f_ideal = 1.0 / (1.0 + np.exp(-2 * r))
 print(f"ideal optimal fidelity 1/(1+e^-2r) = {f_ideal:.6f}")
-print("tau, f_alpha, f_beta, corrected optimal fidelity, drop in % of total:")
-best = (0.0, 0.0)
-for tau in np.linspace(0.1, 2.0, 20):
-    scen = teleport.TeleportScenario(
-        r=r, kp=kp, config=cfg, segment=boson.TrajectorySegment(((h, tau),))
-    )
-    fa, fb = teleport.f_sums(scen)
-    res = teleport.optimal_fidelity_corrected(scen)
-    drop = 100 * (f_ideal - res["fidelity"]) / f_ideal
-    best = max(best, (drop, tau))
-    print(f"  {tau:4.2f}  {fa:8.5f}  {fb:.2e}  {res['fidelity']:.6f}  {drop:5.2f}%")
-print(f"\nworst-case correction {best[0]:.2f}% of the total fidelity at tau = {best[1]:.2f}")
+print("tau, f_alpha, f_beta (per unit h^2), corrected optimal fidelity, drop in % of total:")
+taus = np.linspace(0.1, 2.0, 20)
+# the one-block segments ((1, tau),), one per tau: blocks lie on the last axis
+fa, fb = teleport.f_sums(cfg, kp, [1.0], taus[:, None])
+_, opt, _ = teleport.block_fidelities(r, kp, cfg, taus, h)
+drop = 100 * (f_ideal - opt) / f_ideal
+for row in zip(taus, fa, fb, opt, drop):
+    print("  {:4.2f}  {:8.5f}  {:.2e}  {:.6f}  {:5.2f}%".format(*row))
+print(f"\nworst-case correction {drop.max():.2f}% of the total fidelity at tau = {taus[drop.argmax()]:.2f}")
 
 # the closed-form smallest PT eigenvalue against the assembled-state route
 scen = teleport.TeleportScenario(

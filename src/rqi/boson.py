@@ -24,6 +24,9 @@ accelerated motion.  `TrajectorySegment` checks tau_j >= 0 and |h_j| < 2 and
 
 The first-order matrices are a pure function of the cavity config: they live
 on it as `config.coeffs`, built by `bogo_first_order` on first use.
+`first_order_entries` gives any entry of a segment's first-order blocks in
+one broadcast over segments, blocks and modes; `closed_form_b_magnitude` is
+its B entry for the standard segment, factored.
 
 `building_block` and `compose_segment` certify the map they return; the
 blocks inside a composition and powers of a composed map are not re-checked.
@@ -122,6 +125,35 @@ def bogo_first_order(config):
     alpha = np.where(odd, alpha, 0.0)
     beta = np.where(odd, beta, 0.0)
     return BogoCoefficients(alpha1=alpha, beta1=beta)
+
+
+def first_order_entries(config, h, tau, n, m):
+    """First-order entries (A1[n, m], B1[n, m]) of segments whose blocks (h_j, tau_j) lie on the last axis.
+
+    A composed segment has A = G + A1 + O(h^2), B = B1 + O(h^2), G its free
+    phases; A1 and B1 carry each block's own h_j, so an inertial block adds
+    nothing.  With T_{<j}, T_{<=j}, T_{>j}, T_{>=j} the proper times before
+    and after block j,
+
+        A1[n, m] = alpha1[n, m] sum_j h_j (exp(i (w_n T_{>=j} + w_m T_{<j})) - exp(i (w_n T_{>j} + w_m T_{<=j})))
+
+    and B1 is the same with beta1 and w_m -> -w_m.  Each difference is
+    written 2i exp(i mean) sin(half difference), so short blocks keep their
+    relative accuracy.  n and m are 0-based matrix indices; they broadcast
+    against the leading axes of h and tau.
+    """
+    h, tau = np.asarray(h, dtype=float), np.asarray(tau, dtype=float)
+    omega = mode_frequencies(config)
+    w_n, w_m = omega[n][..., None], omega[m][..., None]
+    half = 0.5 * tau
+    mid = np.cumsum(tau, axis=-1) - half  # T_{<j} + tau_j / 2
+    after = np.sum(tau, axis=-1, keepdims=True) - mid
+
+    def entries(coeff, w):
+        phase = np.exp(1j * (w_n * after + w * mid))
+        return 2j * coeff[n, m] * np.sum(h * phase * np.sin((w_n - w) * half), axis=-1)
+
+    return entries(config.coeffs.alpha1, w_m), entries(config.coeffs.beta1, -w_m)
 
 
 def _phase_diag(config, tau):

@@ -184,12 +184,14 @@ def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=gr
     h_far = float(hs[np.argmax(np.abs(hs))])
     with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 over the whole grid
         cfg = boson.BosonCavityConfig(n_max=n_max)
-        fid, opt = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
+        fid, opt, correction = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
     t, a = np.meshgrid(taus, hs, indexing="ij")
     # truncation probe: the optimal fidelity over the grid with n_max doubled
     doubled = boson.BosonCavityConfig(n_max=2 * n_max)
     shift = float(np.max(np.abs(teleport.block_fidelities(r, kp, doubled, taus[:, None], hs[None, :])[1] - opt)))
-    extras = {"n_max_h": n_max * abs(h_far), "perturbative_ok": n_max * abs(h_far) < 1.0}
+    # points whose relative h^2 correction reaches the bound resonance-sweep counts against
+    flagged = int(np.count_nonzero(correction >= boson.NB_VALIDITY_BOUND))
+    extras = {"validity_warnings": flagged, "n_max_h": n_max * abs(h_far), "perturbative_ok": flagged == 0}
     extras.update(n_max_doubling_shift=shift, converged=shift < 1e-6)
     rows = np.column_stack([t.ravel(), a.ravel(), fid.ravel(), opt.ravel()])
     return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras

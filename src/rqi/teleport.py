@@ -14,11 +14,11 @@ smallest symplectic eigenvalue of the partially transposed resource state
 (`entanglement.smallest_pt_eigenvalue` computes it directly).
 
 To O(h^2) both depend on the segment only through the mode sums f_alpha and
-f_beta.  `f_sums` reads them off any segment's first-order blocks;
-`block_sums` is their closed form for the one-block segment ((h, tau),),
-which broadcasts over tau and does not depend on h, so `block_fidelities`
-fills a whole (tau, h) grid in one call.  `_series` holds F0, F2 and nu-
-for both routes.
+f_beta of column k' of its first-order blocks, whose entries
+`boson.first_order_entries` gives with each block's h_j inside.  `f_sums`
+broadcasts them over segments.  A one-block segment ((h, tau),) has h^2
+times the sums at h = 1, so `block_fidelities` fills a whole (tau, h) grid
+from one call over tau.  `_series` holds F0, F2 and nu- for every route.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ class TeleportScenario:
     omega_k t; Rob's zero-order phase omega_k' T follows from his 1-based
     mode label k' and the segment.  r > 0 is required by the
     perturbative expansion of the smallest symplectic eigenvalue; both are
-    checked here and nowhere downstream.
+    checked here and nowhere downstream.  Each block of the segment carries
+    its own h_j; the config's h is not read.
     """
 
     r: float
@@ -61,6 +62,11 @@ class TeleportScenario:
         omega = boson.mode_frequencies(self.config)
         return self.alice_phase + omega[self.kp - 1] * self.segment.total_time
 
+    @property
+    def blocks(self):
+        """The segment's h_j and tau_j as two arrays over its blocks."""
+        return np.reshape(self.segment.blocks, (-1, 2)).T
+
 
 def fidelity(state):
     """Coherent-state teleportation fidelity of a two-mode resource state.
@@ -77,50 +83,27 @@ def fidelity(state):
     return float(2.0 / np.sqrt(4.0 + 2.0 * np.trace(n) + np.linalg.det(n)))
 
 
-def segment_first_order(config, segment):
-    """d/dh of the composed segment at h = 0, as (A1, B1) coefficient blocks.
+def _column(config, kp, h, tau):
+    """(A1[n, k'], B1[n, k']) over n on a new last axis, for blocks (h_j, tau_j) on the last axis of h and tau."""
+    boson._check_labels(config.n_max, kp)
+    h, tau = np.asarray(h, dtype=float)[..., None, :], np.asarray(tau, dtype=float)[..., None, :]
+    return boson.first_order_entries(config, h, tau, np.arange(config.n_max), kp - 1)
 
-    Each block's acceleration is scaled as h_j = lambda_j h with the config's
-    h as the common scale; inertial blocks have lambda_j = 0.  Free evolution
-    is diagonal, so the zero-order phases before and after block j act as
-    row and column factors on its derivative.
+
+def f_sums(config, kp, h, tau):
+    """(f_alpha, f_beta) for Rob's mode k', broadcast over segments.
+
+    f_alpha = 1/2 sum_n |A1[n, k']|^2 and likewise f_beta with B1 (the
+    diagonal entries vanish).  Each segment's blocks (h_j, tau_j) lie on the
+    last axis of h and tau, and the entries carry each block's h_j, so the
+    sums are O(h^2): a one-block segment's are h^2 times those at h = 1.
     """
-    n = config.n_max
-    omega = boson.mode_frequencies(config)
-    alpha, beta = config.coeffs.alpha1, config.coeffs.beta1
-    zero = np.array([np.exp(1j * omega * tau) for _, tau in segment.blocks])
-    a1 = np.zeros((n, n), dtype=complex)
-    b1 = np.zeros((n, n), dtype=complex)
-    for j, (h_j, _) in enumerate(segment.blocks):
-        lam = h_j / config.h if config.h != 0 else 0.0
-        if lam == 0.0:
-            continue
-        g = zero[j]
-        pre, post = np.prod(zero[:j], axis=0), np.prod(zero[j + 1 :], axis=0)
-        d_a = g[:, None] * alpha - alpha * g[None, :]
-        d_b = beta * g.conj()[None, :] - g[:, None] * beta
-        a1 += lam * (post[:, None] * d_a * pre[None, :])
-        b1 -= lam * (post[:, None] * d_b * pre.conj()[None, :])
-    return a1, b1
-
-
-def f_sums(scenario):
-    """(f_alpha, f_beta) for Rob's mode k'.
-
-    f_alpha = 1/2 sum_n |A1[n, k']|^2 and likewise for f_beta.  Both sums
-    skip n = k' (the diagonals vanish anyway).
-    """
-    a1, b1 = segment_first_order(scenario.config, scenario.segment)
-    i = scenario.kp - 1
-    mask = np.ones(scenario.config.n_max, dtype=bool)
-    mask[i] = False
-    f_alpha = 0.5 * float(np.sum(np.abs(a1[mask, i]) ** 2))
-    f_beta = 0.5 * float(np.sum(np.abs(b1[mask, i]) ** 2))
-    return f_alpha, f_beta
+    a1, b1 = _column(config, kp, h, tau)
+    return 0.5 * np.sum(np.abs(a1) ** 2, axis=-1), 0.5 * np.sum(np.abs(b1) ** 2, axis=-1)
 
 
 def _rot_block(alpha, beta):
-    """Real 2x2 block of a complex-form (alpha, beta) pair."""
+    """Real 2x2 block of a complex-form (alpha, beta) pair; arrays add trailing axes."""
     return np.array(
         [
             [np.real(alpha - beta), np.imag(alpha + beta)],
@@ -138,82 +121,61 @@ def transformed_resource_state(scenario):
     The second-order diagonal coefficients are closed with the Bogoliubov
     identity at O(h^2): 2 Re(conj(G_k') alpha2) = 2(f_beta - f_alpha) per row,
     with the free phase / local-squeeze parts set to zero (they are local and
-    drop from every optimal quantity).
+    drop from every optimal quantity).  The row sums are the column sums
+    `f_sums`, since |A1[k', n]| = |A1[n, k']| and |B1[k', n]| = |B1[n, k']|
+    at first order.
     """
-    cfg = scenario.config
-    h = cfg.h
-    n = cfg.n_max
-    i = scenario.kp - 1
-    omega = boson.mode_frequencies(cfg)
-    a1, b1 = segment_first_order(cfg, scenario.segment)
-    g_kp = np.exp(1j * omega[i] * scenario.segment.total_time)
-    # row sums close the second-order diagonal
-    mask = np.ones(n, dtype=bool)
-    mask[i] = False
-    f_alpha_row = 0.5 * float(np.sum(np.abs(a1[i, mask]) ** 2))
-    f_beta_row = 0.5 * float(np.sum(np.abs(b1[i, mask]) ** 2))
-    alpha2 = g_kp * (f_beta_row - f_alpha_row)
-
+    f_alpha, f_beta = f_sums(scenario.config, scenario.kp, *scenario.blocks)
+    g_kp = np.exp(1j * boson.mode_frequencies(scenario.config)[scenario.kp - 1] * scenario.segment.total_time)
     ch, sh = np.cosh(2 * scenario.r), np.sinh(2 * scenario.r)
     o_alice = _rot_block(np.exp(1j * scenario.alice_phase), 0.0)
-    s_kpkp = _rot_block(g_kp + alpha2 * h**2, 0.0)
+    s_kpkp = _rot_block(g_kp * (1.0 + f_beta - f_alpha), 0.0)
     gamma = np.zeros((4, 4))
     gamma[:2, :2] = ch * np.eye(2)
     # resource orientation matched to the Bell measurement of the fidelity
     # formula: phi = 0 is the optimal point (correlations -sinh(2r) sigma_3)
     gamma[:2, 2:] = -sh * (o_alice @ SIGMA3 @ s_kpkp.T)
     gamma[2:, :2] = gamma[:2, 2:].T
-    env = np.zeros((2, 2))
-    for j in range(n):
-        if j == i:
-            continue
-        s_j = _rot_block(a1[j, i] * h, b1[j, i] * h)
-        env += s_j @ s_j.T
-    gamma[2:, 2:] = env + ch * (s_kpkp @ s_kpkp.T)
+    # one real block per mode of Rob's cavity; Rob's own mode gives zeros
+    s = _rot_block(*_column(scenario.config, scenario.kp, *scenario.blocks))
+    gamma[2:, 2:] = np.einsum("ijn,kjn->ik", s, s) + ch * (s_kpkp @ s_kpkp.T)
     m = gaussian.real_basis_matrix(2)
     return CovarianceState(2, m.conj().T @ gamma @ m)
 
 
-def block_sums(config, kp, tau):
-    """(f_alpha, f_beta) of `f_sums` for the one-block segment ((h, tau),), broadcast over tau.
+def _series(r, phi, f_alpha, f_beta):
+    """(F0, F2, nu-) of the O(h^2) expansion F = F0 - F2; every argument broadcasts.
 
-    With one block, A1[n, k'] = alpha1[n, k'] (exp(i w_n tau) - exp(i w_k' tau)), so
-    f_alpha = 2 sum_n alpha1[n, k']^2 sin^2((w_n - w_k') tau / 2) and f_beta is
-    the same sum of beta1 with w_n + w_k'.  Both diagonals vanish, and neither
-    sum depends on h (h = 0 only multiplies them by h^2 = 0).
-    """
-    boson._check_labels(config.n_max, kp)
-    omega = boson.mode_frequencies(config)
-    i = kp - 1
-    half = 0.5 * np.asarray(tau, dtype=float)[..., None]
-    f_alpha = 2.0 * np.sum(config.coeffs.alpha1[:, i] ** 2 * np.sin((omega - omega[i]) * half) ** 2, axis=-1)
-    f_beta = 2.0 * np.sum(config.coeffs.beta1[:, i] ** 2 * np.sin((omega + omega[i]) * half) ** 2, axis=-1)
-    return f_alpha, f_beta
+    With the h^2 inside f_alpha and f_beta,
 
+        F0 = 1 / (1 + cosh 2r - cos(phi) sinh 2r)
+           = 1 / (1 + exp(2r) sin^2(phi / 2) + exp(-2r) cos^2(phi / 2)),
+        F2 = F0^2 (1 + exp(-2r)) (f_beta + f_alpha tanh r) >= 0,
+        nu- = exp(-2r) + (1 + exp(-2r)) (f_beta + f_alpha tanh r).
 
-def _series(r, phi, f_alpha, f_beta, h):
-    """(F0, F2, nu-) of the O(h^2) expansion; every argument broadcasts.
-
-    F0 = 1 / (1 + cosh 2r - cos(phi) sinh 2r),
-    F2 = F0^2 (1 + exp(-2r)) (f_beta + f_alpha tanh r) >= 0 and
-    nu- = exp(-2r) + (1 + exp(-2r)) (f_beta + f_alpha tanh r) h^2.
-
+    exp(2r) sin^2(phi / 2) is taken as exp(2 (r + log|sin(phi / 2)|)): 0 at
+    sin(phi / 2) = 0 and inf once it overflows, so no cell is inf * 0 = NaN.
     The tanh argument is r, not 2r: both the assembled-state route and an
     exactly symplectic full-cavity simulation pin the h^2 coefficient to
     f_beta + f_alpha tanh(r).
     """
     mixing = f_beta + f_alpha * np.tanh(r)
-    f0 = 1.0 / (1.0 + np.cosh(2 * r) - np.cos(phi) * np.sinh(2 * r))
+    half = 0.5 * np.asarray(phi)
+    with np.errstate(divide="ignore", over="ignore"):
+        grow = np.exp(2.0 * (r + np.log(np.abs(np.sin(half)))))
+    f0 = 1.0 / (1.0 + grow + np.exp(-2 * r) * np.cos(half) ** 2)
     f2 = f0**2 * (1.0 + np.exp(-2 * r)) * mixing
-    nu = np.exp(-2 * r) + (1.0 + np.exp(-2 * r)) * mixing * h**2
+    nu = np.exp(-2 * r) + (1.0 + np.exp(-2 * r)) * mixing
     return f0, f2, nu
 
 
 def block_fidelities(r, kp, config, tau, h):
-    """(F0 - F2 h^2, 1 / (1 + nu-)) of the one-block segments ((h, tau),); tau and h broadcast.
+    """(F0 - F2, 1 / (1 + nu-), correction) of the one-block segments ((h, tau),); tau and h broadcast.
 
-    Alice's phase is 0, so phi = w_k' tau.  Like `TeleportScenario` and
-    `TrajectorySegment`, it refuses r <= 0, a label k' outside 1..n_max,
+    Alice's phase is 0, so phi = w_k' tau.  correction is the larger
+    relative h^2 term at each point: F2 / F0, or the drop of 1 / (1 + nu-)
+    from its h = 0 value relative to that value.  Like `TeleportScenario`
+    and `TrajectorySegment`, it refuses r <= 0, a label k' outside 1..n_max,
     tau < 0 and |h| >= 2 (NaN included) with ValueError, over the whole arrays.
     """
     tau, h = np.asarray(tau, dtype=float), np.asarray(h, dtype=float)
@@ -223,24 +185,26 @@ def block_fidelities(r, kp, config, tau, h):
         raise ValueError("proper times must be non-negative")
     if not np.all(np.abs(h) < 2.0):
         raise ValueError("physical accelerated segments need |h| < 2")
-    sums = block_sums(config, kp, tau)  # checks k' before it indexes the frequencies
-    f0, f2, nu = _series(r, boson.mode_frequencies(config)[kp - 1] * tau, *sums, h)
-    return f0 - f2 * h * h, 1.0 / (1.0 + nu)
+    f_alpha, f_beta = f_sums(config, kp, [1.0], tau[..., None])  # checks k' before it indexes the frequencies
+    f0, f2, nu = _series(r, boson.mode_frequencies(config)[kp - 1] * tau, f_alpha * h * h, f_beta * h * h)
+    opt = 1.0 / (1.0 + nu)
+    # F2 / F0 = F0 (nu- - exp(-2r)), and the relative drop of 1 / (1 + nu-) is opt (nu- - exp(-2r))
+    return f0 - f2, opt, (nu - np.exp(-2 * r)) * np.maximum(f0, opt)
 
 
 def fidelity_expansion(scenario):
-    """(F0, F2) with F = F0 - F2 h^2 + O(h^4); see `_series`.
+    """(F0, F2) with F = F0 - F2 + O(h^4); F2 is the whole h^2 term, see `_series`.
 
     The series is exact (gauge-free) at the phase-corrected points
     phi = 2 pi n, where the protocol attains the optimal bound; at generic
     phi the h^2 term also depends on second-order diagonal data that the
     perturbative expansion leaves free.
     """
-    f0, f2, _ = _series(scenario.r, scenario.phi, *f_sums(scenario), scenario.config.h)
+    f0, f2, _ = _series(scenario.r, scenario.phi, *f_sums(scenario.config, scenario.kp, *scenario.blocks))
     return float(f0), float(f2)
 
 
 def optimal_fidelity_corrected(scenario):
     """Phase-independent optimal fidelity 1 / (1 + nu-) to O(h^2), with nu- of `_series`."""
-    _, _, nu = _series(scenario.r, scenario.phi, *f_sums(scenario), scenario.config.h)
+    _, _, nu = _series(scenario.r, scenario.phi, *f_sums(scenario.config, scenario.kp, *scenario.blocks))
     return {"fidelity": float(1.0 / (1.0 + nu)), "nu_minus": float(nu)}

@@ -5,6 +5,9 @@ forms under test: the accelerated-cavity modes are obtained by numerically
 integrating the radial equation (no Bessel evaluations, no expansions), the
 Bogoliubov coefficients by numerical Klein-Gordon overlaps on the t = 0
 surface, and the first-order coefficients by a finite difference in h.
+`segment_first_order` is the exception: it takes the closed-form alpha1 and
+beta1 as given and composes a segment's first-order blocks as dense
+matrices, block by block, as the reference for `boson.first_order_entries`.
 
 Conventions (delta = 1):
     inertial modes   phi_n = sin(n pi x) exp(-i w_n t) / sqrt(w_n),
@@ -100,3 +103,26 @@ def first_order_oracle(m, n, mass, h=1e-4):
     """
     alpha, beta = bogoliubov_exact(m, n, mass, h)
     return alpha / h, beta / h
+
+
+def segment_first_order(config, segment):
+    """Dense first-order blocks (A1, B1) of a segment, each block's h_j inside.
+
+    The block-by-block reference for `boson.first_order_entries`.  Free
+    evolution is diagonal, so the zero-order phases before and after block j
+    act as row and column factors on its derivative.
+    """
+    n = config.n_max
+    omega = np.sqrt((np.arange(1, n + 1) * np.pi) ** 2 + config.mass**2)
+    alpha, beta = config.coeffs.alpha1, config.coeffs.beta1
+    zero = np.array([np.exp(1j * omega * tau) for _, tau in segment.blocks])
+    a1 = np.zeros((n, n), dtype=complex)
+    b1 = np.zeros((n, n), dtype=complex)
+    for j, (h_j, _) in enumerate(segment.blocks):
+        g = zero[j]
+        pre, post = np.prod(zero[:j], axis=0), np.prod(zero[j + 1 :], axis=0)
+        d_a = g[:, None] * alpha - alpha * g[None, :]
+        d_b = beta * g.conj()[None, :] - g[:, None] * beta
+        a1 += h_j * (post[:, None] * d_a * pre[None, :])
+        b1 -= h_j * (post[:, None] * d_b * pre.conj()[None, :])
+    return a1, b1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracle_boson import first_order_oracle
+from oracle_boson import first_order_oracle, segment_first_order
 from rqi import boson, gaussian
 
 
@@ -108,11 +108,9 @@ def test_perturbative_unitarity_residual_shrinks_with_n_max():
 
 
 def test_first_order_relations_exact_derivative():
-    from rqi import teleport
-
     c = cfg(n_max=10, h=1e-4)
     seg = boson.standard_segment(c.h, 0.31, 0.47, 1.0)
-    a1, b1 = teleport.segment_first_order(c, seg)
+    a1, b1 = (x / c.h for x in segment_first_order(c, seg))
     g = np.diag(np.exp(1j * boson.mode_frequencies(c) * seg.total_time))
     rel_a = np.abs(g.conj() @ a1.T + a1.conj() @ g).max()
     rel_b = np.abs(g.conj() @ b1.conj().T - b1.conj() @ g.conj()).max()
@@ -121,6 +119,51 @@ def test_first_order_relations_exact_derivative():
     # B swap identity B[k', k] = G_k' conj(G_k) B[k, k']
     gd = np.diag(g)
     assert abs(b1[1, 0] - gd[1] * np.conj(gd[0]) * b1[0, 1]) < 1e-10
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(-1.9, 1.9)), st.floats(0.0, 10.0)), min_size=1, max_size=4
+    ),
+    n_max=st.integers(2, 40),
+    mass=st.floats(0.0, 3.0),
+)
+def test_first_order_entries_match_dense_blocks(blocks, n_max, mass):
+    c = cfg(mass=mass, n_max=n_max)
+    seg = boson.TrajectorySegment(tuple(blocks))
+    a1, b1 = segment_first_order(c, seg)
+    h, tau = np.array(blocks).T
+    n, m = np.meshgrid(np.arange(n_max), np.arange(n_max), indexing="ij")
+    a, b = boson.first_order_entries(c, h, tau, n, m)
+    # both routes round the phases w_n T; see `close` in test_teleport.py.  The
+    # scale is the largest an entry can be, 2 sum_j |h_j| max(|alpha1|, |beta1|):
+    # blocks can cancel every entry to rounding, e.g. ((1, 1), (1, 3)) at n_max = 2.
+    # The smallest normal float is added because a subnormal h_j underflows the bound.
+    phase = boson.mode_frequencies(c)[-1] * seg.total_time
+    scale = 2 * np.sum(np.abs(h)) * max(np.abs(c.coeffs.alpha1).max(), np.abs(c.coeffs.beta1).max())
+    bound = (1e-13 + 16 * np.finfo(float).eps * phase) * scale + np.finfo(float).tiny
+    assert np.abs(a - a1).max() <= bound and np.abs(b - b1).max() <= bound
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    tau1=st.floats(0.0, 5.0),
+    tau2=st.floats(0.0, 5.0),
+    lam=st.floats(-1.0, 1.0),
+    h=st.floats(1e-6, 1.0),
+    labels=st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda kk: kk[0] != kk[1]),
+    mass=st.floats(0.0, 3.0),
+)
+def test_closed_form_b_is_the_segment_entry(tau1, tau2, lam, h, labels, mass):
+    c = cfg(mass=mass, n_max=12, h=h)
+    k, kp = labels
+    h_j, tau_j = np.array(boson.standard_segment(h, tau1, tau2, lam).blocks).T
+    _, b = boson.first_order_entries(c, h_j, tau_j, k - 1, kp - 1)
+    closed = boson.closed_form_b_magnitude(c, tau1, tau2, lam, k, kp)
+    phase = boson.mode_frequencies(c)[-1] * 2 * (tau1 + tau2)
+    scale = 4 * h * abs(c.coeffs.beta1[k - 1, kp - 1])  # |B| <= 2 (1 + |lam|) h beta1
+    assert abs(closed - abs(b)) <= (1e-14 + 16 * np.finfo(float).eps * phase) * scale
 
 
 def test_two_mode_reduced_state_pure_to_h_squared():

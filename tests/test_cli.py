@@ -82,10 +82,39 @@ def test_teleport_fidelity_csv(tmp_path):
 
 def test_teleport_validity_flags_use_largest_magnitude_h(tmp_path):
     out = tmp_path / "t"
-    assert run(["teleport-fidelity", "--h", "[-0.5, 0.01]", "--tau", "[0.5]", "--out", str(out)]) == 0
+    assert run(["teleport-fidelity", "--h", "[-0.9, 0.01]", "--tau", "[0.5]", "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "t.json").read_text())
-    assert summary["n_max_h"] == 20 * 0.5  # n_max |h| of h = -0.5, not of max(h) = 0.01
+    assert summary["n_max_h"] == 20 * 0.9  # n_max |h| of h = -0.9, not of max(h) = 0.01
+    assert summary["validity_warnings"] == 1 and summary["perturbative_ok"] is False
+
+
+def test_teleport_validity_reads_the_h2_terms(tmp_path):
+    # the largest relative h^2 term is 3.9% at the defaults, where n_max |h| = 4.9 used to read as invalid
+    assert run(["teleport-fidelity", "--out", str(tmp_path / "d")]) == 0
+    summary = json.loads((tmp_path / "d.json").read_text())
+    assert summary["validity_warnings"] == 0 and summary["perturbative_ok"] is True
+    args = ["--h", "[0, 1.0, 1.9]", "--kp", "4", "--n-max", "12"]
+    assert run(["teleport-fidelity", *args, "--out", str(tmp_path / "h")]) == 0
+    summary = json.loads((tmp_path / "h.json").read_text())
+    r, kp, cfg = 0.5, 4, boson.BosonCavityConfig(n_max=12)
+    taus, hs = np.linspace(0.0, 2.0, 41)[:, None], np.array([[0.0, 1.0, 1.9]])
+    f_alpha, f_beta = (f * hs**2 for f in teleport.f_sums(cfg, kp, [1.0], taus[..., None]))
+    f0, f2, nu = teleport._series(r, boson.mode_frequencies(cfg)[kp - 1] * taus, f_alpha, f_beta)
+    opt0 = 1.0 / (1.0 + np.exp(-2 * r))
+    ratio = np.maximum(f2 / f0, (opt0 - 1.0 / (1.0 + nu)) / opt0)
+    assert summary["validity_warnings"] == np.count_nonzero(ratio >= boson.NB_VALIDITY_BOUND) > 0
     assert summary["perturbative_ok"] is False
+
+
+def test_teleport_fidelity_finite_at_large_squeezing(tmp_path):
+    # cosh 2r overflowed: --r 400 wrote NaN in 420 of 820 fidelity cells with exit 0
+    assert run(["teleport-fidelity", "--r", "400", "--out", str(tmp_path / "t")]) == 0
+    rows = np.array([[float(x) for x in line.split(",")] for line in read_lines(str(tmp_path / "t.csv"))[1:]])
+    assert rows.shape == (820, 4) and np.all(np.isfinite(rows))
+    tau, fid, opt = rows[:, 0], rows[:, 2], rows[:, 3]
+    assert np.all(fid[tau == 0.0] == 1.0) and np.all(fid[tau > 0.0] < 1e-300)  # phi = 3 pi tau
+    # 1 / (1 + nu-) with nu- = e^{-800} + h^2 terms
+    assert np.all(opt[rows[:, 1] == 0.0] == 1.0) and np.all((opt > 0.5) & (opt <= 1.0))
 
 
 def test_fermion_negativity_csv(tmp_path):
@@ -184,8 +213,8 @@ GOLDEN = {
     ),
     "teleport-fidelity": (
         ["--tau", '{"min": 0.0, "max": 1.0, "steps": 3}', "--h", '{"min": 0.0, "max": 0.2, "steps": 2}', "--n-max", "10"],
-        "1982e427f957fef76deb79d7ecf7cb8f09e022e089dff9015b81f731ae36b096",
-        {"command", "converged", "n_max_doubling_shift", "n_max_h", "params", "perturbative_ok", "rows"},
+        "b1c4c7531e98662d636a7ef71a29bc1ca317b91baad3a4eb364015c4c5ea4510",
+        {"command", "converged", "n_max_doubling_shift", "n_max_h", "params", "perturbative_ok", "rows", "validity_warnings"},
     ),
     "fermion-negativity": (
         ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
@@ -392,17 +421,6 @@ def test_bogoliubov_matrices_built_once_per_config(tmp_path, monkeypatch):
         assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
         # one config for the surface and one for the doubled-n_max probe, whatever the h grid
         assert [c.n_max for c in built] == [6, 12]
-
-
-def test_teleport_fidelity_skips_the_per_segment_route(tmp_path, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("the grid has closed-form sums")
-
-    for name in ("f_sums", "segment_first_order"):
-        monkeypatch.setattr(teleport, name, refuse)
-    grid = ["--tau", "[0.3, 0.6]", "--h", "[0.01, 0.02]", "--n-max", "6"]
-    assert run(["teleport-fidelity", *grid, "--out", str(tmp_path / "t")]) == 0
-    assert len(read_lines(str(tmp_path / "t.csv"))) == 1 + 4
 
 
 def test_teleport_truncation_probe(tmp_path):

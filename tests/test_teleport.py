@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_boson import segment_first_order
 from rqi import boson, entanglement, gaussian, teleport
 
 
@@ -53,18 +54,17 @@ def test_transformed_state_phi_2pi_recovers_tmss():
 
 
 def test_f_sums_nonnegative_and_convergent():
-    sc = scenario(n_max=40)
-    fa, fb = teleport.f_sums(sc)
+    # sums of the segment ((1, 0.9),), i.e. per unit h^2
+    fa, fb = teleport.f_sums(boson.BosonCavityConfig(n_max=40), 3, [1.0], [0.9])
     assert fa >= 0 and fb >= 0
-    sc_big = scenario(n_max=80)
-    fa2, fb2 = teleport.f_sums(sc_big)
+    fa2, fb2 = teleport.f_sums(boson.BosonCavityConfig(n_max=80), 3, [1.0], [0.9])
     assert abs(fa2 - fa) < 1e-8
     assert abs(fb2 - fb) < 1e-8
 
 
 def test_fidelity_expansion_zero_without_mixing():
-    sc = scenario(h=1e-9, tau=2.0)  # phases aligned: A1, B1 columns vanish
-    fa, fb = teleport.f_sums(sc)
+    sc = scenario(h=0.5, tau=2.0)  # phases aligned: A1, B1 columns vanish
+    fa, fb = teleport.f_sums(sc.config, sc.kp, *sc.blocks)
     assert fa < 1e-12 and fb < 1e-12
     _, f2 = teleport.fidelity_expansion(sc)
     assert f2 < 1e-12
@@ -79,7 +79,7 @@ def test_series_vs_full_fidelity_residual_h4_at_corrected_phase():
         sc = scenario(h=h, tau=tau, n_max=20)
         state = teleport.transformed_resource_state(sc)
         f0, f2 = teleport.fidelity_expansion(sc)
-        residuals.append(abs(teleport.fidelity(state) - (f0 - f2 * h * h)))
+        residuals.append(abs(teleport.fidelity(state) - (f0 - f2)))
     slope = np.polyfit(np.log(hs), np.log(residuals), 1)[0]
     assert 3.5 < slope < 4.5
 
@@ -144,7 +144,7 @@ def test_gamma11_element_f_sum_combination():
     # diagonal coefficients and our closure sets it to zero)
     sc = scenario(h=1e-4, tau=0.7)
     state = teleport.transformed_resource_state(sc)
-    a1, b1 = teleport.segment_first_order(sc.config, sc.segment)
+    a1, b1 = (x / sc.config.h for x in segment_first_order(sc.config, sc.segment))
     i = sc.kp - 1
     mask = np.ones(sc.config.n_max, dtype=bool)
     mask[i] = False
@@ -169,8 +169,8 @@ def test_massless_periodicity_in_tau():
     # all outputs are periodic in the acceleration time with period 2 delta
     base = scenario(h=0.05, tau=0.37)
     shifted = scenario(h=0.05, tau=0.37 + 2.0)
-    fa0, fb0 = teleport.f_sums(base)
-    fa1, fb1 = teleport.f_sums(shifted)
+    fa0, fb0 = teleport.f_sums(base.config, 3, [1.0], [0.37])
+    fa1, fb1 = teleport.f_sums(base.config, 3, [1.0], [0.37 + 2.0])
     assert abs(fa0 - fa1) < 1e-10 and abs(fb0 - fb1) < 1e-10
     nu0 = teleport.optimal_fidelity_corrected(base)["nu_minus"]
     nu1 = teleport.optimal_fidelity_corrected(shifted)["nu_minus"]
@@ -200,20 +200,21 @@ def test_block_grid_matches_one_block_scenarios(taus, hs, n_max, kp_frac, mass, 
     kp = 1 + min(int(kp_frac * n_max), n_max - 1)
     cfg = boson.BosonCavityConfig(mass=mass, n_max=n_max, h=hs[0])
     tau, h = np.array(taus)[:, None], np.array(hs)[None, :]
-    f_alpha, f_beta = teleport.block_sums(cfg, kp, tau[:, 0])
-    fid, opt = teleport.block_fidelities(r, kp, cfg, tau, h)
+    f_alpha, f_beta = teleport.f_sums(cfg, kp, [1.0], tau)
+    fid, opt, _ = teleport.block_fidelities(r, kp, cfg, tau, h)
     w_max = boson.mode_frequencies(cfg)[-1]
     assert fid.shape == opt.shape == (len(taus), len(hs))
     for i, t in enumerate(taus):
+        a1, b1 = segment_first_order(cfg, boson.TrajectorySegment(((1.0, t),)))
+        assert close(f_alpha[i], 0.5 * np.sum(np.abs(a1[:, kp - 1]) ** 2), w_max * t)
+        assert close(f_beta[i], 0.5 * np.sum(np.abs(b1[:, kp - 1]) ** 2), w_max * t)
         for j, a in enumerate(hs):
             sc = teleport.TeleportScenario(
                 r=r, kp=kp, config=boson.BosonCavityConfig(mass=mass, n_max=n_max, h=a),
                 segment=boson.TrajectorySegment(((a, t),)),
             )
-            fa, fb = teleport.f_sums(sc)
-            assert close(f_alpha[i], fa, w_max * t) and close(f_beta[i], fb, w_max * t)
             f0, f2 = teleport.fidelity_expansion(sc)
-            assert close(fid[i, j], f0 - f2 * a * a, w_max * t)
+            assert close(fid[i, j], f0 - f2, w_max * t)
             assert close(opt[i, j], teleport.optimal_fidelity_corrected(sc)["fidelity"], w_max * t)
 
 
@@ -241,3 +242,30 @@ def test_block_fidelities_refuse_unphysical_inputs(r, tau, h):
 def test_block_fidelities_refuse_bad_labels(kp):
     with pytest.raises(ValueError, match="mode labels"):
         teleport.block_fidelities(0.5, kp, boson.BosonCavityConfig(n_max=20), 0.5, 0.1)
+
+
+def test_config_h_plays_no_part():
+    # each block carries its own h_j: a config with h = 0 used to drop the motion (0.7311 for 0.7262)
+    seg = boson.TrajectorySegment(((0.1, 0.9),))
+    out = []
+    for h in (0.0, 0.1, 0.7):
+        sc = teleport.TeleportScenario(r=0.5, kp=3, config=boson.BosonCavityConfig(n_max=20, h=h), segment=seg)
+        state = teleport.transformed_resource_state(sc)
+        out.append((teleport.optimal_fidelity_corrected(sc)["fidelity"], *teleport.fidelity_expansion(sc), teleport.fidelity(state)))
+    assert out[0] == out[1] == out[2]
+    assert abs(out[0][0] - 0.7262) < 1e-4
+
+
+def test_series_finite_at_any_squeezing():
+    # cosh 2r and sinh 2r overflow from r ~ 355: F0 was NaN there
+    n = np.arange(-3, 4)
+    for r in (0.5, 5.0, 50.0, 400.0, 1e3, 1e300):
+        phi = np.concatenate([[0.0], 2 * np.pi * n, [0.3, 1.0, np.pi, 5.0]])
+        f0, f2, nu = teleport._series(r, phi, 0.01, 0.02)
+        assert np.all(np.isfinite(f0)) and np.all(np.isfinite(f2)) and np.all(np.isfinite(nu))
+        ideal = 1.0 / (1.0 + np.exp(-2 * r))
+        assert f0[0] == ideal  # sin(phi / 2) = 0 exactly
+        if r <= 5.0:  # 2 pi n rounds to sin(phi / 2) ~ n eps, which exp(2r) does not yet lift
+            assert np.allclose(f0[1:8], ideal, rtol=1e-14, atol=0.0)
+        else:
+            assert np.all(f0[-4:] <= np.exp(-2 * r) / np.sin(0.15) ** 2)  # F0 -> 0 away from 2 pi n
