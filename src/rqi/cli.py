@@ -173,15 +173,14 @@ def cmd_resonance_sweep(
         nu = 2.0 * repetitions * boson.closed_form_b_magnitude(cfg, tau1[:, None], tau2[None, :], lam, k, kp)
     t1, t2 = np.meshgrid(tau1, tau2, indexing="ij")
     rows = np.column_stack([t1.ravel(), t2.ravel(), nu.ravel()])
-    # points where resonance_negativity would warn: nu_correction = 2 N |B|
+    # points where resonance_negativity would warn, and the largest relative h^2 term: N |B| = nu_correction / 2
     flagged = int(np.count_nonzero(nu / 2.0 >= boson.NB_VALIDITY_BOUND))
-    extras = {"validity_warnings": flagged, "n_max_h": cfg.n_max * abs(cfg.h)}
+    extras = {"validity_warnings": flagged, "largest_correction": float(np.max(nu)) / 2.0}
     return ["tau1", "tau2", "nu_correction"], rows, extras
 
 
 def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=grid(0.0, 0.245, 20)):
     taus, hs = grid_values(tau), grid_values(h)
-    h_far = float(hs[np.argmax(np.abs(hs))])
     with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 over the whole grid
         cfg = boson.BosonCavityConfig(n_max=n_max)
         fid, opt, correction = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
@@ -191,7 +190,7 @@ def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=gr
     shift = float(np.max(np.abs(teleport.block_fidelities(r, kp, doubled, taus[:, None], hs[None, :])[1] - opt)))
     # points whose relative h^2 correction reaches the bound resonance-sweep counts against
     flagged = int(np.count_nonzero(correction >= boson.NB_VALIDITY_BOUND))
-    extras = {"validity_warnings": flagged, "n_max_h": n_max * abs(h_far), "perturbative_ok": flagged == 0}
+    extras = {"validity_warnings": flagged, "largest_correction": float(np.max(correction)), "perturbative_ok": flagged == 0}
     extras.update(n_max_doubling_shift=shift, converged=shift < 1e-6)
     rows = np.column_stack([t.ravel(), a.ravel(), fid.ravel(), opt.ravel()])
     return ["tau", "a", "fidelity", "fidelity_opt"], rows, extras

@@ -16,7 +16,9 @@ the mode window [-n_side, n_side]; they take a scalar or an array of travel
 times (the window is broadcast on a last axis), refuse a negative one and
 give a float or an array of the same shape.  Each phase weight is real,
 |E(t)^(k-p) - 1|^2 = (2 sin(pi t (k-p) / 2))^2 with E(t) = exp(i pi t), so
-no complex power is formed and every term is a non-negative square.
+no complex power is formed and every term is a non-negative square.  The
+negativities take the same arrays and warn where the relative h^2 correction
+|1 - 2N| reaches `boson.NB_VALIDITY_BOUND`, the bound of the boson results.
 
 Grafting an acceleration of proper duration tau1 between two inertial
 stretches gives the region-I -> region-III matrix calA = A+ G(tau1) A with
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boson import PerturbativeValidityWarning
+from .boson import NB_VALIDITY_BOUND, PerturbativeValidityWarning
 
 
 @dataclass(frozen=True)
@@ -150,13 +152,16 @@ def f_k_split(config, tau1, k):
     return float(terms[pos].sum()), float(terms[~pos].sum())
 
 
-def _warn_if_large(config, value):
-    if value * config.h**2 > 0.5:
+def _warn_if_large(negativity):
+    """Warn where the relative h^2 correction |1 - 2N| of a negativity (scalar or array) reaches NB_VALIDITY_BOUND."""
+    worst = float(np.max(np.abs(1.0 - 2.0 * np.asarray(negativity))))
+    if worst >= NB_VALIDITY_BOUND:
         warnings.warn(
-            f"f h^2 = {value * config.h**2:.3g} > 0.5; perturbative negativity unreliable",
+            f"|1 - 2N| = {worst:.3g} >= {NB_VALIDITY_BOUND}; perturbative negativity unreliable",
             PerturbativeValidityWarning,
             stacklevel=3,
         )
+    return negativity
 
 
 def _charge_negativity(config, k, kp, travel_times, fk, fkp):
@@ -164,7 +169,6 @@ def _charge_negativity(config, k, kp, travel_times, fk, fkp):
     if k < 0 or kp >= 0:
         raise ValueError("charge state requires k >= 0 and k' < 0")
     inter = _degradation_terms(config, k, travel_times)[..., config.index(kp)]
-    _warn_if_large(config, fk + fkp)
     return 0.5 - 0.25 * (fk + fkp) * config.h**2 + 0.5 * inter * config.h**2
 
 
@@ -173,9 +177,7 @@ def negativity_two_mode(config, tau1, k):
 
     Independent of the Bell sign and of the charge of the reference mode.
     """
-    val = f_k(config, tau1, k)
-    _warn_if_large(config, val)
-    return 0.5 * (1.0 - val * config.h**2)
+    return _warn_if_large(0.5 * (1.0 - f_k(config, tau1, k) * config.h**2))
 
 
 def negativity_charge_state(config, tau1, k, kp):
@@ -185,7 +187,7 @@ def negativity_charge_state(config, tau1, k, kp):
     the interference term is nonzero iff k and k' differ in parity and always
     diminishes the degradation.
     """
-    return _charge_negativity(config, k, kp, (tau1,), f_k(config, tau1, k), f_k(config, tau1, kp))
+    return _warn_if_large(_charge_negativity(config, k, kp, (tau1,), f_k(config, tau1, k), f_k(config, tau1, kp)))
 
 
 def oneway_f(config, tau1, tau2, k):
@@ -204,12 +206,11 @@ def oneway_negativities(config, tau1, tau2, k, kp=None):
     charge-state value when k' is given.
     """
     fk = oneway_f(config, tau1, tau2, k)
-    _warn_if_large(config, fk)
-    two_mode = 0.5 * (1.0 - fk * config.h**2)
+    two_mode = _warn_if_large(0.5 * (1.0 - fk * config.h**2))
     if kp is None:
         return {"two_mode": two_mode}
     fkp = oneway_f(config, tau1, tau2, kp)
-    charge = _charge_negativity(config, k, kp, (tau1, tau2), fk, fkp)
+    charge = _warn_if_large(_charge_negativity(config, k, kp, (tau1, tau2), fk, fkp))
     return {"two_mode": two_mode, "charge": charge}
 
 

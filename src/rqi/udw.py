@@ -15,6 +15,13 @@ F(Delta)/F(-Delta) = exp(-2 pi Delta / a) holds identically.
 Both rates take the gap as a float or an array (a float or an array out).
 With Xi(Delta) = (Delta/2pi) w(|Delta|), one call evaluates the weight w once
 per distinct |Delta|, so a +-Delta pair shares one 3+1 transverse quadrature.
+
+A one-particle field state adds to the rate through I(t) = int dk Phi(k)
+f~(k) exp(-i k t) / sqrt(k) (massless 1+1, k > 0) and iota_t(Delta) =
+int_0^S ds exp(-i s Delta) I(t - s), S = |t| + 30 sigma, which dies off at late
+times (Riemann-Lebesgue).  The s integral is exact, S exp(i q S/2) sinc(q S/2pi)
+with q = k - Delta, so iota(+-Delta) and I(t) are one trapezoid over `K_NODES`
+momenta up to peak + 12/sigma.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ DIMS = ("1+1", "3+1")
 
 # absolute and relative tolerance of the 3+1 transverse-momentum quadrature
 QUAD_TOL = 1e-10
+# trapezoid nodes of the momentum integral of the single-particle correction
+K_NODES = 4001
 
 
 @dataclass(frozen=True)
@@ -161,38 +170,26 @@ def transition_rate_accelerated(params, profile=SpatialProfile(), dim="1+1"):
     mags, inverse = np.unique(np.abs(gap), return_inverse=True)
     w = np.array([_density_weight(m, params, profile, dim) for m in mags.tolist()])[inverse].reshape(gap.shape)
     x = 2.0 * np.pi * gap / a
-    with np.errstate(divide="ignore", invalid="ignore"):  # where also evaluates the 0/0 at Delta = 0
+    # where also evaluates the 0/0 at Delta = 0; expm1 overflows to inf, and the rate to its limit 0, at large Delta / a
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rate = np.where(np.abs(x) < np.finfo(float).eps, a * w / (4.0 * np.pi**2), gap / (2.0 * np.pi) * w / np.expm1(x))
     return float(rate) if rate.ndim == 0 else rate
 
 
-def wavepacket_overlap(profile, packet, t, n_grid=4001):
-    """I(t) = int dk Phi(k) f~(k) exp(-i w_k t) / sqrt(w_k) (massless 1+1, k > 0).
+def single_particle_correction(profile, packet, t, gap):
+    """iota_t(Delta) and the rate correction 2 Re[conj(I(t)) iota_t(Delta) + I(t) conj(iota_t(-Delta))].
 
-    `packet` is a callable momentum amplitude, normalised to unit L2 norm.
-    """
-    window = frequency_window(profile)
-    sigma = profile.sigma if profile.kind != POINT else 1.0
-    peak = profile.peak if profile.kind != POINT else 1.0
-    k = np.linspace(1e-9, peak + 12.0 / sigma, n_grid)
-    vals = packet(k) * window(k) * np.exp(-1j * k * t) / np.sqrt(k)
-    return complex(np.trapezoid(vals, k))
-
-
-def single_particle_correction(profile, packet, t, gap, n_grid=4001):
-    """iota_t(Delta) and the induced rate correction for a one-particle state.
-
-    iota_t(Delta) = int_0^inf ds exp(-i s Delta) I(t - s); the correction to
-    the vacuum rate is 2 Re[conj(I(t)) iota_t(Delta) + I(t) conj(iota_t(-Delta))].
-    Vanishes as |t| -> infinity for integrable windows (Riemann-Lebesgue).
+    iota_t(+-Delta) and I(t) are one k trapezoid (see the module notes);
+    `packet` is the momentum amplitude Phi, normalised to unit L2 norm.
     """
     if packet is None:
         return {"iota": 0.0 + 0.0j, "rate_delta": 0.0}
-    sigma = profile.sigma if profile.kind != POINT else 1.0
-    s = np.linspace(0.0, abs(t) + 30.0 * sigma, n_grid)
-    i_vals = np.array([wavepacket_overlap(profile, packet, t - si, n_grid=1201) for si in s])
-    iota = complex(np.trapezoid(np.exp(-1j * s * gap) * i_vals, s))
-    iota_neg = complex(np.trapezoid(np.exp(+1j * s * gap) * i_vals, s))
-    i_t = wavepacket_overlap(profile, packet, t, n_grid=1201)
+    sigma, peak = (profile.sigma, profile.peak) if profile.kind != POINT else (1.0, 1.0)
+    k = np.linspace(1e-9, peak + 12.0 / sigma, K_NODES)
+    amp = packet(k) * frequency_window(profile)(k) * np.exp(-1j * k * t) / np.sqrt(k)
+    span = abs(t) + 30.0 * sigma
+    q = k - np.array([[gap], [-gap]])  # rows: +Delta, -Delta
+    iota, iota_neg = np.trapezoid(amp * span * np.exp(0.5j * q * span) * np.sinc(q * span / (2.0 * np.pi)), k)
+    i_t = np.trapezoid(amp, k)
     rate_delta = 2.0 * np.real(np.conj(i_t) * iota + i_t * np.conj(iota_neg))
-    return {"iota": iota, "rate_delta": float(rate_delta)}
+    return {"iota": complex(iota), "rate_delta": float(rate_delta)}

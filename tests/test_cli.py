@@ -84,7 +84,9 @@ def test_teleport_validity_flags_use_largest_magnitude_h(tmp_path):
     out = tmp_path / "t"
     assert run(["teleport-fidelity", "--h", "[-0.9, 0.01]", "--tau", "[0.5]", "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "t.json").read_text())
-    assert summary["n_max_h"] == 20 * 0.9  # n_max |h| of h = -0.9, not of max(h) = 0.01
+    # the largest relative h^2 term is that of h = -0.9, not of max(h) = 0.01
+    _, _, correction = teleport.block_fidelities(0.5, 3, boson.BosonCavityConfig(n_max=20), 0.5, np.array([-0.9, 0.01]))
+    assert summary["largest_correction"] == correction[0] >= boson.NB_VALIDITY_BOUND > correction[1]
     assert summary["validity_warnings"] == 1 and summary["perturbative_ok"] is False
 
 
@@ -93,6 +95,7 @@ def test_teleport_validity_reads_the_h2_terms(tmp_path):
     assert run(["teleport-fidelity", "--out", str(tmp_path / "d")]) == 0
     summary = json.loads((tmp_path / "d.json").read_text())
     assert summary["validity_warnings"] == 0 and summary["perturbative_ok"] is True
+    assert 0.038 < summary["largest_correction"] < 0.040
     args = ["--h", "[0, 1.0, 1.9]", "--kp", "4", "--n-max", "12"]
     assert run(["teleport-fidelity", *args, "--out", str(tmp_path / "h")]) == 0
     summary = json.loads((tmp_path / "h.json").read_text())
@@ -209,12 +212,12 @@ GOLDEN = {
     "resonance-sweep": (
         ["--tau1", '{"min": 0.2, "max": 1.0, "steps": 4}', "--tau2", '{"min": 0.0, "max": 1.0, "steps": 3}', "--n-max", "8"],
         "014585ea0591206aa956a82b96482a83bfc196b32a256613c21e06470c2dbc43",
-        {"command", "n_max_h", "params", "rows", "validity_warnings"},
+        {"command", "largest_correction", "params", "rows", "validity_warnings"},
     ),
     "teleport-fidelity": (
         ["--tau", '{"min": 0.0, "max": 1.0, "steps": 3}', "--h", '{"min": 0.0, "max": 0.2, "steps": 2}', "--n-max", "10"],
         "b1c4c7531e98662d636a7ef71a29bc1ca317b91baad3a4eb364015c4c5ea4510",
-        {"command", "converged", "n_max_doubling_shift", "n_max_h", "params", "perturbative_ok", "rows", "validity_warnings"},
+        {"command", "converged", "largest_correction", "n_max_doubling_shift", "params", "perturbative_ok", "rows", "validity_warnings"},
     ),
     "fermion-negativity": (
         ["--u", '{"min": 0.0, "max": 1.0, "steps": 5}', "--n-side", "60"],
@@ -456,6 +459,7 @@ def test_resonance_validity_warnings_count_rows(tmp_path):
     expected = sum(1 for nu in nus if nu / 2.0 >= 0.1)
     assert 0 < expected < len(nus)
     assert summary["validity_warnings"] == expected
+    assert summary["largest_correction"] == max(nus) / 2.0
 
 
 # Values the library rejects are bad input, caught before the sweep.  Mode

@@ -79,14 +79,14 @@ def test_checker_reports_missing_names_and_keywords():
     source = (
         "from rqi import boxpair, udw\n"
         "boxpair.no_such_function(s)\n"
-        "udw.wavepacket_overlap(p, f, 0.0, n_grid=11, no_such_keyword=3.0)\n"
+        "udw.transition_rate_accelerated(p, dim=\"1+1\", no_such_keyword=3.0)\n"
         "udw.frequency_window(p, 2.0)\n"
         "udw.transition_rate_inertial()\n"
         "udw.frequency_window(*profiles)\n"
     )
     assert missing_references(source) == [
         "rqi.boxpair.no_such_function does not exist",
-        "rqi.udw.wavepacket_overlap takes no keyword 'no_such_keyword'",
+        "rqi.udw.transition_rate_accelerated takes no keyword 'no_such_keyword'",
         "rqi.udw.frequency_window: too many positional arguments",
         "rqi.udw.transition_rate_inertial: missing a required argument: 'params'",
     ]

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_fermion_fock import compose_I_to_III, reduced_charge, reduced_two_mode
-from rqi import entanglement, fermion
+from rqi import boson, entanglement, fermion
 
 
 def cfg(**kw):
@@ -176,6 +177,43 @@ def test_negativity_two_mode_warning():
     c = cfg(h=0.9)
     with pytest.warns(fermion.PerturbativeValidityWarning):
         fermion.negativity_two_mode(c, 1.0, 8)
+
+
+def test_negativity_warns_at_the_shared_relative_bound():
+    # f h^2 = 0.27 < 0.5: the old rule stayed silent on a 27% correction
+    c = cfg(h=0.3)
+    with pytest.warns(fermion.PerturbativeValidityWarning, match=r"\|1 - 2N\|"):
+        neg = fermion.negativity_two_mode(c, 1.0, 3)
+    assert abs(1.0 - 2.0 * neg) >= boson.NB_VALIDITY_BOUND
+    big = cfg(h=1.0)
+    for call in (
+        lambda: fermion.negativity_charge_state(big, 0.7, 1, -2),
+        lambda: fermion.oneway_negativities(big, 0.5, 0.5, 1, -2),
+    ):
+        with pytest.warns(fermion.PerturbativeValidityWarning) as record:
+            call()
+        assert {w.filename for w in record} == {__file__}  # each warning points at the caller
+    small = cfg(h=0.05)  # |1 - 2N| of order 1e-2: no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fermion.negativity_two_mode(small, 1.0, 3)
+        fermion.negativity_charge_state(small, 0.7, 1, -2)
+        fermion.oneway_negativities(small, 0.5, 0.5, 1, -2)
+
+
+def test_negativities_take_arrays_of_travel_times():
+    c = cfg(h=0.05, n_side=60)
+    tau1, tau2 = np.array([0.0, 0.3, 0.7, 1.9]), np.array([0.5, 0.2, 1.1, 0.0])
+    two = fermion.negativity_two_mode(c, tau1, 1)
+    charge = fermion.negativity_charge_state(c, tau1, 1, -2)
+    oneway = fermion.oneway_negativities(c, tau1, tau2, 1, -2)
+    for i, (t1, t2) in enumerate(zip(tau1, tau2)):
+        assert two[i] == fermion.negativity_two_mode(c, t1, 1)
+        assert charge[i] == fermion.negativity_charge_state(c, t1, 1, -2)
+        single = fermion.oneway_negativities(c, t1, t2, 1, -2)
+        assert oneway["two_mode"][i] == single["two_mode"] and oneway["charge"][i] == single["charge"]
+    with pytest.warns(fermion.PerturbativeValidityWarning):  # one point past the bound warns for the array
+        fermion.negativity_two_mode(cfg(h=0.3, n_side=60), np.array([0.0, 1.0]), 3)
 
 
 def test_negativity_charge_state_cases():

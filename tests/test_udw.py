@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ def test_accelerated_subnormal_gap_is_the_limit(dim):
         assert abs(rate(gap) / at_zero - 1.0) < 1e-15
 
 
+@pytest.mark.parametrize("dim", udw.DIMS)
+def test_accelerated_large_gap_limits_without_overflow_warning(dim):
+    # expm1(2 pi 300) overflows to inf: the excitation rate is its limit 0, the de-excitation one 300 / 2pi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        up = udw.transition_rate_accelerated(udw.DetectorParams(gap=300.0, accel=1.0), dim=dim)
+        down = udw.transition_rate_accelerated(udw.DetectorParams(gap=-300.0, accel=1.0), dim=dim)
+        both = udw.transition_rate_accelerated(udw.DetectorParams(gap=np.array([300.0, -300.0]), accel=1.0), dim=dim)
+    assert up == 0.0 and down == 300.0 / (2.0 * np.pi)
+    assert np.array_equal(both, [up, down])
+
+
 def test_accelerated_zero_gap_continuous_when_smeared_and_massive():
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=0.7, peak=2.0)
     rate = lambda gap: udw.transition_rate_accelerated(udw.DetectorParams(gap=gap, mass=0.5, accel=1.0), prof, "3+1")
@@ -164,9 +177,42 @@ def test_single_particle_correction_zero_packet():
 def test_single_particle_correction_decays():
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.0, peak=5.0)
     packet = gaussian_packet()
-    near = udw.single_particle_correction(prof, packet, 0.0, -1.0, n_grid=1201)
-    far = udw.single_particle_correction(prof, packet, 50.0, -1.0, n_grid=1201)
+    near = udw.single_particle_correction(prof, packet, 0.0, -1.0)
+    far = udw.single_particle_correction(prof, packet, 50.0, -1.0)
     assert abs(far["iota"]) < 1e-6 * abs(near["iota"])
+
+
+def nested_iota(profile, packet, t, gap, panels=100, order=20, chunk=10):
+    """Referee: (iota_t(gap), iota_t(-gap), I(t)) with the s integral done numerically.
+
+    100 Gauss-Legendre panels of 20 nodes over [0, |t| + 30 sigma], and I(t - s)
+    at each node a 4001-node trapezoid over the correction's k range; `chunk`
+    panels at a time keep each (s, k) temporary near 13 MB.
+    """
+    k = np.linspace(1e-9, profile.peak + 12.0 / profile.sigma, 4001)
+    amp = packet(k) * udw.frequency_window(profile)(k) / np.sqrt(k)
+    x, w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * (abs(t) + 30.0 * profile.sigma) / panels
+    s = half * (2.0 * np.arange(panels)[:, None] + 1.0 + x)  # (panel, node)
+    iota = np.zeros(2, dtype=complex)
+    for lo in range(0, panels, chunk):
+        nodes = s[lo : lo + chunk].ravel()
+        i_s = np.trapezoid(amp * np.exp(-1j * np.outer(t - nodes, k)), k, axis=1)
+        iota += np.exp(-1j * np.outer([gap, -gap], nodes)) @ (np.tile(half * w, chunk) * i_s)
+    return iota[0], iota[1], np.trapezoid(amp * np.exp(-1j * k * t), k)
+
+
+@pytest.mark.parametrize("t", [0.0, 1.0, 5.0])
+def test_single_particle_correction_matches_nested_s_integral(t):
+    prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.0, peak=5.0)
+    packet = gaussian_packet()
+    iota, iota_neg, i_t = nested_iota(prof, packet, t, -1.0)
+    res = udw.single_particle_correction(prof, packet, t, -1.0)
+    assert abs(res["iota"] - iota) < 1e-9 * abs(iota)
+    assert abs(udw.single_particle_correction(prof, packet, t, 1.0)["iota"] - iota_neg) < 1e-9 * abs(iota_neg)
+    # the two terms of the rate correction nearly cancel at t = 0: bound by their size
+    rate = 2.0 * np.real(np.conj(i_t) * iota + i_t * np.conj(iota_neg))
+    assert abs(res["rate_delta"] - rate) < 1e-9 * 2.0 * abs(i_t) * (abs(iota) + abs(iota_neg))
 
 
 def test_wightman_vacuum_term_factorises():
@@ -174,8 +220,8 @@ def test_wightman_vacuum_term_factorises():
     # scaling the packet amplitude scales iota linearly (vacuum term separate)
     prof = udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=1.0, peak=5.0)
     packet = gaussian_packet()
-    res1 = udw.single_particle_correction(prof, packet, 1.0, -1.0, n_grid=801)
-    res2 = udw.single_particle_correction(prof, lambda k: 2 * packet(k), 1.0, -1.0, n_grid=801)
+    res1 = udw.single_particle_correction(prof, packet, 1.0, -1.0)
+    res2 = udw.single_particle_correction(prof, lambda k: 2 * packet(k), 1.0, -1.0)
     assert abs(res2["iota"] - 2 * res1["iota"]) < 1e-10 * abs(res1["iota"]) + 1e-14
     assert abs(res2["rate_delta"] - 4 * res1["rate_delta"]) < 1e-8 * abs(res1["rate_delta"]) + 1e-14
 
