@@ -36,6 +36,6 @@ print(f"  point  : {udw.transition_rate_accelerated(udw.DetectorParams(gap=-1.0,
 
 print("\nsingle-particle correction dies off at late times (Riemann-Lebesgue):")
 packet = lambda k: (2 / np.pi) ** 0.25 * np.exp(-((k - 5.0) ** 2))
-for t in (0.0, 5.0, 50.0):
+for t in (0.0, 5.0, 10.0):
     res = udw.single_particle_correction(profile, packet, t, -1.0)
     print(f"  t = {t:5.1f}: |iota| = {abs(res['iota']):.3e}")

@@ -27,8 +27,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from . import boson, boxpair, entanglement, fermion, gaussian, nonpert, teleport, udw
-
 
 class ConfigError(Exception):
     pass
@@ -149,10 +147,12 @@ def _user_input():
 
 
 # --------------------------------------------------------------------------
-# commands: keyword parameters, defaults included; each returns (CSV header or None, 2-D float rows, summary extras)
+# commands: keyword parameters, defaults included; each imports the modules it runs, so a launch loads no others,
+# and returns (CSV header or None, 2-D float rows, summary extras)
 
 
 def cmd_measures(*, r=0.5):
+    from . import entanglement, gaussian
     state = gaussian.two_mode_squeezed_state(r)
     extras = {
         "entropy": entanglement.entropy_of_entanglement(state, [0]),
@@ -165,6 +165,7 @@ def cmd_measures(*, r=0.5):
 def cmd_resonance_sweep(
     *, k=1, kp=2, repetitions=5, h=1e-4, lam=1.0, mass=0.0, n_max=20, tau1=grid(0.01, 2.0, 50), tau2=grid(0.0, 2.0, 50)
 ):
+    from . import boson
     tau1, tau2 = grid_values(tau1), grid_values(tau2)
     with _user_input():  # the cavity, the mode labels and the segment's limits
         cfg = boson.BosonCavityConfig(mass=mass, n_max=n_max, h=h)
@@ -180,6 +181,7 @@ def cmd_resonance_sweep(
 
 
 def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=grid(0.0, 0.245, 20)):
+    from . import boson, teleport
     taus, hs = grid_values(tau), grid_values(h)
     with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 over the whole grid
         cfg = boson.BosonCavityConfig(n_max=n_max)
@@ -197,6 +199,7 @@ def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=gr
 
 
 def cmd_fermion_negativity(*, u=grid(0.0, 1.0, 101), n_side=200):
+    from . import fermion
     us = grid_values(u)
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
     with _user_input():  # the window and the travel times
@@ -210,6 +213,7 @@ def cmd_fermion_negativity(*, u=grid(0.0, 1.0, 101), n_side=200):
 
 
 def cmd_oneway_surface(*, s=0.0, k=1, n_side=200, u=grid(0.0, 1.0, 64), v=grid(0.0, 1.0, 64)):
+    from . import fermion
     us, vs = grid_values(u), grid_values(v)
     with _user_input():  # the window, the mode label and the travel times
         cfg = fermion.FermionCavityConfig(s=s, n_side=n_side)
@@ -223,6 +227,7 @@ def cmd_detector_rate(
     *, trajectory="accelerated", profile="point", dim="1+1", a=1.0, mass=0.0, sigma=1.0, peak=5.0,
     gap=grid(-5.0, 5.0, 101),
 ):
+    from . import udw
     gaps = grid_values(gap)
     if trajectory not in ("inertial", "accelerated"):
         raise ConfigError("trajectory must be 'inertial' or 'accelerated'")
@@ -241,6 +246,7 @@ def cmd_detector_rate(
 
 
 def cmd_nonpert_evolve(*, coupling=1.0, t_sq=80.0, gap=2 * np.pi, t_end=40.0, tau=None):
+    from . import nonpert
     basis = nonpert.detector_field_basis()
     with _user_input():  # the schedule refuses t_mod = sqrt(t_sq) <= 0
         schedule = nonpert.detector_example_schedule(basis, coupling=coupling, t_mod=np.sqrt(max(t_sq, 0.0)), gap=gap)
@@ -259,6 +265,7 @@ def cmd_nonpert_evolve(*, coupling=1.0, t_sq=80.0, gap=2 * np.pi, t_end=40.0, ta
 def cmd_box_entangle(
     *, v=0.5, gap=np.sqrt(2.0) * np.pi, epsilon=1.0, n_cut=8, h=grid(0.025, 1.0, 40), kappa=grid(0.0, 8.0, 40)
 ):
+    from . import boxpair
     h, kap = (x.ravel() for x in np.meshgrid(grid_values(h), grid_values(kappa), indexing="ij"))
     with _user_input():  # every grid point's scenario is checked before the sweep
         scenarios = [
@@ -311,6 +318,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except ImportError:  # a broken install, not a numeric failure
+        raise
     except Exception as exc:  # noqa: BLE001 - numeric failure path
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 3

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, schur, sqrtm
 
 DEFAULT_TOL = 1e-10
 PHYSICALITY_TOL = -1e-8
@@ -136,6 +135,7 @@ def thermal_state(nus):
 
 def _exp_hamiltonian(h):
     """S = exp(-i K H) of a validated quadratic-Hamiltonian matrix (see `symplectic_from_hamiltonian`)."""
+    from scipy.linalg import expm  # here, not at module level: importing rqi.gaussian loads no scipy
     h = np.asarray(h, dtype=complex)
     n = h.shape[0] // 2
     if h.shape != (2 * n, 2 * n):
@@ -247,6 +247,7 @@ def williamson(state):
     (nus, S) with S real symplectic there, so that `S @ D @ S.T`
     reconstructs that matrix.
     """
+    from scipy.linalg import schur, sqrtm
     g = real_covariance(state)
     n = state.n_modes
     if np.linalg.eigvalsh(g).min() <= 0:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import bessel_K_imag_order
 
@@ -126,6 +125,7 @@ def _density_weight(delta_abs, params, profile, dim):
     window = frequency_window(profile)
     if dim == "1+1" or (profile.kind == POINT and params.mass == 0.0):
         return float(window(delta_abs) ** 2)
+    from scipy.integrate import quad  # here, not at module level: only this 3+1 integral needs scipy
     nu = delta_abs / a
     sigma = profile.sigma if profile.kind != POINT else 1.0
     cut = max(10.0 / sigma, 10.0 * a, 10.0 * delta_abs, 10.0)
