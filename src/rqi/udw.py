@@ -62,8 +62,8 @@ class SpatialProfile:
     def __post_init__(self):
         if self.kind not in (POINT, GAUSSIAN):
             raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind != POINT and self.sigma <= 0:
-            raise ValueError("width must be positive")
+        if self.kind != POINT and not (0 < self.sigma < np.inf and np.isfinite(self.peak)):
+            raise ValueError("Gaussian profile needs a finite positive width and a finite peak")
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import eigh_tridiagonal
 
 import oracle_rindler
 from rqi import boxpair
@@ -22,6 +23,13 @@ def test_scenario_validation():
         boxpair.BoxScenario(v=1.0)
     sc = boxpair.BoxScenario(v=0.5, h=1.0)
     assert abs(sc.gamma - 1.0 / np.sqrt(0.75)) < 1e-14
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["h", "kappa", "gap", "epsilon"])
+def test_scenario_rejects_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        boxpair.BoxScenario(**{field: value})
 
 
 @pytest.mark.parametrize(
@@ -61,6 +69,48 @@ def test_engines_agree():
     e_fd = boxpair.cavity_entanglement(sc, spectrum=s_fd)["entropy"]
     e_bs = boxpair.cavity_entanglement(sc, spectrum=s_bs)["entropy"]
     assert abs(e_fd - e_bs) < 1e-7
+
+
+# Profile residual max|T u - lam u| / (lam max|u|) against the referee's eigenvalues lam: at
+# most 4.3e-10 over 3,000 random scenarios drawn as below (Omega at most 1.7e-11 off); 6.1e-9
+# at h = 0.025, kappa = 0 with BISECT_RTOL = 1e-8, and 3.0e-9 there from full bisection.
+PROFILE_RESIDUAL = 1e-9
+
+
+@st.composite
+def spectrum_scenarios(draw):
+    # h from 1e-6: below about 1e-10 the grid's spacing in log(chi) is under its rounding step
+    v = draw(st.floats(0.05, 0.95))
+    n_cut = draw(st.integers(1, 8))
+    return boxpair.BoxScenario(
+        v=v,
+        h=draw(st.floats(1e-6, 2.0 * v)),
+        kappa=draw(st.floats(0.0, 8.0)),
+        n_cut=n_cut,
+        n_y=draw(st.integers(n_cut + 2, 1200)),
+    )
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(sc=spectrum_scenarios())
+@example(sc=boxpair.BoxScenario(v=0.5, h=1.0, kappa=16.0 / 3.0))  # h = 2v: the far wall at the horizon
+@example(sc=boxpair.BoxScenario(v=0.5, h=1.0, kappa=8.0))
+@example(sc=boxpair.BoxScenario(v=0.5, h=0.025, kappa=0.0))
+def test_spectrum_matches_full_bisection(sc):
+    """The coarse bisection with Rayleigh-quotient eigenvalues against full-precision bisection of the same FD matrix."""
+    spec = boxpair.solve_rindler_spectrum(sc)
+    y = spec.y_grid
+    dy = y[1] - y[0]
+    off = -np.ones(y.size - 3) / dy**2
+    for m in range(1, sc.n_cut + 1):
+        diag = 2.0 / dy**2 + sc.kappa_m(m) ** 2 * np.exp(2.0 * y[1:-1])
+        lam = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, sc.n_cut - 1), tol=0.0)
+        assert np.abs(spec.omegas[:, m - 1] / np.sqrt(lam) - 1.0).max() < 1e-10
+        u = spec.profiles[:, m - 1, 1:-1].T  # interior grid values, one column per n
+        tu = diag[:, None] * u
+        tu[:-1] += off[:, None] * u[1:]
+        tu[1:] += off[:, None] * u[:-1]
+        assert (np.abs(tu - lam * u).max(axis=0) / (lam * np.abs(u).max(axis=0))).max() < PROFILE_RESIDUAL
 
 
 def test_engines_agree_at_large_kappa_m():

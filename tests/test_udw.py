@@ -101,6 +101,12 @@ def test_detector_params_reject_negative_mass_or_acceleration(mass, accel):
         udw.DetectorParams(gap=1.0, mass=mass, accel=accel)
 
 
+@pytest.mark.parametrize("sigma, peak", [(np.nan, 0.0), (np.inf, 0.0), (0.0, 0.0), (-1.0, 0.0), (1.0, np.nan), (1.0, np.inf)])
+def test_gaussian_profile_rejects_bad_width_or_peak(sigma, peak):
+    with pytest.raises(ValueError):
+        udw.SpatialProfile(kind=udw.GAUSSIAN, sigma=sigma, peak=peak)
+
+
 def test_accelerated_requires_positive_acceleration():
     with pytest.raises(ValueError):
         udw.transition_rate_accelerated(udw.DetectorParams(gap=1.0, accel=0.0))
