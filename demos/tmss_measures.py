@@ -1,7 +1,8 @@
 """Gaussian-state warm-up: build a two-mode squeezed state and quantify it.
 
-The two-mode squeezer exp-maps a quadratic Hamiltonian onto a symplectic
-matrix; acting on the vacuum gives the standard cosh(2r)/sinh(2r) covariance.
+The two-mode squeezer is the closed-form exponential of one quadratic
+generator; acting on the vacuum it gives the standard cosh(2r)/sinh(2r)
+covariance, which `gaussian.two_mode_squeezed_state` writes directly.
 All three entanglement measures then come straight from the symplectic
 spectrum machinery, and the closed forms are printed next to them.
 """

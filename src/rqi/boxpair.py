@@ -50,6 +50,8 @@ class BoxScenario:
             raise ValueError("atom speed must satisfy 0 < v < 1")
         if self.h < 0.0 or self.h > 2.0 * self.v + 1e-12:
             raise ValueError("acceleration limited to 0 <= h <= 2v")
+        if 0.0 < self.h < 1e-7:  # the y grid spans about h around log(1/h): below, rounding eats its spacing
+            raise ValueError("an acceleration 0 < h < 1e-7 is refused: its y grid is lost to rounding")
         if self.n_cut < 1:
             raise ValueError("mode truncation needs n_cut >= 1")
         if self.n_quad < 1:

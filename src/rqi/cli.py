@@ -12,8 +12,9 @@ payloads are written with 17 significant digits so reruns are bit-identical.
 
 Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
 number, or a value the physics rejects, such as a mode label outside
-1..n_max, a repeated mode label, a negative travel time or a squeezing
-r <= 0), 3 numeric failure.
+1..n_max, a repeated mode label, a negative travel time, a teleportation
+squeezing r <= 0 or a `measures` r past 1e-9 relative accuracy), 3 numeric
+failure (a non-finite CSV cell among them: that CSV is not written).
 """
 
 from __future__ import annotations
@@ -154,12 +155,13 @@ def _user_input():
 def cmd_measures(*, r=0.5):
     from . import entanglement, gaussian
     state = gaussian.two_mode_squeezed_state(r)
-    extras = {
-        "entropy": entanglement.entropy_of_entanglement(state, [0]),
-        "negativity": entanglement.negativity_gaussian(state),
-        "log_negativity": entanglement.log_negativity_gaussian(state),
-    }
-    return None, None, extras
+    with _user_input():  # an r whose nu~ misses entanglement.PT_ERROR_BOUND, or whose cosh 2r overflows
+        extras = {
+            "negativity": entanglement.negativity_gaussian(state),
+            "log_negativity": entanglement.log_negativity_gaussian(state),
+            "nu_error_estimate": entanglement.pt_eigenvalue_error(state),
+        }
+    return None, None, {**extras, "entropy": entanglement.entropy_of_entanglement(state, [0])}
 
 
 def cmd_resonance_sweep(
@@ -312,6 +314,9 @@ def main(argv=None):
         header, rows, extras = run(**params)
         summary = {"command": args.command, "params": params}
         if header is not None:
+            bad = [name for name, ok in zip(header, np.isfinite(rows).all(axis=0)) if not ok]
+            if bad:  # exit 0 never writes a non-finite cell
+                raise FloatingPointError(f"column {bad[0]!r} has non-finite cells")
             write_csv(out_prefix + ".csv", header, rows)
             summary["rows"] = len(rows)
         write_summary(out_prefix + ".json", {**summary, **extras})

@@ -13,7 +13,8 @@ S K S+ = K with K = diag(I, -I).  The symplectic eigenvalues are the positive
 eigenvalues of K Gamma.  A `SymplecticMap` is certified (defect <= defect_tol)
 once, where it is made; products formed inside a computation are not
 re-checked, only the map it returns.  Every quadratic generator, of the
-maps here and of the `rqi.nonpert` basis, comes from `quadratic_generator`.
+maps here and of the `rqi.nonpert` basis, comes from `quadratic_generator`,
+and its exponential from the one closed form, `generator_exponentials`.
 
 The interleaved quadratures (x1, p1, ..., xN, pN) are a read-only view:
 `real_basis_matrix` is the unitary change to them and `real_covariance` the
@@ -133,37 +134,6 @@ def thermal_state(nus):
     return CovarianceState(nus.size, np.diag(np.tile(nus, 2)))
 
 
-def _exp_hamiltonian(h):
-    """S = exp(-i K H) of a validated quadratic-Hamiltonian matrix (see `symplectic_from_hamiltonian`)."""
-    from scipy.linalg import expm  # here, not at module level: importing rqi.gaussian loads no scipy
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0] // 2
-    if h.shape != (2 * n, 2 * n):
-        raise ValueError("expected a 2N x 2N matrix")
-    tol = 1e-12 * max(1.0, np.abs(h).max())
-    if np.abs(h - h.conj().T).max() > tol:
-        raise ValueError("Hamiltonian matrix must be Hermitian")
-    a, b = h[:n, :n], h[:n, n:]
-    if max(np.abs(h[n:, n:] - a.conj()).max(), np.abs(h[n:, :n] - b.conj()).max(), np.abs(b - b.T).max()) > tol:
-        raise ValueError("Hamiltonian matrix lacks the [[A, B], [conj(B), conj(A)]] structure")
-    return expm(-1j * kay(n) @ h)
-
-
-def symplectic_from_hamiltonian(h):
-    """Map a quadratic-Hamiltonian matrix (complex form) to S = exp(-i K H).
-
-    `h` must be Hermitian with the block structure [[A, B], [conj(B), conj(A)]]
-    where A+ = A and B^T = B.
-    """
-    s = _exp_hamiltonian(h)
-    return SymplecticMap(s.shape[0] // 2, s)
-
-
-def _phase_matrix(thetas):
-    g = np.exp(1j * thetas)
-    return np.diag(np.concatenate([g.conj(), g]))
-
-
 def quadratic_generator(n_modes, i, j, value, squeeze=False):
     """Complex-form generator [[X, Y], [conj(Y), conj(X)]] with one entry pair in X or, with `squeeze`, in Y.
 
@@ -178,19 +148,52 @@ def quadratic_generator(n_modes, i, j, value, squeeze=False):
     return np.block([[x, y], [y.conj(), x.conj()]])
 
 
+def generator_tables(generators, labels):
+    """(i K G_j, P_j, hyperbolic_j) of a stack of generators G_j, checking (K G_j)^2 = sigma_j P_j.
+
+    P_j = sigma_j (K G_j)^2 must be a projector with K G_j P_j = K G_j, as for every `quadratic_generator`
+    of a unit-modulus value; hyperbolic_j (a squeezer) is sigma_j = -1.  A generator that breaks the
+    identity has no closed-form exponential and raises ValueError naming its label.
+    """
+    kg = np.diag(kay(generators.shape[-1] // 2))[:, None] * generators
+    sq = kg @ kg
+    sigma = np.sign(np.real(np.trace(sq, axis1=1, axis2=2)))
+    proj = sigma[:, None, None] * sq
+    scale = max(1.0, float(np.abs(kg).max()))
+    bad = np.abs(proj @ proj - proj).max(axis=(1, 2)) + np.abs(kg @ proj - kg).max(axis=(1, 2)) > 1e-12 * scale
+    if bad.any():
+        names = [labels[j] for j in np.flatnonzero(bad)]
+        raise ValueError(f"generators {names} do not satisfy (K G)^2 = +-P: no closed-form exponential")
+    return 1j * kg, proj, sigma < 0
+
+
+def generator_exponentials(tables, f):
+    """exp(i f_j K G_j) = 1 + (c - 1) P_j + s i K G_j over the last axis of f (j), in the form the tables are in."""
+    ikg, proj, hyper = tables
+    c = np.where(hyper, np.cosh(f), np.cos(f))
+    s = np.where(hyper, np.sinh(f), np.sin(f))
+    return np.eye(ikg.shape[1]) + (c - 1.0)[..., None, None] * proj + s[..., None, None] * ikg
+
+
+def _generator_map(n_modes, r, i, j, value, squeeze=False):
+    """exp(-i r K G) with G = quadratic_generator(n_modes, i, j, value, squeeze), |value| = 1 and r real."""
+    g = quadratic_generator(n_modes, i, j, value, squeeze)
+    return generator_exponentials(generator_tables(g[None], ["G"]), -r)[0]
+
+
 def beam_splitter(r, n_modes=2, modes=(0, 1)):
     """Beam-splitter symplectic map with rotation blocks cos(r), sin(r): generator 2ir(a+ b - a b+)."""
-    return symplectic_from_hamiltonian(quadratic_generator(n_modes, *modes, 1j * r))
+    return SymplecticMap(n_modes, _generator_map(n_modes, r, *modes, 1j))
 
 
 def two_mode_squeezer(r, n_modes=2, modes=(0, 1)):
     """Two-mode squeezing map, cosh(r) / sinh(r) blocks: generator 2ir(a+ b+ - a b)."""
-    return symplectic_from_hamiltonian(quadratic_generator(n_modes, *modes, 1j * r, squeeze=True))
+    return SymplecticMap(n_modes, _generator_map(n_modes, r, *modes, 1j, squeeze=True))
 
 
 def two_mode_squeezed_state(r):
-    """Two-mode squeezed vacuum, covariance cosh(2r) / sinh(2r) blocks."""
-    return apply_map(two_mode_squeezer(r), vacuum_state(2))
+    """`two_mode_squeezer(r)` on the vacuum: cosh(2r) / sinh(2r) blocks, non-finite past |r| of about 355."""
+    return CovarianceState(2, np.cosh(2.0 * r) * np.eye(4) + np.sinh(2.0 * r) * np.eye(4)[::-1])
 
 
 def apply_map(smap, state):
@@ -281,13 +284,14 @@ def random_symplectic(n_modes, rng):
     for _ in range(6):
         kind = rng.integers(0, 3)
         if kind == 0 or (kind == 1 and n_modes == 1):
-            fac = _phase_matrix(rng.uniform(0, 2 * np.pi, n_modes))
+            fac = np.eye(2 * n_modes)
+            for k, theta in enumerate(rng.uniform(0, 2 * np.pi, n_modes)):
+                fac = _generator_map(n_modes, theta, k, k, 1.0) @ fac
         elif n_modes > 1:
             i, j = rng.choice(n_modes, size=2, replace=False)
             r = rng.uniform(-np.pi, np.pi) if kind == 1 else rng.uniform(-0.6, 0.6)
-            fac = _exp_hamiltonian(quadratic_generator(n_modes, int(i), int(j), 1j * r, squeeze=kind == 2))
-        else:  # a single-mode squeezer
-            z = rng.uniform(-0.6, 0.6) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            fac = _exp_hamiltonian(quadratic_generator(1, 0, 0, z, squeeze=True))
+            fac = _generator_map(n_modes, r, int(i), int(j), 1j, squeeze=kind == 2)
+        else:  # a single-mode squeezer (its r is drawn before its phase)
+            fac = _generator_map(1, rng.uniform(-0.6, 0.6), 0, 0, np.exp(1j * rng.uniform(0, 2 * np.pi)), squeeze=True)
         s = fac @ s
     return SymplecticMap(n_modes, s, defect_tol=1e-9)

@@ -18,16 +18,13 @@ side evaluates it in the real quadrature form, where every matrix involved
 is real, and `solve_factors` integrates it with the eighth-order DOP853
 scheme.
 
-Every basis generator satisfies (K G_j)^2 = sigma_j P_j with P_j a projector
-and K G_j P_j = K G_j (sigma_j = +1 for phase rotations and beam splitters,
--1 for squeezers), so each factor exponential has the closed form
-
-    exp(i f K G_j) = 1 + (c(f) - 1) P_j + i s(f) K G_j,
-
-with (c, s) = (cos, sin) or (cosh, sinh): no matrix exponential is computed
-on the factor side.  The generators come from `gaussian.quadratic_generator`,
-and a basis builds the tables of these closed forms once, on first use.  F_j values depend on the factor ordering (fixed to the
-basis order); Gamma(t) does not.
+Every basis generator satisfies (K G_j)^2 = +-P_j with P_j a projector, so
+each factor exponential has the closed form 1 + (c - 1) P_j + i s K G_j with
+(c, s) = (cos f, sin f) or (cosh f, sinh f).  The generators and that one
+closed form are `rqi.gaussian`'s (`quadratic_generator`, `generator_tables`,
+`generator_exponentials`): no matrix exponential is computed on the factor
+side, and a basis builds its tables once, on first use.  F_j values depend on
+the factor ordering (fixed to the basis order); Gamma(t) does not.
 
 A schedule maps a time t to the coefficients lambda(t): a float gives a
 (dim,) array, an array of n times a (dim, n) array.  The fixed-step oracle
@@ -45,7 +42,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from .gaussian import kay, quadratic_generator, real_basis_matrix, symplectic_defect
+from .gaussian import generator_exponentials, generator_tables, kay, quadratic_generator, real_basis_matrix
+from .gaussian import symplectic_defect
 
 # condition number above which the factor matching system counts as singular
 COND_MAX = 1e10
@@ -78,8 +76,8 @@ class GeneratorBasis:
 
     @cached_property
     def factor_tables(self):
-        """`_factor_tables` of this basis, built on first use."""
-        return _factor_tables(self)
+        """`gaussian.generator_tables` of this basis, built on first use."""
+        return generator_tables(np.stack(self.generators), self.labels)
 
 
 def build_generator_basis(n_modes):
@@ -135,33 +133,6 @@ def hamiltonian_matrix(basis, lambdas):
     return np.tensordot(np.asarray(lambdas), np.stack(basis.generators), axes=(0, 0))
 
 
-def _factor_tables(basis):
-    """(i K G_j, P_j, hyperbolic_j) of every generator, checking (K G_j)^2 = sigma_j P_j.
-
-    P_j = sigma_j (K G_j)^2 must be a projector with K G_j P_j = K G_j;
-    hyperbolic_j is sigma_j = -1.  A basis that breaks the identity raises
-    ValueError: its factors have no closed-form exponential.
-    """
-    kg = np.diag(kay(basis.n_modes))[:, None] * np.stack(basis.generators)
-    sq = kg @ kg
-    sigma = np.sign(np.real(np.trace(sq, axis1=1, axis2=2)))
-    proj = sigma[:, None, None] * sq
-    scale = max(1.0, float(np.abs(kg).max()))
-    bad = np.abs(proj @ proj - proj).max(axis=(1, 2)) + np.abs(kg @ proj - kg).max(axis=(1, 2)) > 1e-12 * scale
-    if bad.any():
-        labels = [basis.labels[j] for j in np.flatnonzero(bad)]
-        raise ValueError(f"generators {labels} do not satisfy (K G)^2 = +-P: no closed-form factor exponential")
-    return 1j * kg, proj, sigma < 0
-
-
-def _factor_exponentials(tables, f):
-    """exp(i f_j K G_j) = 1 + (c - 1) P_j + s i K G_j over the last axis of f (j), in the form the tables are in."""
-    ikg, proj, hyper = tables
-    c = np.where(hyper, np.cosh(f), np.cos(f))
-    s = np.where(hyper, np.sinh(f), np.sin(f))
-    return np.eye(ikg.shape[1]) + (c - 1.0)[..., None, None] * proj + s[..., None, None] * ikg
-
-
 def _to_quadrature(mats):
     """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure."""
     n = mats.shape[-1] // 2
@@ -193,7 +164,7 @@ def derive_F_odes(basis, schedule):
 
     def rhs(t, f):
         lam = np.asarray(schedule(t), dtype=float)
-        e = _factor_exponentials(tables, f)
+        e = generator_exponentials(tables, f)
         for j in range(dim - 1):
             np.dot(e[j], v_rows[j], out=v_rows[j + 1])
         cols = lstsq_ops @ (v.transpose(0, 2, 1) @ gens @ v).reshape(dim, -1).T
@@ -229,7 +200,7 @@ def evolution_operator(basis, factors):
 
     Factors of shape (dim,) give one matrix, (dim, n) a stack of n, one per column.
     """
-    e = _factor_exponentials(basis.factor_tables, -np.asarray(factors, dtype=float).T)
+    e = generator_exponentials(basis.factor_tables, -np.asarray(factors, dtype=float).T)
     s = e[..., 0, :, :]
     for j in range(1, basis.dim):
         s = s @ e[..., j, :, :]

@@ -25,6 +25,14 @@ def test_scenario_validation():
     assert abs(sc.gamma - 1.0 / np.sqrt(0.75)) < 1e-14
 
 
+def test_tiny_positive_h_refused_and_the_smallest_matches_the_limit():
+    with pytest.raises(ValueError, match="0 < h < 1e-7"):
+        boxpair.BoxScenario(h=5e-8)
+    limit = boxpair.cavity_entanglement(boxpair.BoxScenario(h=0.0, kappa=1.0))["entropy"]
+    smallest = boxpair.cavity_entanglement(boxpair.BoxScenario(h=1e-7, kappa=1.0))["entropy"]
+    assert abs(smallest - limit) < 1e-9
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("field", ["h", "kappa", "gap", "epsilon"])
 def test_scenario_rejects_non_finite(field, value):

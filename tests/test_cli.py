@@ -1,8 +1,11 @@
 import hashlib
 import json
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rqi import boson, cli, teleport
 
@@ -36,6 +39,34 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert run(["measures", "--config", str(cfg), "--r", "0.1", "--out", str(out)]) == 0
     payload = json.loads((tmp_path / "m.json").read_text())
     assert abs(payload["log_negativity"] - 0.2) < 1e-12
+
+
+def tmss_closed_forms(r):
+    """Acceptance 01's closed forms at 30 digits: negativity (e^{2|r|} - 1)/2, log-negativity 2|r|, entropy."""
+    with mpmath.workdps(30):
+        r = abs(mpmath.mpf(r))
+        ch, sh = mpmath.cosh(r) ** 2, mpmath.sinh(r) ** 2
+        entropy = ch * mpmath.log(ch) - (sh * mpmath.log(sh) if sh else 0)
+        return {"negativity": (mpmath.exp(2 * r) - 1) / 2, "log_negativity": 2 * r, "entropy": entropy}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@settings(max_examples=200, deadline=None, database=None)
+@given(r=st.floats(-50.0, 400.0))
+@example(r=5.5)  # nu~ is about 1e-7 relative off: refused
+@example(r=7.0)
+@example(r=400.0)  # cosh 2r overflows
+def test_measures_accurate_or_refused(tmp_path_factory, r):
+    out = tmp_path_factory.mktemp("m") / "m"
+    code = run(["measures", f"--r={r!r}", "--out", str(out)])
+    assert code in (0, 2)
+    if code == 2:
+        assert not out.with_suffix(".json").exists()
+        return
+    payload = json.loads(out.with_suffix(".json").read_text())
+    assert payload["nu_error_estimate"] <= 1e-9
+    for key, expect in tmss_closed_forms(r).items():  # relative, with acceptance 01's floor of 1
+        assert abs(payload[key] - float(expect)) <= 1e-9 * max(1.0, float(expect)), key
 
 
 def test_unknown_config_key_exit_2(tmp_path):
@@ -328,6 +359,22 @@ def test_box_entangle_bad_truncation_exit_2(tmp_path):
     args = ["box-entangle", "--h", "[0.5]", "--kappa", "[0.0]", "--out", str(tmp_path / "b")]
     assert run(args + ["--n-cut", "0"]) == 2
     assert run(args + ["--n-cut", "2000"]) == 2  # more modes than the y grid can hold
+
+
+@pytest.mark.parametrize("h", ["[1e-11]", "[1e-12]"])
+def test_box_entangle_tiny_h_exit_2(tmp_path, h):
+    # the y grid, about h wide, loses its spacing to rounding (1e-11) or has none left (1e-12)
+    assert run(["box-entangle", "--h", h, "--kappa", "[1]", "--out", str(tmp_path / "b")]) == 2
+    assert not (tmp_path / "b.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("args", [["--gap", "[-1e300]"], ["--profile", "gaussian", "--gap", "[-1e155]"]])
+def test_non_finite_cell_exit_3(tmp_path, capsys, args):
+    # flat**2 overflows to an inf rate; with the gaussian profile 0 * inf gives a nan one
+    assert run(["detector-rate", "--trajectory", "inertial", *args, "--out", str(tmp_path / "d")]) == 3
+    assert not (tmp_path / "d.csv").exists()
+    assert "column 'rate' has non-finite cells" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("dim", ["2+1", "banana"])

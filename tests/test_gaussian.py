@@ -68,22 +68,6 @@ def test_two_mode_squeezer_blocks():
     assert abs(s[1, 2] - np.sinh(r)) < 1e-12
 
 
-def test_symplectic_from_hamiltonian_rejects_bad_blocks():
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = 1.0  # not Hermitian
-    with pytest.raises(ValueError):
-        g.symplectic_from_hamiltonian(h)
-    h2 = np.eye(4, dtype=complex)
-    h2[0, 2] = 0.5  # breaks the conjugate-block structure
-    with pytest.raises(ValueError):
-        g.symplectic_from_hamiltonian(h2)
-
-
-def test_zero_hamiltonian_gives_identity():
-    s = g.symplectic_from_hamiltonian(np.zeros((4, 4)))
-    assert np.allclose(s.matrix, np.eye(4))
-
-
 def test_apply_identity_and_squeezer():
     vac = g.vacuum_state(2)
     ident = g.SymplecticMap(2, np.eye(4, dtype=complex))

@@ -17,6 +17,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 MODULES = ["bessel", "boson", "boxpair", "entanglement", "fermion", "gaussian", "nonpert", "teleport", "udw"]
 # commands that need no scipy, each on a tiny grid
 SCIPY_FREE = {
+    "measures": [],
     "resonance-sweep": ["--tau1", "[0.5]", "--tau2", "[0.5]"],
     "teleport-fidelity": ["--tau", "[0.5]", "--h", "[0.1]"],
     "fermion-negativity": ["--u", "[0.5]"],

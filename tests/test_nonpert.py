@@ -172,8 +172,14 @@ def test_hamiltonian_matrix_matches_printed_structure():
 
 
 @PROPS
-@given(basis_index=st.integers(0, len(BASES) - 1), f=st.floats(-3.0, 3.0), pick=st.integers(0, 20))
-def test_closed_form_factor_matches_expm(basis_index, f, pick):
+@given(
+    basis_index=st.integers(0, len(BASES) - 1),
+    f=st.floats(-3.0, 3.0),
+    pick=st.integers(0, 20),
+    phase=st.floats(0.0, 2 * np.pi),
+    squeeze=st.booleans(),
+)
+def test_closed_form_factor_matches_expm(basis_index, f, pick, phase, squeeze):
     basis = BASES[basis_index]
     j = pick % basis.dim
     k = gaussian.kay(basis.n_modes)
@@ -181,6 +187,17 @@ def test_closed_form_factor_matches_expm(basis_index, f, pick):
     factors[j] = -f  # evolution_operator builds exp(-i F_j K G_j)
     closed = nonpert.evolution_operator(basis, factors)
     assert np.abs(closed - expm(1j * f * (k @ basis.generators[j]))).max() < 1e-13
+    # the same closed form gives any single generator of a unit-modulus value, and the gaussian maps
+    n = basis.n_modes
+    a, b = pick % n, (pick // n) % n
+    value = np.exp(1j * phase) if squeeze or a != b else 1.0  # a phase rotation takes a real value
+    g = gaussian.quadratic_generator(n, a, b, value, squeeze)
+    single = gaussian.generator_exponentials(gaussian.generator_tables(g[None], ["g"]), f)[0]
+    assert np.abs(single - expm(1j * f * (k @ g))).max() < 1e-13
+    if a != b:
+        for build, sq in ((gaussian.beam_splitter, False), (gaussian.two_mode_squeezer, True)):
+            expect = expm(-1j * f * (k @ gaussian.quadratic_generator(n, a, b, 1j, sq)))
+            assert np.abs(build(f, n, (a, b)).matrix - expect).max() < 1e-13
 
 
 def test_trajectory_stack_matches_per_column_products():
@@ -229,8 +246,8 @@ def test_generic_hermitian_generator_rejected():
 
 def test_factor_tables_built_once_per_basis(monkeypatch):
     calls = []
-    build = nonpert._factor_tables
-    monkeypatch.setattr(nonpert, "_factor_tables", lambda basis: calls.append(basis) or build(basis))
+    build = nonpert.generator_tables
+    monkeypatch.setattr(nonpert, "generator_tables", lambda gens, labels: calls.append(labels) or build(gens, labels))
     basis = nonpert.detector_field_basis()
     sched = nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0)
     _, factors, _ = nonpert.evolve_state(basis, sched, (0.0, 2.0), t_eval=[1.0, 2.0])
