@@ -34,6 +34,7 @@ blocks inside a composition and powers of a composed map are not re-checked.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -64,6 +65,8 @@ class BosonCavityConfig:
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("need at least two modes")
+        if not math.isfinite(self.mass * self.mass):  # the mode frequencies square it
+            raise ValueError("field mass must have a finite square")
         if not abs(self.h) < 2.0:
             raise ValueError("physical accelerated segments need |h| < 2")
 

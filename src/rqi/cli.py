@@ -261,7 +261,8 @@ def cmd_nonpert_evolve(*, coupling=1.0, t_sq=80.0, gap=2 * np.pi, t_end=40.0, ta
     header = ["tau", "n_d"] + [f"F{j+1}" for j in range(basis.dim)]
     final_f = sol.y[:, -1]
     zero_factors = [basis.labels[j] for j in range(basis.dim) if abs(final_f[j]) < 1e-10]
-    return header, rows, {"zero_factors": zero_factors, "rhs_calls": int(sol.nfev)}
+    work = {"rhs_calls": sol.nfev, "newton_iterations": sol.newton_iterations, "subdivisions": sol.subdivisions}
+    return header, rows, {"zero_factors": zero_factors, **work}
 
 
 def cmd_box_entangle(

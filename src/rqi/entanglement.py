@@ -84,7 +84,7 @@ def negativity_gaussian(state):
 def log_negativity_gaussian(state):
     """max[-log(nu~), 0] (natural log)."""
     nu = smallest_pt_eigenvalue(state)
-    return max(-np.log(nu), 0.0)
+    return max(-np.log(nu), 0.0) + 0.0  # + 0.0: -log(1) is -0.0, and max keeps it on a tie
 
 
 def partial_transpose_dm(rho, dims):

@@ -4,27 +4,21 @@ The covariance-matrix evolution operator S(t), defined by
 
     dS/dt = -i K H(t) S,      H(t) = sum_j lambda_j(t) G_j,      S(0) = 1,
 
-is written as an ordered product of one-generator exponentials
-
-    S(t) = prod_j exp(-i F_j(t) K G_j)        (j = 1 leftmost),
-
-the product decomposition of Wei & Norman (J. Math. Phys. 4, 575 (1963)).
-Differentiating the product and matching against H(t) in the generator basis
-yields a linear system alpha(F) F' = lambda(t) at each time: the column of
-alpha for generator j is the coordinate vector of W_j^{-+} G_j W_j^{-1} with
-W_j = S_1 ... S_{j-1}, read off by a pseudo-inverse projection onto the
-basis, so no hand-derived structure constants are needed.  The right-hand
-side evaluates it in the real quadrature form, where every matrix involved
-is real, and `solve_factors` integrates it with the eighth-order DOP853
-scheme.
+is linear: `solve_factors` integrates it in the real quadrature form (where
+every -i K G_j is real) with the eighth-order DOP853 scheme, then writes S at
+each output as the ordered product S = prod_j exp(-i F_j K G_j) (j = 1
+leftmost) of Wei & Norman (J. Math. Phys. 4, 575 (1963)), by Newton from the
+previous output's F.  The Jacobian is their matching matrix: the column of F_j
+holds the coordinates of W_j^{-+} G_j W_j^{-1}, W_j = S_1 ... S_{j-1}, from a
+pseudo-inverse projection onto the basis.  The coordinates are only local, so
+a failed match is retried on half the interval.  Gamma(t) is built from S(F),
+which is exactly symplectic.
 
 Every basis generator satisfies (K G_j)^2 = +-P_j with P_j a projector, so
-each factor exponential has the closed form 1 + (c - 1) P_j + i s K G_j with
-(c, s) = (cos f, sin f) or (cosh f, sinh f).  The generators and that one
-closed form are `rqi.gaussian`'s (`quadratic_generator`, `generator_tables`,
-`generator_exponentials`): no matrix exponential is computed on the factor
-side, and a basis builds its tables once, on first use.  F_j values depend on
-the factor ordering (fixed to the basis order); Gamma(t) does not.
+each factor exponential is 1 + (c - 1) P_j + i s K G_j with (c, s) = (cos f,
+sin f) or (cosh f, sinh f), `rqi.gaussian`'s `generator_exponentials`: the
+factor side computes no matrix exponential or inverse, and a basis builds its
+tables once.  F_j depend on the factor ordering (the basis order); Gamma does not.
 
 A schedule maps a time t to the coefficients lambda(t): a float gives a
 (dim,) array, an array of n times a (dim, n) array.  The fixed-step oracle
@@ -47,6 +41,10 @@ from .gaussian import symplectic_defect
 
 # condition number above which the factor matching system counts as singular
 COND_MAX = 1e10
+# Newton on F -> S(F): most steps of one match, and the step bound relative to max(1, |F|)
+NEWTON_MAX_ITER, NEWTON_STEP_TOL = 20, 1e-9
+# shortest interval a failed match is halved to before it raises
+SUBDIVIDE_MIN = 1e-9
 # most oracle midpoint steps exponentiated and multiplied in one batch
 ORACLE_BATCH = 4096
 # most oracle steps in one call: about ten minutes at the batched rate
@@ -102,28 +100,16 @@ def build_generator_basis(n_modes):
 
 
 def detector_field_basis():
-    """N = 2 basis ordered as in the single-detector example.
+    """N = 2 basis ordered as in the single-detector example (mode 0 the detector, mode 1 the field).
 
-    Mode 0 is the detector, mode 1 the field mode: two-mode squeezers first,
-    then detector and field single-mode squeezers, then beam splitters and
-    the two phase rotations.  The generators are those of
-    `build_generator_basis(2)`, reordered and relabelled ([0] -> [d],
-    [1] -> [D], the pair index dropped).
+    Two-mode squeezers, detector and field single-mode squeezers, beam
+    splitters, the two phase rotations: `build_generator_basis(2)` reordered
+    and relabelled ([0] -> [d], [1] -> [D], the pair index dropped).
     """
     full = build_generator_basis(2)
     index = {lab: j for j, lab in enumerate(full.labels)}
-    order = (
-        "tms_re[0,1]",
-        "tms_im[0,1]",
-        "sms_re[0]",
-        "sms_im[0]",
-        "sms_re[1]",
-        "sms_im[1]",
-        "bs_re[0,1]",
-        "bs_im[0,1]",
-        "phase[0]",
-        "phase[1]",
-    )
+    order = ("tms_re[0,1]", "tms_im[0,1]", "sms_re[0]", "sms_im[0]", "sms_re[1]", "sms_im[1]")
+    order += ("bs_re[0,1]", "bs_im[0,1]", "phase[0]", "phase[1]")
     labels = tuple(lab.replace("[0,1]", "").replace("[0]", "[d]").replace("[1]", "[D]") for lab in order)
     return GeneratorBasis(n_modes=2, generators=tuple(full.generators[index[lab]] for lab in order), labels=labels)
 
@@ -143,55 +129,72 @@ def _to_quadrature(mats):
     return out.real
 
 
-def derive_F_odes(basis, schedule):
-    """Right-hand side F'(t) = solve(alpha(F), lambda(t)) of the matching system.
+def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
+    """Integrate S(t) from S = 1 over `t_span` (DOP853) and match F at each output (`t_eval`, or the steps).
 
-    `schedule(t)` returns the vector of generator coefficients lambda_j(t).
-    Each call works in the real quadrature form: all factor exponentials from
-    their closed forms, the chain W_j^{-1} = S_{j-1}^{-1} ... S_1^{-1}, one
-    batched conjugation W_j^{-T} G_j W_j^{-1} of all generators and one
-    pseudo-inverse projection of all columns onto the basis.  Raises (with
-    the 2-norm condition number) if the matching matrix degenerates.
+    Returns scipy's OdeResult with `y` the factors (dim, n), `s` the integrated S (n, 2N, 2N, complex
+    form) and the counts `nfev`, `newton_iterations` and `subdivisions`.  A failed match is retried at
+    the interval's midpoint (S from the dense output); on an interval below SUBDIVIDE_MIN it raises.
     """
     ikg, proj, hyper = basis.factor_tables
     tables = (_to_quadrature(ikg), _to_quadrature(proj), hyper)
     gens = _to_quadrature(np.stack(basis.generators))
-    dim = basis.dim
-    lstsq_ops = np.linalg.pinv(gens.reshape(dim, -1).T)
-    v = np.empty_like(gens)  # v[j] = (S_1 ... S_{j-1})^-1, rewritten by every call
-    v[0] = np.eye(gens.shape[1])
+    dim, d = gens.shape[:2]
+    kgens = -tables[0].reshape(dim, -1)  # A_j = -i K G_j
+    coords_g, coords_a = np.linalg.pinv(gens.reshape(dim, -1).T), np.linalg.pinv(kgens.T)
+    v = np.empty_like(gens)  # v[j] = W_j^{-1}, rewritten by every Newton step
+    v[0] = eye = np.eye(d)
     v_rows = list(v)  # views: np.dot into them costs less per call than matmul
 
-    def rhs(t, f):
-        lam = np.asarray(schedule(t), dtype=float)
-        e = generator_exponentials(tables, f)
-        for j in range(dim - 1):
-            np.dot(e[j], v_rows[j], out=v_rows[j + 1])
-        cols = lstsq_ops @ (v.transpose(0, 2, 1) @ gens @ v).reshape(dim, -1).T
-        s = np.linalg.svd(cols, compute_uv=False)  # 2-norm condition number s[0] / s[-1]
-        cond = s[0] / s[-1] if s[-1] > 0.0 else np.inf
-        if not cond <= COND_MAX:
-            raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
-        return np.linalg.solve(cols, lam)
+    def rhs(t, y):
+        return ((np.asarray(schedule(t), dtype=float) @ kgens).reshape(d, d) @ y.reshape(d, d)).ravel()
 
-    return rhs
+    @np.errstate(over="ignore", invalid="ignore")  # a diverging F fails by its non-finite Jacobian
+    def newton(target, f):
+        """(F, or None on failure, steps, cond) of Newton on S(F) = target from f.
 
+        E_j^{-1} = exp(+i F_j K G_j) give W_j^{-1}, the Jacobian and S(F)^{-1}; a step solves the Jacobian against
+        target S(F)^{-1} - 1.  A non-finite Jacobian, cond > COND_MAX and NEWTON_MAX_ITER steps are failures.
+        """
+        for it in range(1, NEWTON_MAX_ITER + 1):
+            e = generator_exponentials(tables, f)
+            for j in range(dim - 1):
+                np.dot(e[j], v_rows[j], out=v_rows[j + 1])
+            jac = coords_g @ (v.transpose(0, 2, 1) @ gens @ v).reshape(dim, -1).T
+            if not np.isfinite(jac).all():
+                return None, it, np.inf
+            sv = np.linalg.svd(jac, compute_uv=False)  # 2-norm condition number sv[0] / sv[-1]
+            cond = sv[0] / sv[-1] if sv[-1] > 0.0 else np.inf
+            if not cond <= COND_MAX:
+                break
+            step = np.linalg.solve(jac, coords_a @ (target @ e[-1] @ v[-1] - eye).ravel())
+            f = f + step
+            if np.abs(step).max() <= NEWTON_STEP_TOL * max(1.0, np.abs(f).max()):
+                return f, it, cond
+        return None, it, cond
 
-def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
-    """Integrate the F_j(t) ODEs from F(0) = 0 over `t_span` (DOP853)."""
-    rhs = derive_F_odes(basis, schedule)
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        np.zeros(basis.dim),
-        method="DOP853",
-        t_eval=t_eval,
-        rtol=rtol,
-        atol=atol,
-        dense_output=t_eval is None,
-    )
+    sol = solve_ivp(rhs, t_span, eye.ravel(), method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, dense_output=True)
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
+    s_out = sol.y.T.reshape(-1, d, d)
+    factors = np.empty((dim, sol.t.size))
+    t_a, f = t_span[0], np.zeros(dim)  # the last matched time and its F
+    sol.newton_iterations = sol.subdivisions = 0
+    for k, t in enumerate(sol.t):
+        target = t
+        while t_a != t:
+            f_new, it, cond = newton(s_out[k] if target == t else sol.sol(target).reshape(d, d), f)
+            sol.newton_iterations += it
+            if f_new is not None:  # on to the output from here
+                t_a, f, target = target, f_new, t
+            elif abs(target - t_a) < SUBDIVIDE_MIN:
+                raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
+            else:
+                target = (t_a + target) / 2.0
+                sol.subdivisions += 1
+        factors[:, k] = f
+    q = real_basis_matrix(d // 2)[np.r_[0:d:2, 1:d:2]]  # the Q of `_to_quadrature`
+    sol.y, sol.s = factors, q.conj().T @ s_out @ q
     return sol
 
 
@@ -222,11 +225,7 @@ def covariance_trajectory(basis, factors, gamma0=None):
 
 
 def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, atol=1e-11):
-    """Covariance trajectory Gamma(t) = S(t) Gamma0 S(t)+ (complex form).
-
-    Returns (times, factors, gammas); symplecticity |S K S+ - K| is checked
-    at every output time.
-    """
+    """(times, factors, gammas): Gamma = S(F) Gamma0 S(F)+ (complex form) of `solve_factors`' F, checked symplectic."""
     sol = solve_factors(basis, schedule, t_span, t_eval=t_eval, rtol=rtol, atol=atol)
     return sol.t, sol.y, covariance_trajectory(basis, sol.y, gamma0)
 
@@ -265,8 +264,7 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
     if not t_mod > 0:
         raise ValueError("modulation time t_mod must be positive")
     idx = {lab: i for i, lab in enumerate(basis.labels)}
-    want = ("tms_re", "tms_im", "bs_re", "bs_im")
-    if not all(w in idx for w in want):
+    if not {"tms_re", "tms_im", "bs_re", "bs_im"} <= idx.keys():
         raise ValueError("schedule needs the detector-field generator labels")
 
     def schedule(t):

@@ -79,6 +79,8 @@ class DetectorParams:
             raise ValueError("gap must be finite")
         if not (self.mass >= 0 and self.accel >= 0):
             raise ValueError("field mass and acceleration must be non-negative")
+        if not math.isfinite(self.mass * self.mass):  # every rate squares it
+            raise ValueError("field mass must have a finite square")
 
 
 def frequency_window(profile):

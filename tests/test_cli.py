@@ -28,6 +28,13 @@ def test_measures_json(tmp_path):
     assert abs(payload["entropy"] - 0.6594529591680) < 1e-9
 
 
+def test_measures_unentangled_writes_unsigned_zero(tmp_path):
+    assert run(["measures", "--r", "0", "--out", str(tmp_path / "m")]) == 0
+    text = (tmp_path / "m.json").read_text()
+    assert '"log_negativity": 0.0' in text and '"negativity": 0.0' in text
+    assert "-0.0" not in text
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 0.25}))
@@ -271,21 +278,22 @@ GOLDEN_BOX_ROWS = [
     (0.5, 1.0, 0.69301675682996799),
 ]
 
-# nonpert-evolve: (tau, n_d, F1..F10) rows recorded with the DOP853 solve.  The
-# RK45 rows before them lay 9.9e-11 from a tight reference (DOP853 at rtol 1e-13,
-# atol 1e-15); these lie 7.1e-12 from it.  Compared to 1e-15.
+# nonpert-evolve: (tau, n_d, F1..F10) rows recorded with S(t) integrated by DOP853
+# and F matched to it by Newton.  Against the factor-ODE route at rtol 1e-13,
+# atol 1e-15 the rows lie 0, 6.0e-11 and 6.8e-11 from it (N_d 1.2e-14); the
+# factor-route rows before them lay 4.6e-12 and 7.1e-12 from it.  Compared to 1e-15.
 GOLDEN_NONPERT_ARGS = ["--coupling", "0.4", "--t-sq", "4.0", "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"]
 GOLDEN_NONPERT_ROWS = [
     (0.0,) * 12,
     (
-        3.0, 0.0010368924188279838, -0.002778818512353118, -0.032027724872359033, 0.00022266488612524362,
-        0.0010117000664648891, -0.043367235575709123, -0.0029321016120642152, -0.0041877834365879867,
-        -0.031919431322386269, 8.951042962156192e-05, -0.043790255696315492,
+        3.0, 0.0010368924188275397, -0.0027788185154889056, -0.032027724872085828, 0.00022266488375985717,
+        0.001011700069363326, -0.043367235521115974, -0.0029321016043604691, -0.0041877834360824727,
+        -0.031919431323308177, 8.9510428790605834e-05, -0.043790255636951464,
     ),
     (
-        6.0, 3.4948740610385443e-06, 3.8407751465218536e-05, -0.0018668532004532594, 2.5969832761925498e-08,
-        3.490654304759125e-06, -0.048542264617327135, -0.0023673042098907868, -5.2510461974411915e-05,
-        -0.0018665184479289591, 3.3923183177735821e-07, -0.048695864947692423,
+        6.0, 3.4948740612605889e-06, 3.840775131646034e-05, -0.0018668532004977021, 2.5970561885272359e-08,
+        3.4906541102477657e-06, -0.048542264556631652, -0.0023673042017936224, -5.2510461864033567e-05,
+        -0.0018665184478701244, 3.3923083254623286e-07, -0.048695864885340744,
     ),
 ]
 
@@ -338,8 +346,10 @@ def test_golden_nonpert_evolve(tmp_path):
     assert rows.shape == (3, 12)
     assert np.abs(rows - np.array(GOLDEN_NONPERT_ROWS)).max() < 1e-15
     summary = json.loads((tmp_path / "g.json").read_text())
-    assert set(summary) == {"command", "params", "rhs_calls", "rows", "zero_factors"}
+    assert set(summary) == {"command", "newton_iterations", "params", "rhs_calls", "rows", "subdivisions", "zero_factors"}
     assert isinstance(summary["rhs_calls"], int) and summary["rhs_calls"] > 0
+    assert isinstance(summary["newton_iterations"], int) and summary["newton_iterations"] >= 3
+    assert summary["subdivisions"] == 0
 
 
 def test_golden_detector_rate(tmp_path):
@@ -532,6 +542,10 @@ OUT_OF_RANGE = [
     ["resonance-sweep", "--kp", "1", "--tau1", "[0.3]", "--tau2", "[0.2]"],
     ["detector-rate", "--a", "0", "--gap", "[1.0]"],
     ["detector-rate", "--trajectory", "inertial", "--mass", "-1", "--gap", "[-0.5]"],
+    # a mass whose square overflows a float
+    ["detector-rate", "--mass", "1e300", "--trajectory", "inertial", "--gap", "[1]"],
+    ["detector-rate", "--dim", "3+1", "--mass", "1e300", "--gap", "[1]"],
+    ["resonance-sweep", "--mass", "1e200", "--tau1", "[0.5]", "--tau2", "[0.5]"],
     ["nonpert-evolve", "--t-sq", "0", "--tau", "[0.0, 1.0]"],
     ["nonpert-evolve", "--t-sq", "-4", "--tau", "[0.0, 1.0]"],
     ["resonance-sweep", "--tau1", "[-0.5]", "--tau2", "[-0.3]"],

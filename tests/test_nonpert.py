@@ -234,14 +234,14 @@ def test_generic_hermitian_generator_rejected():
     std = nonpert.build_generator_basis(n)
     basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (g,), std.labels[:-1] + ("generic",))
     with pytest.raises(ValueError, match="generic"):
-        nonpert.derive_F_odes(basis, lambda t: np.zeros(basis.dim))
+        nonpert.solve_factors(basis, lambda t: np.zeros(basis.dim), (0.0, 1.0))
     with pytest.raises(ValueError, match="generic"):
         nonpert.evolution_operator(basis, np.zeros(basis.dim))
     # passes the closed-form identity, but its lower blocks are not the conjugates of the upper ones
     lopsided = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (lopsided,), std.labels[:-1] + ("lopsided",))
     with pytest.raises(ValueError, match="block structure"):
-        nonpert.derive_F_odes(basis, lambda t: np.zeros(basis.dim))
+        nonpert.solve_factors(basis, lambda t: np.zeros(basis.dim), (0.0, 1.0))
 
 
 def test_factor_tables_built_once_per_basis(monkeypatch):
@@ -335,16 +335,59 @@ def test_example_schedule_on_an_array_matches_scalar_calls():
     assert sched(1.3).shape == (basis.dim,)
 
 
-@pytest.mark.slow
-def test_singular_matching_system_raises():
-    """A beam-splitter factor reaching pi/4 with its partner drive non-zero makes the matching system singular."""
+def chart_singular_drive():
+    """Constant bs_re = 0.5 and bs_im = 1e-9 on `build_generator_basis(2)`: F_bs_re reaches pi/4 at t = pi/2."""
     basis = nonpert.build_generator_basis(2)
     idx = {lab: i for i, lab in enumerate(basis.labels)}
     lam = np.zeros(basis.dim)
     lam[idx["bs_re[0,1]"]] = 0.5
     lam[idx["bs_im[0,1]"]] = 1e-9
+    return basis, lambda t: np.multiply.outer(lam, np.ones(np.shape(t)))
+
+
+def test_singular_matching_system_raises():
+    """An output where the beam-splitter factor is pi/4, its partner drive non-zero: no F matches S there."""
+    basis, sched = chart_singular_drive()
     with pytest.raises(RuntimeError, match="matching system singular"):
-        nonpert.evolve_state(basis, lambda t: lam, (0.0, 3.0))
+        nonpert.evolve_state(basis, sched, (0.0, 3.0), t_eval=[1.0, np.pi / 2, 3.0])
+
+
+def test_integrate_and_match_across_chart_singularity():
+    """S(t) integrates through the chart's singular point; F is matched on each side of it."""
+    basis, sched = chart_singular_drive()
+    grid = np.linspace(0.0, 3.0, 301)
+    sol = nonpert.solve_factors(basis, sched, (0.0, 3.0), t_eval=grid)
+    oracle = nonpert.product_integrator_oracle(basis, sched, grid, dt=1e-3)
+    assert np.abs(nonpert.covariance_trajectory(basis, sol.y) - oracle).max() < 1e-4
+    assert np.abs(nonpert.evolution_operator(basis, sol.y) - sol.s).max() < 1e-8
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(1, 3),
+    drive=st.lists(st.floats(-1.0, 1.0), min_size=3 * 21, max_size=3 * 21),
+    t_end=st.floats(0.1, 2.0),
+)
+def test_random_drive_of_every_generator_against_oracle(n, drive, t_end):
+    """lambda_j(t) = c (a_j + b_j cos(3 w_j t)) on every generator: Gamma against the oracle, S(F) against S.
+
+    c caps sum_j |lambda_j| at 0.3.  Capping each |lambda_j| alone lets 21
+    drives add up to a factor where the product chart is singular (item 5 of
+    the roadmap), and the match then refuses.
+    """
+    basis = BASES[n - 1]
+    a, b, w = np.reshape(drive, (3, -1))[:, : basis.dim, None]
+    c = 0.3 / max(1.0, np.abs(a).sum() + np.abs(b).sum())
+
+    def sched(t):  # a float gives (dim,), an array of times (dim, n)
+        lam = c * (a + b * np.cos(3.0 * w * np.atleast_1d(t)))
+        return lam if np.ndim(t) else lam[:, 0]
+
+    grid = np.linspace(0.0, t_end, 5)
+    sol = nonpert.solve_factors(basis, sched, (0.0, t_end), t_eval=grid)
+    oracle = nonpert.product_integrator_oracle(basis, sched, grid, dt=1e-3)
+    assert np.abs(nonpert.covariance_trajectory(basis, sol.y) - oracle).max() < 1e-6
+    assert np.abs(nonpert.evolution_operator(basis, sol.y) - sol.s).max() < 1e-8
 
 
 def test_three_mode_passive_drive_against_oracle():
