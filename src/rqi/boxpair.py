@@ -10,11 +10,9 @@ is entangled between the cavities; its entropy of entanglement follows from
 the reduced state rho_R = (sum |F^A|^2) (+) F F+ after trace normalisation.
 
 Rob's x-direction modes solve the modified Bessel equation with imaginary
-order; the spectrum comes from a tridiagonal discretisation of the equivalent
-Sturm-Liouville problem in y = log(chi).  Its eigenvalues are bisected only to
-BISECT_RTOL of the matrix norm; inverse iteration still converges to the same
-eigenvectors, and each Omega^2 is then taken from its vector's Rayleigh
-quotient, whose error is quadratic in the vector's.  The atom's trajectory
+order; the spectrum is that of a finite-difference matrix of the equivalent
+Sturm-Liouville problem in y = log(chi), found by Rayleigh-Ritz on a Chebyshev
+subspace that grows until every Ritz pair has converged.  The atom's trajectory
 enters through chi(tau) = sqrt(1/h^2 - gamma^2 tau^2) and the Rindler phase
 Omega atanh(h gamma tau); the dimensionless frequency convention is pinned by
 the h -> 0 continuity check Omega log(chi+/chi-) -> sqrt(n^2 pi^2 + kappa_m^2).
@@ -27,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,7 @@ class BoxScenario:
             raise ValueError("mode truncation needs n_cut >= 1")
         if self.n_quad < 1:
             raise ValueError("overlap quadrature needs n_quad >= 1")
-        if self.n_y < self.n_cut + 2:
-            # the finite-difference solve has n_y - 2 interior points, one per mode at least
+        if self.n_y < self.n_cut + 2:  # the spectrum solve has n_y - 2 interior points, one per mode at least
             raise ValueError("spectrum grid needs n_y >= n_cut + 2")
 
     @property
@@ -91,9 +87,8 @@ class RindlerBoxSpectrum:
     def from_modes(cls, scenario, y_grid, omegas, profiles):
         """Spectrum from raw profiles on `y_grid`, each known up to a constant factor.
 
-        Every profile is signed so that its first lobe is positive and given
-        the Klein-Gordon normalisation Omega * int u^2 dchi/chi * int sin^2 dy
-        = 1/2, i.e. N = 1/sqrt(Omega I_chi).
+        Every profile is signed so that its first lobe is positive and given the Klein-Gordon
+        normalisation Omega * int u^2 dchi/chi * int sin^2 dy = 1/2, i.e. N = 1/sqrt(Omega I_chi).
         """
         mag = np.abs(profiles)
         first = np.argmax(mag > 1e-3 * mag.max(axis=-1, keepdims=True), axis=-1)
@@ -103,64 +98,77 @@ class RindlerBoxSpectrum:
         return cls(scenario, y_grid, omegas, norms, profiles)
 
 
-# Bisection tolerance as a share of the matrix norm.  Coarser spoils the vectors:
-# at 1e-8 their residuals grow more than tenfold, at 1e-6 Omega is up to 1e-5 off.
-BISECT_RTOL = 1e-9
+# Subspace order to start from, and a Ritz pair's residual bound per unit gap (the default domain: 1.2e-10 at 40)
+GALERKIN_ORDER, RITZ_GATE = 40, 2e-10
+
+
+@functools.lru_cache(maxsize=4)
+def _galerkin_basis(n_y, order):
+    """(Q, Q'DQ), D = tridiag(-1, 2, -1): Q = V R^-1 orthonormalises V = (1 - s^2) T_j(s), j < order, on the
+    n_y - 2 interior grid points, s affine in the grid index from -1 to 1.  Built once, read-only.  CholeskyQR2
+    keeps Q as smooth as V (Householder QR leaves 1e-13 of noise for D to amplify).  From order 4 sqrt(n_y - 2),
+    where V's condition number passes 3e5, Q is the identity: an exact projection."""
+    s = np.linspace(-1.0, 1.0, n_y)[1:-1]
+    if order >= min(s.size, 4.0 * np.sqrt(s.size)):
+        q = np.eye(s.size)
+    else:
+        q = (1.0 - s * s)[:, None] * np.polynomial.chebyshev.chebvander(s, order - 1)
+        for _ in range(2):
+            q = q @ np.linalg.inv(np.linalg.cholesky(q.T @ q).T)
+    a = (lq := np.diff(q, axis=0, prepend=0.0, append=0.0)).T @ lq  # (LQ)'(LQ), D = L'L with zero walls
+    q.flags.writeable = a.flags.writeable = False
+    return q, a
 
 
 def solve_rindler_spectrum(scenario):
     """Frequencies Omega_nm, normalisations and profiles of Rob's modes.
 
-    Per m, the interior of an n_y-point grid in y = log(chi) discretises
-    u'' + (Omega^2 - kappa_m^2 e^(2y)) u = 0 with u = 0 at both walls; the
-    lowest n_cut eigenpairs of the tridiagonal matrix T give Omega_nm^2 and u.
-
-    Bisection stops at BISECT_RTOL times the Gershgorin bound on ||T||, about
-    half the cost of bisecting to full precision, and LAPACK's inverse iteration
-    turns the coarse eigenvalues into eigenvectors.  Omega^2 is each vector's
-    Rayleigh quotient u'Tu / u'u, summed as squared differences plus the
-    potential term so that nothing cancels; it lies within 1.7e-11 (relative,
-    in Omega) of full-precision bisection of the same matrix.
+    Per m, the interior of an n_y-point grid in y = log(chi) discretises u'' + (Omega^2 - kappa_m^2 e^(2y)) u = 0
+    with u = 0 at both walls; the lowest n_cut eigenpairs of T_m = D/dy^2 + kappa_m^2 diag(e^(2y)) give
+    Omega_nm^2 and u.  They are Ritz pairs (theta, u = Q X) of one stacked eigh of every T_m projected onto
+    `_galerkin_basis`, its order doubled until each |T u - theta u| is at most RITZ_GATE times the distance
+    from theta to the other Ritz values of its m.  Omega^2 is each u's Rayleigh quotient.
     """
     if scenario.h <= 0:
         raise ValueError("spectrum solver needs h > 0; use the closed form at h = 0")
     n_cut = scenario.n_cut
     y = np.linspace(np.log(1.0 / scenario.h - 0.5), np.log(1.0 / scenario.h + 0.5), scenario.n_y)
-    dy = y[1] - y[0]
-    off = -np.ones(y.size - 3) / dy**2
-    omegas = np.empty((n_cut, n_cut))
+    dy, n_in = y[1] - y[0], y.size - 2
+    kappa2 = scenario.kappa_m(np.arange(1, n_cut + 1)) ** 2
+    pot = kappa2[:, None] * np.exp(2.0 * y[1:-1])  # (m, interior)
     profiles = np.zeros((n_cut, n_cut, y.size))
-    for m in range(1, n_cut + 1):
-        pot = scenario.kappa_m(m) ** 2 * np.exp(2.0 * y[1:-1])
-        diag = 2.0 / dy**2 + pot
-        norm = diag.max() + 2.0 / dy**2  # Gershgorin bound: 4/dy^2 + max kappa_m^2 e^(2y)
-        _, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, n_cut - 1), tol=BISECT_RTOL * norm)
-        # Rayleigh quotient v'Tv / v'v as a sum of squares (u = 0 at both walls): summed from diag
-        # and off instead, the 2/dy^2 terms cancel and leave up to 1.5e-10 of Omega^2
-        sq = vecs * vecs
-        grad = (np.diff(vecs, axis=0) ** 2).sum(axis=0) + sq[0] + sq[-1]
-        vals = (grad / dy**2 + pot @ sq) / sq.sum(axis=0)
-        if vals.min() <= 0:
-            raise RuntimeError("unexpected non-positive eigenvalue in the mode solve")
-        omegas[:, m - 1] = np.sqrt(vals)
-        profiles[:, m - 1, 1:-1] = vecs.T / np.sqrt(dy)  # continuum normalisation of the grid vector
-    return RindlerBoxSpectrum.from_modes(scenario, y, omegas, profiles)
+    u = profiles[..., 1:-1]  # (n, m, interior), unit grid vectors
+    order = GALERKIN_ORDER
+    while True:
+        q, a = _galerkin_basis(y.size, max(order, n_cut + 1))  # the last mode's gap needs the Ritz value above
+        theta, x = np.linalg.eigh(a / dy**2 + kappa2[:, None, None] * (q.T @ (np.exp(2.0 * y[1:-1])[:, None] * q)))
+        np.matmul(x[..., :n_cut].transpose(2, 0, 1), q.T, out=u)
+        r = u * (2.0 + dy**2 * pot) - profiles[..., :-2] - profiles[..., 2:]  # dy^2 (T u - theta u), zero walls
+        r -= (dy**2 * theta[:, :n_cut].T)[..., None] * u
+        gap = np.diff(theta, prepend=-np.inf, append=np.inf)
+        gap = np.minimum(gap[:, :n_cut], gap[:, 1 : n_cut + 1]).T
+        if q.shape[1] == n_in or np.all(np.einsum("...i,...i", r, r) <= (RITZ_GATE * dy**2 * gap) ** 2):
+            break
+        order = 2 * q.shape[1]
+    del r  # freed before `from_modes` makes its copies
+    grad = (np.diff(profiles) ** 2).sum(axis=-1)  # a sum of squares: from T's entries, 2/dy^2 would cancel
+    vals = (grad / dy**2 + np.einsum("mi,nmi,nmi->nm", pot, u, u)) / np.einsum("...i,...i", u, u)
+    profiles /= np.sqrt(dy)  # continuum normalisation of the grid vector
+    return RindlerBoxSpectrum.from_modes(scenario, y, np.sqrt(vals), profiles)
 
 
 # zeta = v gamma tau while the atom crosses each box; Rob's box is inertial at h = 0
-ALICE_ZETA = (-1.5, -0.5)
-ROB_ZETA = (-0.5, 0.5)
+ALICE_ZETA, ROB_ZETA = (-1.5, -0.5), (-0.5, 0.5)
 
 
 def inertial_overlaps(scenario, zeta):
     """F matrix [n-1, m-1] of an inertial box crossed for zeta in `zeta`: closed form, zero for even n.
 
-    `zeta` is ALICE_ZETA for Alice and ROB_ZETA for Rob at h = 0, where the
-    overlap has the f_nm (1 - (-1)^m exp(i g_nm)) structure of
-    `resonance_phase`.  The coupling
-    Lambda = -i eps sin^2(2 pi zeta) sin(m pi (zeta - 1/2)) exp(-i Delta zeta/(v gamma))
-    times exp(i omega_nm gamma tau) = exp(i omega_nm zeta / v) is a sum of six
-    exponentials exp(i k zeta) per (n, m), each integrated exactly.
+    `zeta` is ALICE_ZETA for Alice and ROB_ZETA for Rob at h = 0, where the overlap has the
+    f_nm (1 - (-1)^m exp(i g_nm)) structure of `resonance_phase`.  The coupling
+    Lambda = -i eps sin^2(2 pi zeta) sin(m pi (zeta - 1/2)) exp(-i Delta zeta/(v gamma)) times
+    exp(i omega_nm gamma tau) = exp(i omega_nm zeta / v) is a sum of six exponentials exp(i k zeta)
+    per (n, m), each integrated exactly.
     """
     m = np.arange(1, scenario.n_cut + 1)
     n = m[:, None]
@@ -189,17 +197,15 @@ def resonance_phase(n, m, scenario):
 def rob_overlap_quadrature(scenario, spectrum=None):
     """F^R matrix by quadrature along the atom's trajectory (h > 0).
 
-    Gauss-Legendre nodes avoid the tau = +-T endpoints, where chi(tau) can
-    reach the horizon at h = 2v; outside the cavity walls the coupling is
-    zero (the atom has exited through the trailing wall).
+    Gauss-Legendre nodes avoid the tau = +-T endpoints, where chi(tau) can reach the horizon at h = 2v;
+    outside the cavity walls the coupling is zero (the atom has exited through the trailing wall).
     """
     if scenario.h == 0.0:
         return inertial_overlaps(scenario, ROB_ZETA)
     if spectrum is None:
         spectrum = solve_rindler_spectrum(scenario)
-    t = scenario.t_half
     nodes, weights = _leggauss(scenario.n_quad)
-    vg = scenario.v * scenario.gamma
+    t, vg = scenario.t_half, scenario.v * scenario.gamma
     tau = nodes * t
     chi = np.sqrt(np.maximum(1.0 / scenario.h**2 - (scenario.gamma * tau) ** 2, 0.0))
     inside = (chi >= 1.0 / scenario.h - 0.5) & (chi <= 1.0 / scenario.h + 0.5)
@@ -234,25 +240,19 @@ def alice_overlaps(scenario):
 def cavity_entanglement(scenario, spectrum=None, return_details=False):
     """Entropy of entanglement of Rob's reduced state (natural log).
 
-    rho_R = (sum |F^A|^2) (+) F F+ renormalised by its trace.  The excitation
-    block is rank one, so the spectrum is {p_alice, p_rob} and the entropy is
-    their binary entropy.  A vanishing trace (no emission amplitude) returns
-    zero with a flag.
+    rho_R = (sum |F^A|^2) (+) F F+ renormalised by its trace.  The excitation block is rank one, so the
+    spectrum is {p_alice, p_rob} and the entropy is their binary entropy.  A vanishing trace (no emission
+    amplitude) returns zero with a flag.
     """
     f_alice = alice_overlaps(scenario)
     f_rob = rob_overlap_quadrature(scenario, spectrum=spectrum)
     p0 = float(np.sum(np.abs(f_alice) ** 2))
-    p1 = float(np.sum(np.abs(f_rob) ** 2))
-    trace = p0 + p1
+    trace = p0 + float(np.sum(np.abs(f_rob) ** 2))
     if trace < 1e-300:
         result = {"entropy": 0.0, "flagged": True, "p_alice": 0.0, "p_rob": 0.0}
     else:
-        result = {
-            "entropy": binary_entropy(p0 / trace),
-            "flagged": False,
-            "p_alice": p0 / trace,
-            "p_rob": 1.0 - p0 / trace,
-        }
+        p = p0 / trace
+        result = {"entropy": binary_entropy(p), "flagged": False, "p_alice": p, "p_rob": 1.0 - p}
     return (result, f_alice, f_rob) if return_details else result
 
 

@@ -125,12 +125,12 @@ def _degradation_terms(config, k, travel_times):
     return weights * np.abs(a1_entry(k, p, config.s)) ** 2
 
 
-def f_k(config, tau1, k):
-    """Degradation sum f_k = sum_p |E1^(k-p) - 1|^2 |A1[k, p]|^2.
+def _converged_terms(config, tau1, k, refuse=True):
+    """(terms, total) of f_k, checked for truncation at every tau1.
 
-    E1 = exp(i pi tau1); periodic in tau1 with period 2 and
-    vanishing iff tau1 is an even integer.  Even in k for s=0.  An array
-    tau1 gives an array; the whole call is refused if any point is.
+    A window whose edge terms are not negligible raises, or with refuse=False
+    only warns: the printed matrices are compared with Fock-space oracles at
+    windows as small as n_side = 3, where the truncated sums are the point.
     """
     terms = _degradation_terms(config, k, (tau1,))
     total = np.sum(terms, axis=-1)
@@ -141,13 +141,27 @@ def f_k(config, tau1, k):
     refused = edges > 1e-6 * np.maximum(total, 1e-30)
     if np.any(refused):
         first = float(np.asarray(tau1, dtype=float)[refused][0])
-        raise RuntimeError(f"mode window too small for a converged f_k at tau1 = {first}")
+        message = f"mode window too small for a converged f_k at tau1 = {first}"
+        if refuse:
+            raise RuntimeError(message)
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+    return terms, total
+
+
+def f_k(config, tau1, k):
+    """Degradation sum f_k = sum_p |E1^(k-p) - 1|^2 |A1[k, p]|^2.
+
+    E1 = exp(i pi tau1); periodic in tau1 with period 2 and
+    vanishing iff tau1 is an even integer.  Even in k for s=0.  An array
+    tau1 gives an array; the whole call is refused if any point is.
+    """
+    total = _converged_terms(config, tau1, k)[1]
     return float(total) if total.ndim == 0 else total
 
 
 def f_k_split(config, tau1, k):
-    """(f_k^+, f_k^-): the terms |calA1[p, k]|^2 of f_k summed over p >= 0 and p < 0."""
-    terms = _degradation_terms(config, k, (tau1,))
+    """(f_k^+, f_k^-): the terms |calA1[p, k]|^2 of f_k summed over p >= 0 and p < 0; warns where f_k refuses."""
+    terms = _converged_terms(config, tau1, k, refuse=False)[0]
     pos = config.modes >= 0
     return float(terms[pos].sum()), float(terms[~pos].sum())
 

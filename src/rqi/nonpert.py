@@ -134,7 +134,8 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
 
     Returns scipy's OdeResult with `y` the factors (dim, n), `s` the integrated S (n, 2N, 2N, complex
     form) and the counts `nfev`, `newton_iterations` and `subdivisions`.  A failed match is retried at
-    the interval's midpoint (S from the dense output); on an interval below SUBDIVIDE_MIN it raises.
+    the interval's midpoint, S there from the output interval integrated again with dense output (its
+    RHS calls join `nfev`); on an interval below SUBDIVIDE_MIN it raises.
     """
     ikg, proj, hyper = basis.factor_tables
     tables = (_to_quadrature(ikg), _to_quadrature(proj), hyper)
@@ -173,26 +174,29 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
                 return f, it, cond
         return None, it, cond
 
-    sol = solve_ivp(rhs, t_span, eye.ravel(), method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol, dense_output=True)
+    sol = solve_ivp(rhs, t_span, eye.ravel(), method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
     s_out = sol.y.T.reshape(-1, d, d)
     factors = np.empty((dim, sol.t.size))
-    t_a, f = t_span[0], np.zeros(dim)  # the last matched time and its F
+    t_a, f, s_a = t_span[0], np.zeros(dim), eye  # the last matched time and its F; S at the last output
     sol.newton_iterations = sol.subdivisions = 0
     for k, t in enumerate(sol.t):
-        target = t
+        target, t_start, dense = t, t_a, None
         while t_a != t:
-            f_new, it, cond = newton(s_out[k] if target == t else sol.sol(target).reshape(d, d), f)
+            f_new, it, cond = newton(s_out[k] if target == t else dense(target).reshape(d, d), f)
             sol.newton_iterations += it
             if f_new is not None:  # on to the output from here
                 t_a, f, target = target, f_new, t
             elif abs(target - t_a) < SUBDIVIDE_MIN:
                 raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
             else:
+                if dense is None:  # only a failed interval needs S between outputs: integrate it again
+                    part = solve_ivp(rhs, (t_start, t), s_a.ravel(), "DOP853", rtol=rtol, atol=atol, dense_output=True)
+                    sol.nfev, dense = sol.nfev + part.nfev, part.sol
                 target = (t_a + target) / 2.0
                 sol.subdivisions += 1
-        factors[:, k] = f
+        factors[:, k], s_a = f, s_out[k]
     q = real_basis_matrix(d // 2)[np.r_[0:d:2, 1:d:2]]  # the Q of `_to_quadrature`
     sol.y, sol.s = factors, q.conj().T @ s_out @ q
     return sol

@@ -157,6 +157,24 @@ def test_f_k_guard_reads_the_outermost_nonzero_terms(n_side, tau1, k):
         fermion.f_k(cfg(n_side=n_side), tau1, k)
 
 
+def test_split_and_printed_matrices_warn_where_f_k_refuses():
+    # they read the same terms as f_k, but the Fock-space oracles compare them at windows this small,
+    # so they warn rather than raise
+    c = cfg(n_side=3)
+    with pytest.raises(RuntimeError, match="mode window too small"):
+        fermion.f_k(c, 0.9, 1)
+    for call in (
+        lambda: fermion.f_k_split(c, 0.9, 1),
+        lambda: fermion.two_mode_density_matrix(c, 0.9, 1),
+        lambda: fermion.charge_density_matrix(c, 0.9, 1, -2),
+    ):
+        with pytest.warns(RuntimeWarning, match="mode window too small"):
+            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fermion.two_mode_density_matrix(cfg(), 0.9, 1)  # a converged window stays silent
+
+
 def test_window_convergence():
     tau1 = 0.45
     small = fermion.f_k(cfg(n_side=200), tau1, 3)

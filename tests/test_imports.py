@@ -23,6 +23,7 @@ SCIPY_FREE = {
     "fermion-negativity": ["--u", "[0.5]"],
     "oneway-surface": ["--u", "[0.5]", "--v", "[0.5]"],
     "detector-rate": ["--dim", "1+1", "--gap", "[-1, 1]"],
+    "box-entangle": ["--h", "[0.5]", "--kappa", "[1]", "--n-cut", "3"],
 }
 
 
