@@ -55,6 +55,8 @@ class BoxScenario:
             raise ValueError("overlap quadrature needs n_quad >= 1")
         if self.n_y < self.n_cut + 2:  # the spectrum solve has n_y - 2 interior points, one per mode at least
             raise ValueError("spectrum grid needs n_y >= n_cut + 2")
+        if self.n_cut + 1 >= (bound := 4.0 * math.sqrt(self.n_y - 2)):  # from there `_galerkin_basis` is the identity
+            raise ValueError(f"mode truncation needs n_cut + 1 < 4 sqrt(n_y - 2) = {bound:.5g}")
 
     @property
     def gamma(self):

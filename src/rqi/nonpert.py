@@ -22,9 +22,9 @@ tables once.  F_j depend on the factor ordering (the basis order); Gamma does no
 
 A schedule maps a time t to the coefficients lambda(t): a float gives a
 (dim,) array, an array of n times a (dim, n) array.  The fixed-step oracle
-integrates dS/dt directly (midpoint rule; one schedule call per batch of
-midpoints, batched Taylor steps, or `scipy.linalg.expm` for steps of norm
-above TAYLOR_THETA) and shares nothing with the factor machinery.
+integrates dS/dt in the real quadrature form too (midpoint rule; one schedule
+call per batch of midpoints, batched Taylor steps, or `scipy.linalg.expm` for
+steps of norm above TAYLOR_THETA) and shares nothing with the factor machinery.
 """
 
 from __future__ import annotations
@@ -119,10 +119,13 @@ def hamiltonian_matrix(basis, lambdas):
     return np.tensordot(np.asarray(lambdas), np.stack(basis.generators), axes=(0, 0))
 
 
-def _to_quadrature(mats):
-    """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure."""
+def _to_quadrature(mats, inverse=False):
+    """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure;
+    with `inverse`, the complex form Q+ M Q of real quadrature-form matrices."""
     n = mats.shape[-1] // 2
     q = real_basis_matrix(n)[np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]]  # rows (x1..xN, p1..pN)
+    if inverse:
+        return q.conj().T @ mats @ q
     out = q @ mats @ q.conj().T
     if np.abs(out.imag).max() > 1e-12 * max(1.0, float(np.abs(out).max())):
         raise ValueError("generators lack the [[X, Y], [conj(Y), conj(X)]] block structure")
@@ -197,8 +200,7 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
                 target = (t_a + target) / 2.0
                 sol.subdivisions += 1
         factors[:, k], s_a = f, s_out[k]
-    q = real_basis_matrix(d // 2)[np.r_[0:d:2, 1:d:2]]  # the Q of `_to_quadrature`
-    sol.y, sol.s = factors, q.conj().T @ s_out @ q
+    sol.y, sol.s = factors, _to_quadrature(s_out, inverse=True)
     return sol
 
 
@@ -333,16 +335,18 @@ def _ordered_product(mats):
 
 
 def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
-    """Fixed-step midpoint product of exp(-i K H(t) dt): brute-force oracle.
+    """Fixed-step midpoint product of exp(-i K H(t) dt): brute-force oracle, in the real quadrature form.
 
     Steps of `dt` from t_grid[0], each output time ending a shorter step.
-    Per output interval (in batches of at most ORACLE_BATCH steps) the
-    schedule is called once on the array of the batch's n midpoints (a
-    result of any shape but (dim, n) raises ValueError), the step
-    propagators come from a Taylor series (small steps) or
-    `scipy.linalg.expm` (large steps), and their ordered product from a
-    pairwise reduction.  Returns Gamma at the grid times (complex form,
-    vacuum start by default).  Independent of the product-decomposition
+    The real -i K G_j come once from `_to_quadrature` (a basis without its
+    block structure raises ValueError).  Per output interval (in batches of
+    at most ORACLE_BATCH steps) the schedule is called once on the array of
+    the batch's n midpoints (a result of any shape but (dim, n) raises
+    ValueError), the propagators of the steps sum_j lambda_j dt (-i K G_j)
+    come from a Taylor series (small steps) or `scipy.linalg.expm` (large
+    steps), and their ordered product from a pairwise reduction.  Returns
+    Gamma = S Gamma0 S+ at the grid times, S back in the complex form there
+    only (vacuum start by default).  Independent of the product-decomposition
     machinery: it never touches the factor tables.
     A `dt` that needs more than ORACLE_MAX_STEPS steps raises ValueError.
     """
@@ -354,17 +358,14 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     if (t_grid[-1] - t_grid[0]) / dt > ORACLE_MAX_STEPS:
         raise ValueError(f"oracle step dt = {dt!r} needs more than ORACLE_MAX_STEPS = {ORACLE_MAX_STEPS} steps")
     n = basis.n_modes
-    kdiag = np.diag(kay(n))[:, None]
-    if gamma0 is None:
-        gamma0 = np.eye(2 * n, dtype=complex)
-    s = np.eye(2 * n, dtype=complex)
-    out = [gamma0]
+    kgens = _to_quadrature(-1j * (kay(n) @ np.stack(basis.generators)))  # the real -i K G_j
+    s = [np.eye(2 * n)]
     for t_a, t_b in zip(t_grid[:-1], t_grid[1:]):
+        s.append(s[-1])
         for mids, lengths in _midpoint_steps(t_a, t_b, dt):
             lam = np.asarray(schedule(mids), dtype=float)
             if lam.shape != (basis.dim, mids.size):
                 raise ValueError(f"schedule of {mids.size} times gave shape {lam.shape}, not {(basis.dim, mids.size)}")
-            kh = kdiag * hamiltonian_matrix(basis, lam)
-            s = _ordered_product(_step_propagators((-1j * lengths)[:, None, None] * kh)) @ s
-        out.append(s @ gamma0 @ s.conj().T)
-    return np.array(out)
+            s[-1] = _ordered_product(_step_propagators(np.tensordot(lam * lengths, kgens, axes=(0, 0)))) @ s[-1]
+    s = _to_quadrature(np.array(s), inverse=True)
+    return s @ (np.eye(2 * n) if gamma0 is None else gamma0) @ s.conj().swapaxes(-1, -2)

@@ -79,6 +79,29 @@ def test_k_matches_mpmath_over_random_order_and_argument(nu, log_x):
     assert abs(b.bessel_K_imag_order(nu, x) - ref) < 1e-14
 
 
+def fresh_trapezoid(nu, x):
+    """The trapezoid sum of `bessel_K_imag_order` with nodes built anew: np.arange, cosh and cos on each call."""
+    t = np.arange(0.0, math.acosh(1.0 + 45.0 / x) + 1.0, b.K_STEP)
+    f = np.exp(-x * np.cosh(t)) * np.cos(nu * t)
+    return float(b.K_STEP * (f.sum() - 0.5 * f[0]))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    orders=st.lists(st.floats(0.0, 12.0), min_size=1, max_size=3),
+    calls=st.lists(
+        st.tuples(st.integers(0, 2), st.one_of(st.floats(math.log(1e-3), math.log(60.0)), st.floats(-690.0, 0.0))),
+        min_size=2,
+        max_size=20,
+    ),
+)
+def test_kept_nodes_give_the_fresh_trapezoid_bit_for_bit(orders, calls):
+    # orders repeat and alternate, arguments shrink (the support grows) and grow (it is sliced)
+    for i, log_x in calls:
+        nu, x = orders[i % len(orders)], math.exp(log_x)
+        assert b.bessel_K_imag_order(nu, x) == fresh_trapezoid(nu, x)
+
+
 def test_k_returns_a_python_float():
     assert type(b.bessel_K_imag_order(np.float64(2.0), np.float64(1.5))) is float
 

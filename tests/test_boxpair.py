@@ -42,8 +42,8 @@ def test_scenario_rejects_non_finite(field, value):
 
 @pytest.mark.parametrize(
     "truncation",
-    [{"n_cut": 0}, {"n_quad": 0}, {"n_cut": 8, "n_y": 9}],
-    ids=["n_cut", "n_quad", "n_y"],
+    [{"n_cut": 0}, {"n_quad": 0}, {"n_cut": 8, "n_y": 9}, {"n_cut": 138, "n_y": 1200}, {"n_cut": 14, "n_y": 16}],
+    ids=["n_cut", "n_quad", "n_y", "galerkin", "galerkin_small"],
 )
 def test_scenario_rejects_bad_truncation(truncation):
     with pytest.raises(ValueError):

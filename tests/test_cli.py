@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rqi import boson, cli, teleport
+from rqi import boson, boxpair, cli, teleport
 
 
 def run(argv):
@@ -369,6 +369,16 @@ def test_box_entangle_bad_truncation_exit_2(tmp_path):
     args = ["box-entangle", "--h", "[0.5]", "--kappa", "[0.0]", "--out", str(tmp_path / "b")]
     assert run(args + ["--n-cut", "0"]) == 2
     assert run(args + ["--n-cut", "2000"]) == 2  # more modes than the y grid can hold
+
+
+def test_box_entangle_refuses_a_truncation_past_the_galerkin_bound(tmp_path, capsys, monkeypatch):
+    """From n_cut + 1 >= 4 sqrt(n_y - 2), 138.45 on the CLI's n_y = 1200 grid, the spectrum's Galerkin basis is
+    the dense identity: n_cut = 140 would stack 140 dense 1198 x 1198 matrices.  Refused before any solve."""
+    monkeypatch.setattr(boxpair, "solve_rindler_spectrum", lambda sc: pytest.fail(f"solved at n_cut = {sc.n_cut}"))
+    out = tmp_path / "b"
+    assert run(["box-entangle", "--n-cut", "140", "--h", "[0.5]", "--kappa", "[1]", "--out", str(out)]) == 2
+    assert not (tmp_path / "b.csv").exists()
+    assert "n_cut + 1 < 4 sqrt(n_y - 2) = 138.45" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("h", ["[1e-11]", "[1e-12]"])

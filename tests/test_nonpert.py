@@ -242,6 +242,8 @@ def test_generic_hermitian_generator_rejected():
     basis = nonpert.GeneratorBasis(n, std.generators[:-1] + (lopsided,), std.labels[:-1] + ("lopsided",))
     with pytest.raises(ValueError, match="block structure"):
         nonpert.solve_factors(basis, lambda t: np.zeros(basis.dim), (0.0, 1.0))
+    with pytest.raises(ValueError, match="block structure"):  # the oracle drops no imaginary part in silence
+        nonpert.product_integrator_oracle(basis, lambda t: np.zeros((basis.dim, np.size(t))), [0.0, 0.1], dt=1e-2)
 
 
 def test_factor_tables_built_once_per_basis(monkeypatch):
@@ -274,6 +276,40 @@ def test_batched_oracle_matches_sequential_referee(coupling, grid, dt):
     batched = nonpert.product_integrator_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
     referee = expm_product_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
     assert batched.shape == referee.shape == (len(grid), 4, 4)
+    assert np.abs(batched - referee).max() < 1e-12 * np.abs(referee).max()
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    n=st.integers(1, 3),
+    drive=st.lists(st.floats(-1.0, 1.0), min_size=3 * 21, max_size=3 * 21),
+    thermal=st.booleans(),
+    r=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    dt=st.floats(0.05, 0.8),
+)
+def test_batched_oracle_matches_sequential_referee_on_every_generator(n, drive, thermal, r, dt):
+    """lambda_j(t) = c (a_j + b_j cos(3 w_j t)) on every generator of the N-mode basis, from a squeezed or thermal
+    Gamma0: the batched oracle (real quadrature form) against the sequential complex-form referee.
+
+    c caps sum_j |lambda_j| at 1, so steps of dt up to 0.8 reach both the Taylor series and scipy's expm.
+    """
+    basis = BASES[n - 1]
+    a, b, w = np.reshape(drive, (3, -1))[:, : basis.dim, None]
+    c = 1.0 / max(1.0, np.abs(a).sum() + np.abs(b).sum())
+
+    def sched(t):  # a float gives (dim,), an array of times (dim, n)
+        lam = c * (a + b * np.cos(3.0 * w * np.atleast_1d(t)))
+        return lam if np.ndim(t) else lam[:, 0]
+
+    r = np.array(r[:n])
+    gamma0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    gamma0[:n, :n] = gamma0[n:, n:] = np.diag(np.cosh(2 * r))  # thermal: symplectic eigenvalues cosh 2r
+    if not thermal:  # single-mode squeezed vacua
+        gamma0[:n, n:] = gamma0[n:, :n] = np.diag(np.sinh(2 * r))
+    grid = [0.0, 0.37, 1.05, 1.05, 2.0]
+    batched = nonpert.product_integrator_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
+    referee = expm_product_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
+    assert batched.shape == referee.shape == (len(grid), 2 * n, 2 * n)
     assert np.abs(batched - referee).max() < 1e-12 * np.abs(referee).max()
 
 
