@@ -22,7 +22,8 @@ inertial = np.sqrt((n[:, None] * np.pi) ** 2 + (n[None, :] * np.pi) ** 2 + scen.
 print("Omega * log(chi+/chi-) over the inertial values (h -> 0 would give 1):")
 print(np.round(spec.omegas[:3, :3] * lr / inertial, 4))
 
-res, f_alice, f_rob = boxpair.cavity_entanglement(scen, spectrum=spec, return_details=True)
+f_alice, f_rob = boxpair.alice_overlaps(scen), boxpair.rob_overlap_quadrature(scen, spectrum=spec)
+res = boxpair.cavity_entanglement(scen, spectrum=spec)
 print(f"\nemission weights: Alice {np.sum(np.abs(f_alice)**2):.6f}, "
       f"Rob {np.sum(np.abs(f_rob)**2):.6f}")
 print(f"entropy of entanglement {res['entropy']:.6f} (max ln 2 = {np.log(2):.6f})")

@@ -28,6 +28,8 @@ on it as `config.coeffs`, built by `bogo_first_order` on first use.
 one broadcast over segments, blocks and modes; `closed_form_b_magnitude` is
 its B entry for the standard segment, factored.
 
+Resonance is decided in closed form, from the segment's total time T and
+B1_kk'; the dense composed map is built only for the exact matrix power.
 `building_block` and `compose_segment` certify the map they return; the
 blocks inside a composition and powers of a composed map are not re-checked.
 """
@@ -51,7 +53,7 @@ class PerturbativeValidityWarning(UserWarning):
 
 # N |B_kk'| at or above this makes the linear-growth negativity unreliable
 NB_VALIDITY_BOUND = 0.1
-RESONANCE_TOL = 1e-6  # resonant when the commutator residual is at most this times |B_kk'|
+RESONANCE_TOL = 1e-6  # resonant when |1 - exp(i (omega_k + omega_k') T)| is at most this
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,11 @@ class TrajectorySegment:
     @property
     def total_time(self):
         return sum(tau for _, tau in self.blocks)
+
+    @property
+    def arrays(self):
+        """The blocks' h_j and tau_j as two arrays, the last-axis layout `first_order_entries` reads."""
+        return np.reshape(self.blocks, (-1, 2)).T
 
 
 @dataclass(frozen=True)
@@ -246,35 +253,30 @@ def _reduced_state(s, k, kp):
     return gaussian.partial_trace(state, [k - 1, kp - 1])
 
 
-def resonance_check(smap, k, kp):
-    """Commutator residual |(G_k' - conj(G_k)) B_kk'| of a composed map and its verdict.
+def _pair_frequency(config, k, kp):
+    """omega_k + omega_k' of distinct 1-based labels, checked against the cavity's n_max."""
+    _check_labels(config.n_max, k, kp)
+    omega = mode_frequencies(config)
+    return omega[k - 1] + omega[kp - 1]
 
-    The residual vanishes exactly when the total time satisfies
-    T (omega_k + omega_k') = 2 pi n, or trivially when B_kk' = 0 (even k + k').
+
+def resonance_check(config, segment, k, kp):
+    """Verdict and residual |1 - exp(i s T)| |B1_kk'| of modes (k, k') for a segment of total time T.
+
+    s = omega_k + omega_k' and B1_kk' is the segment's first-order entry.  The pair is resonant when
+    beta1_kk' = 0 (every even k + k': B1_kk' vanishes at any T) or |1 - exp(i s T)| <= RESONANCE_TOL,
+    i.e. T s = 2 pi n.
     """
-    n = smap.n_modes
-    _check_labels(n, k, kp)
-    _, b = segment_blocks(smap)
-    b_kkp = b[k - 1, kp - 1]
-    # zero-order phases from the unit-modulus part of the diagonal
-    g_k = smap.matrix[n + k - 1, n + k - 1]
-    g_kp = smap.matrix[n + kp - 1, n + kp - 1]
-    g_k, g_kp = g_k / abs(g_k), g_kp / abs(g_kp)
-    residual = float(abs((g_kp - np.conj(g_k)) * b_kkp))
-    # entries that vanish at first order (even k + k') only carry O(h^2)
-    # residue from the composition; they are resonant for every travel time
-    b_scale = float(np.abs(b - np.diag(np.diag(b))).max())
-    zero_like = abs(b_kkp) <= 1e-3 * b_scale + 1e-300
-    resonant = zero_like or residual <= RESONANCE_TOL * abs(b_kkp)
-    return resonant, residual
+    s = _pair_frequency(config, k, kp)
+    _, b = first_order_entries(config, *segment.arrays, k - 1, kp - 1)
+    detuning = abs(1.0 - np.exp(1j * s * segment.total_time))
+    resonant = config.coeffs.beta1[k - 1, kp - 1] == 0 or detuning <= RESONANCE_TOL
+    return bool(resonant), float(detuning * abs(b))
 
 
 def resonant_times(config, k, kp, count=5):
     """Discrete resonant total times T_n = 2 n pi / (omega_k + omega_k')."""
-    _check_labels(config.n_max, k, kp)
-    omega = mode_frequencies(config)
-    base = 2.0 * np.pi / (omega[k - 1] + omega[kp - 1])
-    return base * np.arange(1, count + 1)
+    return 2.0 * np.pi / _pair_frequency(config, k, kp) * np.arange(1, count + 1)
 
 
 def segment_negativity_exact(config, segment, k, kp, repetitions=1):
@@ -283,42 +285,31 @@ def segment_negativity_exact(config, segment, k, kp, repetitions=1):
     This is the generic composed-product route: matrix power, reduced state,
     partial transpose, smallest symplectic eigenvalue.
     """
-    return _power_negativity(compose_segment(config, segment), k, kp, repetitions)
-
-
-def _power_negativity(smap, k, kp, repetitions):
-    """Negativity of modes (k, k') under the `repetitions`-th power of a certified map (not re-checked)."""
-    power = np.linalg.matrix_power(smap.matrix, repetitions)
+    power = np.linalg.matrix_power(compose_segment(config, segment).matrix, repetitions)
     return entanglement.negativity_gaussian(_reduced_state(power, k, kp))
 
 
 def resonance_negativity(config, segment, k, kp, repetitions):
-    """Negativity after N segment repetitions.
+    """Negativity after N segment repetitions, with `resonance_check`'s verdict and residual.
 
-    On resonance this is N |B_kk'| (B already carries one power of h) and the
-    growth is linear in N; off resonance the generic composed-product value is
-    returned together with resonant=False.
+    On resonance this is N |B1_kk'| (B1 already carries one power of h) and the
+    growth is linear in N; no map is composed.  Off resonance it is
+    `segment_negativity_exact`'s value, from one composed map.
     """
     if repetitions < 0:
         raise ValueError("repetitions must be non-negative")
-    _check_labels(config.n_max, k, kp)
+    resonant, residual = resonance_check(config, segment, k, kp)
     if repetitions == 0:
         return {"negativity": 0.0, "resonant": True, "residual": 0.0}
-    smap = compose_segment(config, segment)
-    resonant, residual = resonance_check(smap, k, kp)
-    _, b = segment_blocks(smap)
-    b_kkp = abs(b[k - 1, kp - 1])
+    b_kkp = abs(first_order_entries(config, *segment.arrays, k - 1, kp - 1)[1])
     if repetitions * b_kkp >= NB_VALIDITY_BOUND:
         warnings.warn(
             f"N |B^(1)| h = {repetitions * b_kkp:.3g} >= {NB_VALIDITY_BOUND}; perturbative result unreliable",
             PerturbativeValidityWarning,
             stacklevel=2,
         )
-    if resonant:
-        value = repetitions * b_kkp
-    else:
-        value = _power_negativity(smap, k, kp, repetitions)
-    return {"negativity": float(value), "resonant": bool(resonant), "residual": residual}
+    value = repetitions * b_kkp if resonant else segment_negativity_exact(config, segment, k, kp, repetitions)
+    return {"negativity": float(value), "resonant": resonant, "residual": residual}
 
 
 def standard_segment(h, tau1, tau2, lam=1.0):
@@ -334,11 +325,9 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
     tau1 and tau2 broadcast together; scalars give a float.  The segment's
     limits are checked at the smallest tau1 and tau2.
     """
-    _check_labels(config.n_max, k, kp)
+    s = _pair_frequency(config, k, kp)
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
     standard_segment(config.h, tau1.min(), tau2.min(), lam)  # checks tau >= 0 and |lam h| < 2
-    omega = mode_frequencies(config)
-    s = omega[k - 1] + omega[kp - 1]
     z1 = 1.0 - np.exp(1j * s * tau1)
     z2 = 1.0 + lam * np.exp(1j * s * (tau1 + tau2))
     scale = abs(config.h * config.coeffs.beta1[k - 1, kp - 1])

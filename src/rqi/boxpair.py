@@ -239,7 +239,7 @@ def alice_overlaps(scenario):
     return inertial_overlaps(scenario, ALICE_ZETA)
 
 
-def cavity_entanglement(scenario, spectrum=None, return_details=False):
+def cavity_entanglement(scenario, spectrum=None):
     """Entropy of entanglement of Rob's reduced state (natural log).
 
     rho_R = (sum |F^A|^2) (+) F F+ renormalised by its trace.  The excitation block is rank one, so the
@@ -251,11 +251,9 @@ def cavity_entanglement(scenario, spectrum=None, return_details=False):
     p0 = float(np.sum(np.abs(f_alice) ** 2))
     trace = p0 + float(np.sum(np.abs(f_rob) ** 2))
     if trace < 1e-300:
-        result = {"entropy": 0.0, "flagged": True, "p_alice": 0.0, "p_rob": 0.0}
-    else:
-        p = p0 / trace
-        result = {"entropy": binary_entropy(p), "flagged": False, "p_alice": p, "p_rob": 1.0 - p}
-    return (result, f_alice, f_rob) if return_details else result
+        return {"entropy": 0.0, "flagged": True, "p_alice": 0.0, "p_rob": 0.0}
+    p = p0 / trace
+    return {"entropy": binary_entropy(p), "flagged": False, "p_alice": p, "p_rob": 1.0 - p}
 
 
 def binary_entropy(p):

@@ -114,11 +114,6 @@ def detector_field_basis():
     return GeneratorBasis(n_modes=2, generators=tuple(full.generators[index[lab]] for lab in order), labels=labels)
 
 
-def hamiltonian_matrix(basis, lambdas):
-    """H = sum_j lambda_j G_j; lambda of shape (dim,) gives one matrix, (dim, n) a stack of n."""
-    return np.tensordot(np.asarray(lambdas), np.stack(basis.generators), axes=(0, 0))
-
-
 def _to_quadrature(mats, inverse=False):
     """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure;
     with `inverse`, the complex form Q+ M Q of real quadrature-form matrices."""

@@ -62,11 +62,6 @@ class TeleportScenario:
         omega = boson.mode_frequencies(self.config)
         return self.alice_phase + omega[self.kp - 1] * self.segment.total_time
 
-    @property
-    def blocks(self):
-        """The segment's h_j and tau_j as two arrays over its blocks."""
-        return np.reshape(self.segment.blocks, (-1, 2)).T
-
 
 def fidelity(state):
     """Coherent-state teleportation fidelity of a two-mode resource state.
@@ -125,7 +120,7 @@ def transformed_resource_state(scenario):
     `f_sums`, since |A1[k', n]| = |A1[n, k']| and |B1[k', n]| = |B1[n, k']|
     at first order.
     """
-    f_alpha, f_beta = f_sums(scenario.config, scenario.kp, *scenario.blocks)
+    f_alpha, f_beta = f_sums(scenario.config, scenario.kp, *scenario.segment.arrays)
     g_kp = np.exp(1j * boson.mode_frequencies(scenario.config)[scenario.kp - 1] * scenario.segment.total_time)
     ch, sh = np.cosh(2 * scenario.r), np.sinh(2 * scenario.r)
     o_alice = _rot_block(np.exp(1j * scenario.alice_phase), 0.0)
@@ -137,7 +132,7 @@ def transformed_resource_state(scenario):
     gamma[:2, 2:] = -sh * (o_alice @ SIGMA3 @ s_kpkp.T)
     gamma[2:, :2] = gamma[:2, 2:].T
     # one real block per mode of Rob's cavity; Rob's own mode gives zeros
-    s = _rot_block(*_column(scenario.config, scenario.kp, *scenario.blocks))
+    s = _rot_block(*_column(scenario.config, scenario.kp, *scenario.segment.arrays))
     gamma[2:, 2:] = np.einsum("ijn,kjn->ik", s, s) + ch * (s_kpkp @ s_kpkp.T)
     m = gaussian.real_basis_matrix(2)
     return CovarianceState(2, m.conj().T @ gamma @ m)
@@ -200,11 +195,11 @@ def fidelity_expansion(scenario):
     phi the h^2 term also depends on second-order diagonal data that the
     perturbative expansion leaves free.
     """
-    f0, f2, _ = _series(scenario.r, scenario.phi, *f_sums(scenario.config, scenario.kp, *scenario.blocks))
+    f0, f2, _ = _series(scenario.r, scenario.phi, *f_sums(scenario.config, scenario.kp, *scenario.segment.arrays))
     return float(f0), float(f2)
 
 
 def optimal_fidelity_corrected(scenario):
     """Phase-independent optimal fidelity 1 / (1 + nu-) to O(h^2), with nu- of `_series`."""
-    _, _, nu = _series(scenario.r, scenario.phi, *f_sums(scenario.config, scenario.kp, *scenario.blocks))
+    _, _, nu = _series(scenario.r, scenario.phi, *f_sums(scenario.config, scenario.kp, *scenario.segment.arrays))
     return {"fidelity": float(1.0 / (1.0 + nu)), "nu_minus": float(nu)}

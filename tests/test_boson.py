@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_boson import first_order_oracle, segment_first_order
@@ -158,7 +158,7 @@ def test_first_order_entries_match_dense_blocks(blocks, n_max, mass):
 def test_closed_form_b_is_the_segment_entry(tau1, tau2, lam, h, labels, mass):
     c = cfg(mass=mass, n_max=12, h=h)
     k, kp = labels
-    h_j, tau_j = np.array(boson.standard_segment(h, tau1, tau2, lam).blocks).T
+    h_j, tau_j = boson.standard_segment(h, tau1, tau2, lam).arrays
     _, b = boson.first_order_entries(c, h_j, tau_j, k - 1, kp - 1)
     closed = boson.closed_form_b_magnitude(c, tau1, tau2, lam, k, kp)
     phase = boson.mode_frequencies(c)[-1] * 2 * (tau1 + tau2)
@@ -208,15 +208,68 @@ def test_resonance_check_cases():
     omega = boson.mode_frequencies(c)
     t_res = 2 * np.pi / (omega[0] + omega[1])
     seg = boson.TrajectorySegment(((c.h, t_res / 2), (0.0, t_res / 2)))
-    ok, res = boson.resonance_check(boson.compose_segment(c, seg), 1, 2)
+    ok, res = boson.resonance_check(c, seg, 1, 2)
     assert ok and res < 1e-10
     seg_off = boson.TrajectorySegment(((c.h, 0.37), (0.0, 0.21)))
-    ok_off, res_off = boson.resonance_check(boson.compose_segment(c, seg_off), 1, 2)
+    ok_off, res_off = boson.resonance_check(c, seg_off, 1, 2)
     assert not ok_off and res_off > 1e-8
-    # B = 0 at first order for even k + k': resonant for any time, with
-    # only an O(h^2) composition residue
-    ok_even, res_even = boson.resonance_check(boson.compose_segment(c, seg_off), 1, 3)
+    # B1 = 0 for even k + k': resonant for any time, and nothing grows
+    ok_even, res_even = boson.resonance_check(c, seg_off, 1, 3)
     assert ok_even and res_even < 100 * c.h**2
+    assert res_even == 0.0
+    assert boson.resonance_negativity(c, seg_off, 1, 3, 3)["negativity"] == 0.0
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    tau1=st.floats(0.0, 2.0),
+    tau2=st.floats(0.0, 2.0),
+    lam=st.sampled_from([-1.0, 1.0]),
+    labels=st.lists(st.integers(1, 20), min_size=2, max_size=2, unique=True),
+)
+# |1 - exp(i s T)| = 1.75 here, so not resonant: the exact negativity at N = 3 (7.01e-11) is
+# 1/50 of the linear-growth value N |B1| (3.47e-9)
+@example(tau1=0.3164714153789846, tau2=1.507793041688917, lam=1.0, labels=[9, 10])
+def test_resonance_verdict_is_the_closed_form_condition(tau1, tau2, lam, labels):
+    c = cfg(n_max=20, h=1e-4)
+    k, kp = labels
+    seg = boson.standard_segment(c.h, tau1, tau2, lam)
+    omega = boson.mode_frequencies(c)
+    detuning = abs(1.0 - np.exp(1j * (omega[k - 1] + omega[kp - 1]) * seg.total_time))
+    expected = c.coeffs.beta1[k - 1, kp - 1] == 0 or detuning <= boson.RESONANCE_TOL
+    resonant, _ = boson.resonance_check(c, seg, k, kp)
+    assert resonant == expected
+    res = boson.resonance_negativity(c, seg, k, kp, 3)
+    assert res["resonant"] == expected
+    if not expected:
+        assert res["negativity"] == boson.segment_negativity_exact(c, seg, k, kp, 3)
+
+
+@pytest.mark.parametrize("k, kp", [(1, 2), (2, 5), (9, 10), (4, 19)])
+def test_resonant_times_give_linear_growth_without_a_composed_map(monkeypatch, k, kp):
+    c = cfg(n_max=20, h=1e-4)
+    calls = []
+    original = boson.compose_segment
+
+    def counted(config, segment):
+        calls.append(segment)
+        return original(config, segment)
+
+    monkeypatch.setattr(boson, "compose_segment", counted)
+    for t in boson.resonant_times(c, k, kp, 4):
+        for share, lam in ((0.1, 1.0), (0.3, 1.0), (0.2, -1.0)):
+            tau1 = share * t
+            tau2 = t / 2 - tau1
+            seg = boson.standard_segment(c.h, tau1, tau2, lam)
+            assert boson.resonance_check(c, seg, k, kp)[0]
+            res = boson.resonance_negativity(c, seg, k, kp, 3)
+            assert res["resonant"]
+            # the bound of test_closed_form_b_is_the_segment_entry, times N
+            phase = boson.mode_frequencies(c)[-1] * 2 * (tau1 + tau2)
+            scale = 4 * c.h * abs(c.coeffs.beta1[k - 1, kp - 1])
+            bound = (1e-14 + 16 * np.finfo(float).eps * phase) * scale
+            assert abs(res["negativity"] - 3 * boson.closed_form_b_magnitude(c, tau1, tau2, lam, k, kp)) <= 3 * bound
+    assert calls == []
 
 
 def test_resonance_negativity_special_times():
@@ -264,7 +317,7 @@ def test_mode_labels_outside_1_to_n_max_rejected(k, kp):
     seg = boson.standard_segment(c.h, 0.3, 0.3)
     smap = boson.compose_segment(c, seg)
     calls = [
-        lambda: boson.resonance_check(smap, k, kp),
+        lambda: boson.resonance_check(c, seg, k, kp),
         lambda: boson.resonance_negativity(c, seg, k, kp, 3),
         lambda: boson.resonance_negativity(c, seg, k, kp, 0),
         lambda: boson.resonant_times(c, k, kp),
@@ -283,7 +336,7 @@ def test_repeated_mode_labels_rejected(k, kp):
     smap = boson.compose_segment(c, seg)
     calls = [
         lambda: boson.closed_form_b_magnitude(c, 0.3, 0.3, 1.0, k, kp),
-        lambda: boson.resonance_check(smap, k, kp),
+        lambda: boson.resonance_check(c, seg, k, kp),
         lambda: boson.resonance_negativity(c, seg, k, kp, 3),
         lambda: boson.two_mode_reduced_state(smap, k, kp),
     ]

@@ -254,7 +254,8 @@ def dense_entropy(f_alice, f_rob):
 def test_entropy_binary_oracle_and_range():
     for h, kappa in [(0.5, 1.0), (0.0, 0.7), (1.0, 3.0)]:
         sc = small_scenario(h=h, kappa=kappa)
-        res, f_a, f_r = boxpair.cavity_entanglement(sc, return_details=True)
+        res = boxpair.cavity_entanglement(sc)
+        f_a, f_r = boxpair.alice_overlaps(sc), boxpair.rob_overlap_quadrature(sc)
         assert abs(res["entropy"] - dense_entropy(f_a, f_r)) < 1e-12
         assert 0.0 <= res["entropy"] <= np.log(2.0) + 1e-12
         assert not res["flagged"]

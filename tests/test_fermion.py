@@ -1,5 +1,7 @@
 import tracemalloc
 import warnings
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -503,3 +505,28 @@ def test_window_sums_match_mpmath_direct_sum(tau1, tau2, k, s, n_side):
     ref = direct_window_sum(n_side, s, k, (tau1,))
     assert got >= 0.0
     assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
+
+
+@PROPS
+@given(
+    tau1=st.floats(0.0, 6.0),
+    tau2=st.floats(0.0, 6.0),
+    k=st.integers(-4, 4),
+    s=st.floats(0.0, 0.99),
+    n_side=st.integers(4, 60),
+)
+def test_degradation_terms_are_the_boson_segment_kernel(tau1, tau2, k, s, n_side):
+    """The sine products of f_k and oneway_f are |A1_seg[p, k]|^2 of the segments ((1, tau1),) and
+    ((1, tau1), (0, tau2), (-1, tau1)), A1_seg the phase sum of `boson.first_order_entries` read at the Dirac
+    frequencies: the factored form of those two segments, as `closed_form_b_magnitude` is of the boson's."""
+    c = cfg(s=s, n_side=n_side)
+    p = c.modes
+    a1 = fermion.a1_entry(p[:, None], p[None, :], s)
+    dirac = SimpleNamespace(coeffs=SimpleNamespace(alpha1=a1, beta1=np.zeros_like(a1)))
+    with mock.patch.object(boson, "mode_frequencies", lambda config: fermion.frequencies(c)):
+        for h, tau, travel in (([1.0], [tau1], (tau1,)), ([1.0, 0.0, -1.0], [tau1, tau2, tau1], (tau1, tau2))):
+            a_seg, _ = boson.first_order_entries(dirac, h, tau, np.arange(p.size), c.index(k))
+            terms = fermion._degradation_terms(c, k, travel)
+            phase = np.pi * (n_side + 1) * (2 * tau1 + tau2)
+            bound = (1e-14 + 16 * np.finfo(float).eps * phase) * 16 * a1[:, c.index(k)] ** 2
+            assert np.all(np.abs(np.abs(a_seg) ** 2 - terms) <= bound)

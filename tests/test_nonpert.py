@@ -13,9 +13,9 @@ BASES = [nonpert.build_generator_basis(n) for n in (1, 2, 3)] + [nonpert.detecto
 def expm_product_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     """Sequential referee: one scipy expm per midpoint step, accumulating t.
 
-    The fixed-step midpoint product as first written, with H summed here
-    rather than by `hamiltonian_matrix`; the library oracle evaluates the
-    same steps in batches.
+    The fixed-step midpoint product as first written, with H = sum_j lambda_j G_j
+    summed step by step; the library oracle evaluates the same steps in
+    batches, in the real quadrature form.
     """
     n = basis.n_modes
     k = gaussian.kay(n)
@@ -162,7 +162,7 @@ def test_hamiltonian_matrix_matches_printed_structure():
     basis = nonpert.detector_field_basis()
     sched = nonpert.detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2 * np.pi)
     t = 1.3
-    h = nonpert.hamiltonian_matrix(basis, sched(t))
+    h = sum(lam * g for lam, g in zip(sched(t), basis.generators))
     env = 0.5 * t**2 * np.exp(-t**2 / 80.0)
     phase = np.exp(1j * 2 * np.pi * t)
     assert abs(h[0, 1] - env * phase) < 1e-12  # beam-splitter entry
@@ -269,7 +269,7 @@ def test_batched_oracle_matches_sequential_referee(coupling, grid, dt):
     basis = nonpert.detector_field_basis()
     sched = nonpert.detector_example_schedule(basis, coupling=coupling, t_mod=2.0, gap=2 * np.pi)
     if dt > 0.5:  # the first step after t = 1.3 has its midpoint at 1.75
-        kh = gaussian.kay(basis.n_modes) @ nonpert.hamiltonian_matrix(basis, sched(1.75))
+        kh = gaussian.kay(basis.n_modes) @ sum(lam * g for lam, g in zip(sched(1.75), basis.generators))
         assert np.abs(kh * dt).sum(axis=1).max() > 1.0
     gamma0 = np.diag([1.3, 1.1, 1.3, 1.1]).astype(complex)
     gamma0[0, 2] = gamma0[2, 0] = np.sqrt(1.3**2 - 1.0)
@@ -317,17 +317,6 @@ def test_batched_oracle_matches_sequential_referee_on_every_generator(n, drive, 
 def test_example_schedule_rejects_non_positive_t_mod(t_mod):
     with pytest.raises(ValueError, match="t_mod"):
         nonpert.detector_example_schedule(nonpert.detector_field_basis(), t_mod=t_mod)
-
-
-def test_hamiltonian_matrix_stacks():
-    basis = nonpert.build_generator_basis(2)
-    lam = np.random.default_rng(3).normal(size=(basis.dim, 5))
-    stack = nonpert.hamiltonian_matrix(basis, lam)
-    assert stack.shape == (5, 4, 4)
-    for i in range(5):
-        single = sum(c * g for c, g in zip(lam[:, i], basis.generators))
-        assert np.abs(stack[i] - single).max() < 1e-14
-        assert np.abs(nonpert.hamiltonian_matrix(basis, lam[:, i]) - single).max() < 1e-14
 
 
 # 1e-13 on [0, 1] would take 1e13 steps, past nonpert.ORACLE_MAX_STEPS

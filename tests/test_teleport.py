@@ -64,7 +64,7 @@ def test_f_sums_nonnegative_and_convergent():
 
 def test_fidelity_expansion_zero_without_mixing():
     sc = scenario(h=0.5, tau=2.0)  # phases aligned: A1, B1 columns vanish
-    fa, fb = teleport.f_sums(sc.config, sc.kp, *sc.blocks)
+    fa, fb = teleport.f_sums(sc.config, sc.kp, *sc.segment.arrays)
     assert fa < 1e-12 and fb < 1e-12
     _, f2 = teleport.fidelity_expansion(sc)
     assert f2 < 1e-12
