@@ -19,8 +19,11 @@ normalised positive; the quadrature oracle in the test suite pins it down.
 Trajectories are built from blocks S_j = Q(h_j)^-1 U(tau_j) Q(h_j): jump to
 the accelerated mode basis, rotate phases for proper time tau_j, jump back.
 Products of blocks approximate arbitrary piecewise inertial/uniformly
-accelerated motion.  `TrajectorySegment` checks tau_j >= 0 and |h_j| < 2 and
-`_check_labels` checks mode labels; nothing downstream checks them again.
+accelerated motion; a single block is the product of a one-block segment.
+`_check_blocks` is the one rule for blocks (tau_j >= 0, |h_j| < 2, NaN
+refused).  `TrajectorySegment` (which also refuses an empty segment),
+`BosonCavityConfig` (its h), `first_order_entries`, `closed_form_b_magnitude`
+and `teleport.block_fidelities` apply it; `_check_labels` checks mode labels.
 
 The first-order matrices are a pure function of the cavity config: they live
 on it as `config.coeffs`, built by `bogo_first_order` on first use.
@@ -30,8 +33,8 @@ its B entry for the standard segment, factored.
 
 Resonance is decided in closed form, from the segment's total time T and
 B1_kk'; the dense composed map is built only for the exact matrix power.
-`building_block` and `compose_segment` certify the map they return; the
-blocks inside a composition and powers of a composed map are not re-checked.
+`compose_segment` certifies the map it returns; the blocks inside a
+composition and powers of a composed map are not re-checked.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import entanglement, gaussian
+from . import entanglement
 from .gaussian import CovarianceState, SymplecticMap
 
 
@@ -54,6 +57,14 @@ class PerturbativeValidityWarning(UserWarning):
 # N |B_kk'| at or above this makes the linear-growth negativity unreliable
 NB_VALIDITY_BOUND = 0.1
 RESONANCE_TOL = 1e-6  # resonant when |1 - exp(i (omega_k + omega_k') T)| is at most this
+
+
+def _check_blocks(h, tau):
+    """Raise ValueError unless every tau >= 0 and every |h| < 2 (NaN fails both); floats or arrays."""
+    if not np.all(np.asarray(tau) >= 0):
+        raise ValueError("proper times must be non-negative")
+    if not np.all(np.abs(h) < 2.0):
+        raise ValueError("physical accelerated segments need |h| < 2")
 
 
 @dataclass(frozen=True)
@@ -69,8 +80,7 @@ class BosonCavityConfig:
             raise ValueError("need at least two modes")
         if not math.isfinite(self.mass * self.mass):  # the mode frequencies square it
             raise ValueError("field mass must have a finite square")
-        if not abs(self.h) < 2.0:
-            raise ValueError("physical accelerated segments need |h| < 2")
+        _check_blocks(self.h, 0.0)
 
     @cached_property
     def coeffs(self):
@@ -86,12 +96,10 @@ class TrajectorySegment:
 
     def __post_init__(self):
         blocks = tuple((float(h), float(tau)) for h, tau in self.blocks)
-        for h, tau in blocks:
-            if not tau >= 0:
-                raise ValueError("proper times must be non-negative")
-            if not abs(h) < 2.0:
-                raise ValueError("physical accelerated segments need |h| < 2")
+        if not blocks:
+            raise ValueError("segment must contain at least one block")
         object.__setattr__(self, "blocks", blocks)
+        _check_blocks(*self.arrays)
 
     @property
     def total_time(self):
@@ -149,11 +157,14 @@ def first_order_entries(config, h, tau, n, m):
 
     and B1 is the same with beta1 and w_m -> -w_m.  Each difference is
     written 2i exp(i mean) sin(half difference), so short blocks keep their
-    relative accuracy.  n and m are 0-based matrix indices; they broadcast
-    against the leading axes of h and tau.
+    relative accuracy.  n and m are 0-based matrix indices in 0..n_max-1;
+    they broadcast against the leading axes of h and tau.
     """
     h, tau = np.asarray(h, dtype=float), np.asarray(tau, dtype=float)
+    _check_blocks(h, tau)
     omega = mode_frequencies(config)
+    if not all(np.all((0 <= i) & (i < omega.size)) for i in (n, m)):
+        raise ValueError(f"mode indices must lie in 0..{omega.size - 1}")  # -1 would read mode n_max
     w_n, w_m = omega[n][..., None], omega[m][..., None]
     half = 0.5 * tau
     mid = np.cumsum(tau, axis=-1) - half  # T_{<j} + tau_j / 2
@@ -166,14 +177,10 @@ def first_order_entries(config, h, tau, n, m):
     return entries(config.coeffs.alpha1, w_m), entries(config.coeffs.beta1, -w_m)
 
 
-def _phase_diag(config, tau):
-    return np.exp(1j * mode_frequencies(config) * tau)
-
-
 def _block(config, h_j, tau_j):
     """Uncertified building block of a checked segment: (matrix, defect bound; O((n_max h)^2) at first order)."""
     n = config.n_max
-    g = _phase_diag(config, tau_j)
+    g = np.exp(1j * mode_frequencies(config) * tau_j)
     u = np.diag(np.concatenate([g.conj(), g]))
     if h_j == 0.0:
         return u, 1e-10
@@ -191,26 +198,14 @@ def _block(config, h_j, tau_j):
     return np.linalg.inv(q) @ u @ q, max(1e-10, 50.0 * (n * scale * h_j) ** 2)
 
 
-def building_block(config, h_j, tau_j):
-    """Symplectic building block S_j = Q(h_j)^-1 U(tau_j) Q(h_j) (complex form).
-
-    h_j = 0 reduces to the pure phase rotation U(tau_j); tau_j = 0 gives the
-    identity.  Emits a PerturbativeValidityWarning when n_max * |h| is not
-    small, since the block is built from first-order coefficients only.
-    """
-    ((h_j, tau_j),) = TrajectorySegment(((h_j, tau_j),)).blocks  # checks tau_j >= 0 and |h_j| < 2
-    s, bound = _block(config, h_j, tau_j)
-    return SymplecticMap(config.n_max, s, defect_tol=bound)
-
-
 def compose_segment(config, segment):
     """Ordered product of building blocks (first block acts first).
 
     The zero-order part is the phase rotation by the total proper time T;
     phases accumulate left-to-right in segment order.  Only the product is certified.
+    Blocks are first order in h_j, so a PerturbativeValidityWarning is emitted
+    when n_max * |h_j| is not small.
     """
-    if not segment.blocks:
-        raise ValueError("segment must contain at least one block")
     total = np.eye(2 * config.n_max, dtype=complex)
     tol = 1e-10
     for h_j, tau_j in segment.blocks:
@@ -227,15 +222,6 @@ def segment_blocks(smap):
     return s[n:, n:].copy(), -s[n:, :n].copy()
 
 
-def two_mode_reduced_state(smap, k, kp):
-    """Reduced state of modes (k, k') after acting on the cavity vacuum.
-
-    Modes are 1-based.  Gamma = (S S+) restricted to the two modes; the
-    reduced state is pure up to O(h^2).
-    """
-    return _reduced_state(smap.matrix, k, kp)
-
-
 def _check_labels(n_max, *labels):
     """Raise ValueError unless the 1-based mode labels lie in 1..n_max (0 would read mode n_max) and differ."""
     if not all(1 <= k <= n_max for k in labels):
@@ -244,13 +230,20 @@ def _check_labels(n_max, *labels):
         raise ValueError(f"need distinct modes, got {labels}")
 
 
-def _reduced_state(s, k, kp):
-    """two_mode_reduced_state of a complex-form matrix S, taken as already certified."""
+def two_mode_reduced_state(s, k, kp):
+    """Reduced state of modes (k, k') after the complex-form matrix S acts on the cavity vacuum.
+
+    Modes are 1-based and kept in ascending order, as `gaussian.partial_trace`
+    keeps them.  Gamma = S S+ restricted to the two modes, formed from their
+    four rows of S; S is taken as already certified.  The reduced state is
+    pure up to O(h^2).
+    """
     n = s.shape[0] // 2
     _check_labels(n, k, kp)
-    full = s @ s.conj().T
-    state = CovarianceState(n, (full + full.conj().T) / 2)
-    return gaussian.partial_trace(state, [k - 1, kp - 1])
+    keep = sorted((k - 1, kp - 1))
+    rows = s[keep + [i + n for i in keep]]
+    gamma = rows @ rows.conj().T
+    return CovarianceState(2, (gamma + gamma.conj().T) / 2)
 
 
 def _pair_frequency(config, k, kp):
@@ -285,8 +278,10 @@ def segment_negativity_exact(config, segment, k, kp, repetitions=1):
     This is the generic composed-product route: matrix power, reduced state,
     partial transpose, smallest symplectic eigenvalue.
     """
+    if repetitions < 0:
+        raise ValueError("repetitions must be non-negative")  # matrix_power would invert the map
     power = np.linalg.matrix_power(compose_segment(config, segment).matrix, repetitions)
-    return entanglement.negativity_gaussian(_reduced_state(power, k, kp))
+    return entanglement.negativity_gaussian(two_mode_reduced_state(power, k, kp))
 
 
 def resonance_negativity(config, segment, k, kp, repetitions):
@@ -299,8 +294,6 @@ def resonance_negativity(config, segment, k, kp, repetitions):
     if repetitions < 0:
         raise ValueError("repetitions must be non-negative")
     resonant, residual = resonance_check(config, segment, k, kp)
-    if repetitions == 0:
-        return {"negativity": 0.0, "resonant": True, "residual": 0.0}
     b_kkp = abs(first_order_entries(config, *segment.arrays, k - 1, kp - 1)[1])
     if repetitions * b_kkp >= NB_VALIDITY_BOUND:
         warnings.warn(
@@ -323,11 +316,11 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
     with G_k G_k'(t) = exp(i (omega_k + omega_k') t).  Labels are 1-based.
     tau1 and tau2 broadcast together; scalars give a float.  The segment's
-    limits are checked at the smallest tau1 and tau2.
+    blocks are checked at lam h and the smallest tau1 and tau2.
     """
     s = _pair_frequency(config, k, kp)
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
-    standard_segment(config.h, tau1.min(), tau2.min(), lam)  # checks tau >= 0 and |lam h| < 2
+    _check_blocks(lam * config.h, [tau1.min(), tau2.min()])
     z1 = 1.0 - np.exp(1j * s * tau1)
     z2 = 1.0 + lam * np.exp(1j * s * (tau1 + tau2))
     scale = abs(config.h * config.coeffs.beta1[k - 1, kp - 1])

@@ -169,17 +169,15 @@ def block_fidelities(r, kp, config, tau, h):
 
     Alice's phase is 0, so phi = w_k' tau.  correction is the larger
     relative h^2 term at each point: F2 / F0, or the drop of 1 / (1 + nu-)
-    from its h = 0 value relative to that value.  Like `TeleportScenario`
-    and `TrajectorySegment`, it refuses r <= 0, a label k' outside 1..n_max,
-    tau < 0 and |h| >= 2 (NaN included) with ValueError, over the whole arrays.
+    from its h = 0 value relative to that value.  Like `TeleportScenario`,
+    it refuses r <= 0 and a label k' outside 1..n_max with ValueError, and
+    applies `TrajectorySegment`'s block rule (tau >= 0, |h| < 2, NaN refused)
+    over the whole arrays.
     """
     tau, h = np.asarray(tau, dtype=float), np.asarray(h, dtype=float)
     if not np.all(np.asarray(r) > 0):
         raise ValueError("squeezing must be positive")
-    if not np.all(tau >= 0):
-        raise ValueError("proper times must be non-negative")
-    if not np.all(np.abs(h) < 2.0):
-        raise ValueError("physical accelerated segments need |h| < 2")
+    boson._check_blocks(h, tau)
     f_alpha, f_beta = f_sums(config, kp, [1.0], tau[..., None])  # checks k' before it indexes the frequencies
     f0, f2, nu = _series(r, boson.mode_frequencies(config)[kp - 1] * tau, f_alpha * h * h, f_beta * h * h)
     opt = 1.0 / (1.0 + nu)

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle_boson import first_order_oracle, segment_first_order
-from rqi import boson, gaussian
+from rqi import boson, gaussian, teleport
 
 
 def cfg(**kw):
@@ -39,18 +39,22 @@ def test_bogo_first_order_against_quadrature_oracle():
     assert abs(c.beta1[1, 0] - b_o) < 1e-5 * abs(b_o)
 
 
+def one_block(c, h_j, tau_j):
+    return boson.compose_segment(c, boson.TrajectorySegment(((h_j, tau_j),)))
+
+
 def test_building_block_limits():
     c = cfg(n_max=6)
-    u = boson.building_block(c, 0.0, 0.8)
+    u = one_block(c, 0.0, 0.8)
     g = np.exp(1j * boson.mode_frequencies(c) * 0.8)
     assert np.abs(u.matrix - np.diag(np.concatenate([g.conj(), g]))).max() < 1e-14
-    ident = boson.building_block(c, c.h, 0.0)
+    ident = one_block(c, c.h, 0.0)
     assert np.abs(ident.matrix - np.eye(12)).max() < 1e-12
 
 
 def test_building_block_first_order_b_entry():
     c = cfg(n_max=12, h=1e-4)
-    block = boson.building_block(c, c.h, 1.0)
+    block = one_block(c, c.h, 1.0)
     _, b = boson.segment_blocks(block)
     coeffs = boson.bogo_first_order(c)
     omega = boson.mode_frequencies(c)
@@ -61,7 +65,7 @@ def test_building_block_first_order_b_entry():
 def test_building_block_warns_outside_validity():
     c = cfg(n_max=20, h=0.05)
     with pytest.warns(boson.PerturbativeValidityWarning):
-        boson.building_block(c, c.h, 0.5)
+        one_block(c, c.h, 0.5)
 
 
 def test_compose_segment_zero_order_and_closed_form():
@@ -76,6 +80,11 @@ def test_compose_segment_zero_order_and_closed_form():
         assert abs(abs(b[0, 1]) - closed) < 1e-8 * max(1.0, closed)
     with pytest.raises(ValueError):
         boson.compose_segment(c, boson.TrajectorySegment(()))
+
+
+def test_empty_segment_refused_at_construction():
+    with pytest.raises(ValueError, match="at least one block"):
+        boson.TrajectorySegment(())
 
 
 def test_segment_inverse_identity_to_h_squared():
@@ -170,13 +179,13 @@ def test_two_mode_reduced_state_pure_to_h_squared():
     c = cfg(n_max=12, h=1e-4)
     seg = boson.standard_segment(c.h, 0.31, 0.47, 1.0)
     smap = boson.compose_segment(c, seg)
-    state = boson.two_mode_reduced_state(smap, 1, 2)
+    state = boson.two_mode_reduced_state(smap.matrix, 1, 2)
     assert abs(state.purity_det() - 1.0) < 100 * c.h**2
     with pytest.raises(ValueError):
-        boson.two_mode_reduced_state(smap, 1, 1)
+        boson.two_mode_reduced_state(smap.matrix, 1, 1)
     # h = 0 gives the vacuum back
     smap0 = boson.compose_segment(c, boson.TrajectorySegment(((0.0, 0.7),)))
-    state0 = boson.two_mode_reduced_state(smap0, 1, 2)
+    state0 = boson.two_mode_reduced_state(smap0.matrix, 1, 2)
     assert np.abs(state0.covariance - np.eye(4)).max() < 1e-12
 
 
@@ -184,7 +193,7 @@ def test_full_product_vs_truncated_two_modes():
     c = cfg(n_max=12, h=1e-4)
     seg = boson.standard_segment(c.h, 1.0 / 3.0, 1.0 / 3.0, 1.0)
     smap = boson.compose_segment(c, seg)
-    state = boson.two_mode_reduced_state(smap, 1, 2)
+    state = boson.two_mode_reduced_state(smap.matrix, 1, 2)
     # truncated 2-mode product: the 4x4 sub-block of S restricted to (1, 2)
     idx = np.array([0, 1, c.n_max, c.n_max + 1])
     s_small = smap.matrix[np.ix_(idx, idx)]
@@ -197,7 +206,7 @@ def test_pt_eigenvalue_on_resonance():
     seg = boson.standard_segment(c.h, 1.0 / 3.0, 1.0 / 3.0, 1.0)
     smap = boson.compose_segment(c, seg)
     _, b = boson.segment_blocks(smap)
-    state = boson.two_mode_reduced_state(smap, 1, 2)
+    state = boson.two_mode_reduced_state(smap.matrix, 1, 2)
     tilde = gaussian.partial_transpose(state, 1)
     nus = gaussian.symplectic_spectrum(tilde)
     assert abs(nus.min() - (1.0 - 2.0 * abs(b[0, 1]))) < 1e-7
@@ -322,7 +331,7 @@ def test_mode_labels_outside_1_to_n_max_rejected(k, kp):
         lambda: boson.resonance_negativity(c, seg, k, kp, 0),
         lambda: boson.resonant_times(c, k, kp),
         lambda: boson.closed_form_b_magnitude(c, 0.3, 0.3, 1.0, k, kp),
-        lambda: boson.two_mode_reduced_state(smap, k, kp),
+        lambda: boson.two_mode_reduced_state(smap.matrix, k, kp),
     ]
     for call in calls:
         with pytest.raises(ValueError, match=r"1\.\.20"):
@@ -338,7 +347,7 @@ def test_repeated_mode_labels_rejected(k, kp):
         lambda: boson.closed_form_b_magnitude(c, 0.3, 0.3, 1.0, k, kp),
         lambda: boson.resonance_check(c, seg, k, kp),
         lambda: boson.resonance_negativity(c, seg, k, kp, 3),
-        lambda: boson.two_mode_reduced_state(smap, k, kp),
+        lambda: boson.two_mode_reduced_state(smap.matrix, k, kp),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="distinct"):
@@ -351,12 +360,68 @@ def test_segment_owns_block_limits():
             boson.TrajectorySegment(blocks)
 
 
+# single (h, tau) draws around the edges of the block rule: NaN, +-inf, negatives, |h| near 2
+EDGE = st.one_of(
+    st.floats(),
+    st.sampled_from([2.0, -2.0, np.nextafter(2.0, 0.0), -np.nextafter(2.0, 0.0), 0.0, -0.0, -5e-324, np.nan]),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(h=EDGE, tau=EDGE)
+def test_every_path_applies_the_same_block_rule(h, tau):
+    c = cfg(n_max=4, h=1.0)  # lam = h enters closed_form_b_magnitude as lam * config.h = h
+    calls = (
+        lambda: boson.TrajectorySegment(((h, tau),)),
+        lambda: teleport.block_fidelities(0.5, 3, c, tau, h),
+        lambda: boson.closed_form_b_magnitude(c, tau, tau, h, 1, 2),
+    )
+    messages = set()
+    for call in calls:
+        try:
+            with np.errstate(all="ignore"):  # an infinite tau gives NaN phases, not an error
+                call()
+            messages.add(None)
+        except ValueError as exc:
+            messages.add(str(exc))
+    assert len(messages) == 1
+
+
+def test_first_order_entries_refuses_bad_blocks_and_indices():
+    c = cfg(n_max=8, h=1e-4)
+    with pytest.raises(ValueError, match="non-negative"):
+        boson.first_order_entries(c, [5.0], [-1.0], 0, 1)
+    with pytest.raises(ValueError, match=r"\|h\| < 2"):
+        boson.first_order_entries(c, [5.0], [1.0], 0, 1)
+    # index -1 would read mode n_max
+    for n, m in ((-1, 1), (0, 8), (np.arange(-1, 3), 1), (0, np.array([[1], [-2]]))):
+        with pytest.raises(ValueError, match=r"0\.\.7"):
+            boson.first_order_entries(c, [1e-4], [1.0], n, m)
+
+
 def test_closed_form_refuses_what_its_segment_refuses():
     c = cfg(n_max=8, h=1e-4)
     # at any grid point, not only the first
     for tau1, tau2, lam in ((np.array([0.3, -0.5]), 0.3, 1.0), (0.3, np.array([0.2, -0.1]), 1.0), (0.3, 0.3, 1e5), (np.nan, 0.3, 1.0)):
         with pytest.raises(ValueError):
             boson.closed_form_b_magnitude(c, tau1, tau2, lam, 1, 2)
+
+
+def test_negative_repetitions_refused_on_both_routes():
+    # the exact route's matrix power would invert the map
+    c = cfg(n_max=8, h=1e-4)
+    seg = boson.standard_segment(c.h, 0.7, 0.4)
+    for route in (boson.resonance_negativity, boson.segment_negativity_exact):
+        with pytest.raises(ValueError, match="non-negative"):
+            route(c, seg, 1, 2, -1)
+
+
+def test_zero_repetitions_keep_the_resonance_verdict():
+    c = cfg(n_max=8, h=1e-4)
+    seg = boson.standard_segment(c.h, 0.7, 0.4)
+    resonant, residual = boson.resonance_check(c, seg, 1, 2)
+    assert not resonant and residual > 0  # residual 4.9e-7
+    assert boson.resonance_negativity(c, seg, 1, 2, 0) == {"negativity": 0.0, "resonant": False, "residual": residual}
 
 
 def test_validity_warning_for_large_repetitions():
@@ -378,7 +443,7 @@ def test_h_range_validation():
     with pytest.raises(ValueError):
         boson.BosonCavityConfig(h=2.0)
     with pytest.raises(ValueError):
-        boson.building_block(cfg(n_max=4), 2.5, 0.1)
+        one_block(cfg(n_max=4), 2.5, 0.1)
 
 
 def test_off_resonance_negativity_composes_once(monkeypatch):
@@ -419,7 +484,7 @@ def test_exact_negativity_certifies_only_the_composed_map(monkeypatch):
 def test_block_validity_warning_points_at_the_caller():
     c = cfg(n_max=20, h=0.01)
     builders = (
-        lambda: boson.building_block(c, c.h, 0.5),
+        lambda: one_block(c, c.h, 0.5),
         lambda: boson.compose_segment(c, boson.standard_segment(c.h, 0.5, 0.5)),
     )
     for build in builders:
