@@ -1,7 +1,7 @@
 """Non-perturbative evolution of a detector coupled to one field mode.
 
-The time-ordered evolution is decomposed into a product of one-generator
-exponentials; the factor functions F_j(t) solve a closed set of ODEs, so the
+The covariance evolution operator S(t) is integrated by symplectic Magnus
+steps and decomposed into a product of one-generator exponentials, so the
 full covariance trajectory comes out without any perturbative truncation.
 The brute-force fixed-step product integrator certifies the result.
 """

@@ -20,7 +20,7 @@ Trajectories are built from blocks S_j = Q(h_j)^-1 U(tau_j) Q(h_j): jump to
 the accelerated mode basis, rotate phases for proper time tau_j, jump back.
 Products of blocks approximate arbitrary piecewise inertial/uniformly
 accelerated motion; a single block is the product of a one-block segment.
-`_check_blocks` is the one rule for blocks (tau_j >= 0, |h_j| < 2, NaN
+`_check_blocks` is the one rule for blocks (finite tau_j >= 0, |h_j| < 2, NaN
 refused).  `TrajectorySegment` (which also refuses an empty segment),
 `BosonCavityConfig` (its h), `first_order_entries`, `closed_form_b_magnitude`
 and `teleport.block_fidelities` apply it; `_check_labels` checks mode labels.
@@ -60,9 +60,9 @@ RESONANCE_TOL = 1e-6  # resonant when |1 - exp(i (omega_k + omega_k') T)| is at 
 
 
 def _check_blocks(h, tau):
-    """Raise ValueError unless every tau >= 0 and every |h| < 2 (NaN fails both); floats or arrays."""
-    if not np.all(np.asarray(tau) >= 0):
-        raise ValueError("proper times must be non-negative")
+    """Raise ValueError unless every tau is finite and >= 0 and every |h| < 2 (NaN fails both); floats or arrays."""
+    if not np.all((np.asarray(tau) >= 0) & np.isfinite(tau)):
+        raise ValueError("proper times must be finite and non-negative")
     if not np.all(np.abs(h) < 2.0):
         raise ValueError("physical accelerated segments need |h| < 2")
 

@@ -154,8 +154,8 @@ def _user_input():
 
 def cmd_measures(*, r=0.5):
     from . import entanglement, gaussian
-    state = gaussian.two_mode_squeezed_state(r)
     with _user_input():  # an r whose nu~ misses entanglement.PT_ERROR_BOUND, or whose cosh 2r overflows
+        state = gaussian.two_mode_squeezed_state(r)
         extras = {
             "negativity": entanglement.negativity_gaussian(state),
             "log_negativity": entanglement.log_negativity_gaussian(state),
@@ -255,13 +255,13 @@ def cmd_nonpert_evolve(*, coupling=1.0, t_sq=80.0, gap=2 * np.pi, t_end=40.0, ta
     t_eval = np.linspace(0.0, t_end, 201) if tau is None else grid_values(tau)
     if t_eval[0] < 0.0 or (np.diff(t_eval) <= 0.0).any():
         raise ConfigError("--tau (or 0 to --t-end) must start at or above 0 and increase strictly")
-    sol = nonpert.solve_factors(basis, schedule, (0.0, max(t_end, t_eval[-1])), t_eval=t_eval)
-    nd = nonpert.detector_number_expectation(nonpert.covariance_trajectory(basis, sol.y))
+    sol = nonpert.solve_factors(basis, schedule, (0.0, t_eval[-1]), t_eval=t_eval)
+    nd = nonpert.detector_number_expectation(nonpert.covariance_trajectory(sol.s))
     rows = np.column_stack([sol.t, nd, sol.y.T])
     header = ["tau", "n_d"] + [f"F{j+1}" for j in range(basis.dim)]
     final_f = sol.y[:, -1]
     zero_factors = [basis.labels[j] for j in range(basis.dim) if abs(final_f[j]) < 1e-10]
-    work = {"rhs_calls": sol.nfev, "newton_iterations": sol.newton_iterations, "subdivisions": sol.subdivisions}
+    work = {k: getattr(sol, k) for k in ("magnus_steps", "step", "step_probe", "newton_iterations", "subdivisions")}
     return header, rows, {"zero_factors": zero_factors, **work}
 
 

@@ -70,8 +70,8 @@ class CovarianceState:
         g = np.asarray(self.covariance)
         if g.shape != (2 * self.n_modes, 2 * self.n_modes):
             raise ValueError("dimension mismatch between n_modes and covariance")
-        if np.linalg.norm(g - g.conj().T) > 1e-8 * max(1.0, np.linalg.norm(g)):
-            raise ValueError("covariance matrix is not Hermitian")
+        if not np.linalg.norm(g - g.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(g)):
+            raise ValueError("covariance matrix is not finite and Hermitian")
         object.__setattr__(self, "covariance", g)
 
     def is_physical(self, tol=PHYSICALITY_TOL):
@@ -99,7 +99,7 @@ class SymplecticMap:
             raise ValueError("matrix shape does not match n_modes")
         object.__setattr__(self, "matrix", s)
         res = symplectic_defect(s)
-        if res > self.defect_tol:
+        if not res <= self.defect_tol:
             raise ValueError(f"matrix is not symplectic: defect {res:.3e} > {self.defect_tol:.1e}")
 
     def inverse(self):
@@ -192,7 +192,7 @@ def two_mode_squeezer(r, n_modes=2, modes=(0, 1)):
 
 
 def two_mode_squeezed_state(r):
-    """`two_mode_squeezer(r)` on the vacuum: cosh(2r) / sinh(2r) blocks, non-finite past |r| of about 355."""
+    """`two_mode_squeezer(r)` on the vacuum: cosh(2r) / sinh(2r) blocks; past |r| of about 355 they overflow, refused."""
     return CovarianceState(2, np.cosh(2.0 * r) * np.eye(4) + np.sinh(2.0 * r) * np.eye(4)[::-1])
 
 

@@ -4,36 +4,30 @@ The covariance-matrix evolution operator S(t), defined by
 
     dS/dt = -i K H(t) S,      H(t) = sum_j lambda_j(t) G_j,      S(0) = 1,
 
-is linear: `solve_factors` integrates it in the real quadrature form (where
-every -i K G_j is real) with the eighth-order DOP853 scheme, then writes S at
-each output as the ordered product S = prod_j exp(-i F_j K G_j) (j = 1
-leftmost) of Wei & Norman (J. Math. Phys. 4, 575 (1963)), by Newton from the
-previous output's F.  The Jacobian is their matching matrix: the column of F_j
-holds the coordinates of W_j^{-+} G_j W_j^{-1}, W_j = S_1 ... S_{j-1}, from a
-pseudo-inverse projection onto the basis.  The coordinates are only local, so
-a failed match is retried on half the interval.  Gamma(t) is built from S(F),
-which is exactly symplectic.
+is linear.  `solve_factors` integrates it in the real quadrature form by
+fourth-order Magnus steps (Iserles & Norsett, Phil. Trans. R. Soc. A 357, 983
+(1999); Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)), halving the
+step until a step probe passes.  exp(Omega) of a Hamiltonian generator is
+symplectic to rounding, so Gamma = S Gamma0 S+ comes from the integrated S,
+certified once.  The adaptive DOP853 route is the tests' referee.  At each
+output the factors F of S = prod_j exp(-i F_j K G_j) (j = 1 leftmost) of Wei &
+Norman (J. Math. Phys. 4, 575 (1963)) are matched to S by Newton; each factor
+exponential is closed-form (`gaussian.generator_exponentials`).  F depends on
+the factor ordering (the basis order); Gamma does not.
 
-Every basis generator satisfies (K G_j)^2 = +-P_j with P_j a projector, so
-each factor exponential is 1 + (c - 1) P_j + i s K G_j with (c, s) = (cos f,
-sin f) or (cosh f, sinh f), `rqi.gaussian`'s `generator_exponentials`: the
-factor side computes no matrix exponential or inverse, and a basis builds its
-tables once.  F_j depend on the factor ordering (the basis order); Gamma does not.
-
-A schedule maps a time t to the coefficients lambda(t): a float gives a
-(dim,) array, an array of n times a (dim, n) array.  The fixed-step oracle
-integrates dS/dt in the real quadrature form too (midpoint rule; one schedule
-call per batch of midpoints, batched Taylor steps, or `scipy.linalg.expm` for
-steps of norm above TAYLOR_THETA) and shares nothing with the factor machinery.
+A schedule maps a float t to the (dim,) array lambda(t), and an array of n
+times to a (dim, n) array.  The fixed-step oracle (midpoint rule) shares the
+batched exponentials and pairwise product with the Magnus steps and nothing
+with the factor machinery.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .gaussian import generator_exponentials, generator_tables, kay, quadratic_generator, real_basis_matrix
@@ -45,8 +39,10 @@ COND_MAX = 1e10
 NEWTON_MAX_ITER, NEWTON_STEP_TOL = 20, 1e-9
 # shortest interval a failed match is halved to before it raises
 SUBDIVIDE_MIN = 1e-9
-# most oracle midpoint steps exponentiated and multiplied in one batch
+# most oracle or Magnus steps exponentiated and multiplied in one batch
 ORACLE_BATCH = 4096
+# Magnus steps: the first step bound, the gate on the step probe, and the smallest step before it raises
+MAGNUS_H0, MAGNUS_TOL, MAGNUS_H_MIN = 0.01, 1e-7, 1e-4
 # most oracle steps in one call: about ten minutes at the batched rate
 ORACLE_MAX_STEPS = 10**8
 # largest step infinity-norm the oracle's Taylor series takes, and its truncation bound
@@ -56,13 +52,8 @@ TAYLOR_TOL = 1e-16
 
 @dataclass(frozen=True)
 class GeneratorBasis:
-    """Ordered Hermitian generator matrices G_j (complex form).
-
-    Canonical ordering: N phase rotations, 2N single-mode squeezers (re / im
-    per mode), beam splitters (re / im per pair), two-mode squeezers (re / im
-    per pair).  Each G has the block structure [[X, Y], [conj(Y), conj(X)]]
-    with X+ = X, Y^T = Y, so the count is N(2N+1).
-    """
+    """Ordered Hermitian generator matrices G_j (complex form), each [[X, Y], [conj(Y), conj(X)]] with X+ = X and
+    Y^T = Y: N(2N+1) of them span every quadratic Hamiltonian."""
 
     n_modes: int
     generators: tuple
@@ -79,7 +70,8 @@ class GeneratorBasis:
 
 
 def build_generator_basis(n_modes):
-    """All N(2N+1) independent quadratic generators in canonical order."""
+    """All N(2N+1) generators in canonical order: N phase rotations, 2N single-mode squeezers (re / im per mode),
+    beam splitters and two-mode squeezers (re / im per pair)."""
     n = n_modes
     singles = [(i, i) for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -100,12 +92,9 @@ def build_generator_basis(n_modes):
 
 
 def detector_field_basis():
-    """N = 2 basis ordered as in the single-detector example (mode 0 the detector, mode 1 the field).
-
-    Two-mode squeezers, detector and field single-mode squeezers, beam
-    splitters, the two phase rotations: `build_generator_basis(2)` reordered
-    and relabelled ([0] -> [d], [1] -> [D], the pair index dropped).
-    """
+    """N = 2 basis of the single-detector example (mode 0 the detector, mode 1 the field): two-mode squeezers,
+    detector and field single-mode squeezers, beam splitters, the two phase rotations.  `build_generator_basis(2)`
+    reordered and relabelled ([0] -> [d], [1] -> [D], the pair index dropped)."""
     full = build_generator_basis(2)
     index = {lab: j for j, lab in enumerate(full.labels)}
     order = ("tms_re[0,1]", "tms_im[0,1]", "sms_re[0]", "sms_im[0]", "sms_re[1]", "sms_im[1]")
@@ -118,42 +107,49 @@ def _to_quadrature(mats, inverse=False):
     """Real quadrature form Q M Q+ of complex-form matrices with the [[X, Y], [conj Y, conj X]] structure;
     with `inverse`, the complex form Q+ M Q of real quadrature-form matrices."""
     n = mats.shape[-1] // 2
-    q = real_basis_matrix(n)[np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]]  # rows (x1..xN, p1..pN)
+    # u = sqrt(2) Q, rows (x1..xN, p1..pN): its entries are exactly 0, +-1 and +-i, so 1 maps to 1 exactly
+    u = np.round(np.sqrt(2.0) * real_basis_matrix(n)[np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]])
     if inverse:
-        return q.conj().T @ mats @ q
-    out = q @ mats @ q.conj().T
+        return u.conj().T @ mats @ u / 2.0
+    out = u @ mats @ u.conj().T / 2.0
     if np.abs(out.imag).max() > 1e-12 * max(1.0, float(np.abs(out).max())):
         raise ValueError("generators lack the [[X, Y], [conj(Y), conj(X)]] block structure")
     return out.real
 
 
-def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
-    """Integrate S(t) from S = 1 over `t_span` (DOP853) and match F at each output (`t_eval`, or the steps).
+# `solve_factors`' result: s is the integrated S (n, 2N, 2N, complex form); magnus_steps counts every step taken
+FactorSolution = namedtuple("FactorSolution", "t y s step step_probe magnus_steps newton_iterations subdivisions")
 
-    Returns scipy's OdeResult with `y` the factors (dim, n), `s` the integrated S (n, 2N, 2N, complex
-    form) and the counts `nfev`, `newton_iterations` and `subdivisions`.  A failed match is retried at
-    the interval's midpoint, S there from the output interval integrated again with dense output (its
-    RHS calls join `nfev`); on an interval below SUBDIVIDE_MIN it raises.
+
+def solve_factors(basis, schedule, t_span, t_eval=None):
+    """Integrate S(t) from S = 1 at t_span[0] by Magnus steps; match F at each output (`t_eval`, or t_span[1]).
+
+    The step halves from MAGNUS_H0 while the step probe max|S_h - S_{h/2}| / max|S| (the h/2 result kept)
+    is above MAGNUS_TOL.  F is matched by Newton from the previous output's F, the Wei-Norman matching
+    matrix as Jacobian; a failed match is retried at the interval's midpoint, S there by Magnus steps from
+    the last output.  Returns a `FactorSolution`.  A probe still failing below MAGNUS_H_MIN, and a failed
+    match on an interval below SUBDIVIDE_MIN, raise RuntimeError.
     """
     ikg, proj, hyper = basis.factor_tables
     tables = (_to_quadrature(ikg), _to_quadrature(proj), hyper)
     gens = _to_quadrature(np.stack(basis.generators))
     dim, d = gens.shape[:2]
-    kgens = -tables[0].reshape(dim, -1)  # A_j = -i K G_j
-    coords_g, coords_a = np.linalg.pinv(gens.reshape(dim, -1).T), np.linalg.pinv(kgens.T)
+    kgens = -tables[0]  # A_j = -i K G_j
+    coords_g, coords_a = np.linalg.pinv(gens.reshape(dim, -1).T), np.linalg.pinv(kgens.reshape(dim, -1).T)
     v = np.empty_like(gens)  # v[j] = W_j^{-1}, rewritten by every Newton step
     v[0] = eye = np.eye(d)
     v_rows = list(v)  # views: np.dot into them costs less per call than matmul
-
-    def rhs(t, y):
-        return ((np.asarray(schedule(t), dtype=float) @ kgens).reshape(d, d) @ y.reshape(d, d)).ravel()
+    edges = np.r_[t_span[0], t_span[1] if t_eval is None else t_eval].astype(float)  # t_eval of ndim > 1 raises
+    if edges.size < 2 or not np.isfinite(edges).all() or (np.diff(edges) < 0.0).any():
+        raise ValueError("output times must be finite, at least one, and non-decreasing from t_span[0]")
 
     @np.errstate(over="ignore", invalid="ignore")  # a diverging F fails by its non-finite Jacobian
     def newton(target, f):
         """(F, or None on failure, steps, cond) of Newton on S(F) = target from f.
 
-        E_j^{-1} = exp(+i F_j K G_j) give W_j^{-1}, the Jacobian and S(F)^{-1}; a step solves the Jacobian against
-        target S(F)^{-1} - 1.  A non-finite Jacobian, cond > COND_MAX and NEWTON_MAX_ITER steps are failures.
+        E_j^{-1} = exp(+i F_j K G_j) give W_j^{-1}, the Jacobian (column j: coordinates of W_j^{-+} G_j W_j^{-1})
+        and S(F)^{-1}; a step solves the Jacobian against target S(F)^{-1} - 1.  A non-finite Jacobian,
+        cond > COND_MAX and NEWTON_MAX_ITER steps are failures.
         """
         for it in range(1, NEWTON_MAX_ITER + 1):
             e = generator_exponentials(tables, f)
@@ -172,31 +168,30 @@ def solve_factors(basis, schedule, t_span, t_eval=None, rtol=1e-9, atol=1e-11):
                 return f, it, cond
         return None, it, cond
 
-    sol = solve_ivp(rhs, t_span, eye.ravel(), method="DOP853", t_eval=t_eval, rtol=rtol, atol=atol)
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    s_out = sol.y.T.reshape(-1, d, d)
-    factors = np.empty((dim, sol.t.size))
-    t_a, f, s_a = t_span[0], np.zeros(dim), eye  # the last matched time and its F; S at the last output
-    sol.newton_iterations = sol.subdivisions = 0
-    for k, t in enumerate(sol.t):
-        target, t_start, dense = t, t_a, None
+    h, probe, (s_out, steps) = MAGNUS_H0, np.inf, _magnus_evolution(kgens, schedule, edges, MAGNUS_H0)
+    while not probe <= MAGNUS_TOL:  # a NaN probe halves on to the floor
+        if h / 2.0 < MAGNUS_H_MIN:
+            raise RuntimeError(f"Magnus step probe {probe:.3e} above MAGNUS_TOL = {MAGNUS_TOL:.0e} at step {h:.3e}")
+        h, (s_half, more) = h / 2.0, _magnus_evolution(kgens, schedule, edges, h / 2.0)
+        probe, s_out, steps = float(np.abs(s_out - s_half).max() / np.abs(s_half).max()), s_half, steps + more
+    factors, iterations, subdivisions = np.empty((dim, edges.size - 1)), 0, 0
+    t_a, f, s_last = edges[0], np.zeros(dim), eye  # the last matched time and its F; S at the last output
+    for k, t in enumerate(edges[1:]):
+        target, s_target = t, s_out[k]
         while t_a != t:
-            f_new, it, cond = newton(s_out[k] if target == t else dense(target).reshape(d, d), f)
-            sol.newton_iterations += it
+            f_new, it, cond = newton(s_target, f)
+            iterations += it
             if f_new is not None:  # on to the output from here
-                t_a, f, target = target, f_new, t
+                t_a, f, target, s_target = target, f_new, t, s_out[k]
             elif abs(target - t_a) < SUBDIVIDE_MIN:
                 raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
-            else:
-                if dense is None:  # only a failed interval needs S between outputs: integrate it again
-                    part = solve_ivp(rhs, (t_start, t), s_a.ravel(), "DOP853", rtol=rtol, atol=atol, dense_output=True)
-                    sol.nfev, dense = sol.nfev + part.nfev, part.sol
+            else:  # S at the midpoint, by Magnus steps from the last output
                 target = (t_a + target) / 2.0
-                sol.subdivisions += 1
-        factors[:, k], s_a = f, s_out[k]
-    sol.y, sol.s = factors, _to_quadrature(s_out, inverse=True)
-    return sol
+                s_mid, more = _magnus_evolution(kgens, schedule, np.array([edges[k], target]), h)
+                s_target, steps, subdivisions = s_mid[0] @ s_last, steps + more, subdivisions + 1
+        factors[:, k], s_last = f, s_out[k]
+    s_out = _to_quadrature(s_out, inverse=True)
+    return FactorSolution(edges[1:], factors, s_out, h, probe, steps, iterations, subdivisions)
 
 
 def evolution_operator(basis, factors):
@@ -211,41 +206,25 @@ def evolution_operator(basis, factors):
     return s
 
 
-def covariance_trajectory(basis, factors, gamma0=None):
-    """Gamma = S Gamma0 S+ for each column of `factors` (complex form, vacuum start by default).
-
-    Symplecticity |S K S+ - K| is checked over the whole stack of S.
-    """
-    if gamma0 is None:
-        gamma0 = np.eye(2 * basis.n_modes, dtype=complex)
-    s = evolution_operator(basis, factors)
+def covariance_trajectory(s, gamma0=None):
+    """Gamma = S Gamma0 S+ for each S of the complex-form stack `s` (vacuum start by default), once the stack's
+    symplectic defect max|S K S+ - K| is certified finite and at most 1e-8."""
     defect = symplectic_defect(s)
-    if defect > 1e-8:
+    if not defect <= 1e-8:
         raise RuntimeError(f"evolution lost symplecticity: defect {defect:.3e}")
-    return s @ gamma0 @ s.conj().swapaxes(-1, -2)
+    return s @ (np.eye(s.shape[-1]) if gamma0 is None else gamma0) @ s.conj().swapaxes(-1, -2)
 
 
-def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None, rtol=1e-9, atol=1e-11):
-    """(times, factors, gammas): Gamma = S(F) Gamma0 S(F)+ (complex form) of `solve_factors`' F, checked symplectic."""
-    sol = solve_factors(basis, schedule, t_span, t_eval=t_eval, rtol=rtol, atol=atol)
-    return sol.t, sol.y, covariance_trajectory(basis, sol.y, gamma0)
+def evolve_state(basis, schedule, t_span, gamma0=None, t_eval=None):
+    """(times, factors, gammas): Gamma = S Gamma0 S+ (complex form) of `solve_factors`' integrated S."""
+    sol = solve_factors(basis, schedule, t_span, t_eval=t_eval)
+    return sol.t, sol.y, covariance_trajectory(sol.s, gamma0)
 
 
 def detector_number_expectation(gamma):
     """N_d = (Gamma_11 - 1) / 2 for a zero-mean state (first mode); a stack of states gives an array."""
     nd = mean_occupations(gamma)[..., 0]
     return float(nd) if nd.ndim == 0 else nd
-
-
-def detector_number_closed_form(factors):
-    """(ch1 ch2 ch3 ch4 - 1) / 2 with ch_j = cosh(2 F_j).
-
-    Valid for the `detector_field_basis` ordering on a vacuum start, where
-    F_1, F_2 belong to the two-mode squeezers and F_3, F_4 to the detector's
-    single-mode squeezers.
-    """
-    ch = np.cosh(2.0 * np.asarray(factors[:4]))
-    return float(np.prod(ch) - 1.0) / 2.0
 
 
 def mean_occupations(gamma):
@@ -255,12 +234,10 @@ def mean_occupations(gamma):
 
 
 def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 * np.pi):
-    """lambda(t) of the inertial-detector example: h(t) = c t^2 exp(-t^2/T^2).
+    """lambda(t) of the inertial-detector example, h(t) = c t^2 exp(-t^2/T^2), for a float t or an array of times.
 
-    The drive populates the two-mode squeezer and beam-splitter generators
-    with cos / sin of the gap phase (the 1/2 keeps the matrix representation
-    equal to the monopole-times-field Hamiltonian).  t is a float or a numpy
-    array of times; cos and sin are computed once each.
+    The drive populates the two-mode squeezer and beam-splitter generators with cos / sin of the gap phase (the
+    1/2 keeps the matrix representation equal to the monopole-times-field Hamiltonian).
     """
     if not t_mod > 0:
         raise ValueError("modulation time t_mod must be positive")
@@ -279,11 +256,8 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
 
 
 def _midpoint_steps(t_a, t_b, dt):
-    """(midpoints, lengths) of the fixed steps from t_a to t_b, in batches of at most ORACLE_BATCH.
-
-    Full steps of dt while more than dt remains, then one shorter step onto
-    t_b; a remainder below 1e-12 counts as arrived.
-    """
+    """(midpoints, lengths) of the fixed steps from t_a to t_b, in batches of at most ORACLE_BATCH: steps of dt
+    while more than dt remains, then one shorter step onto t_b (a remainder below 1e-12 counts as arrived)."""
     span = t_b - t_a
     if span <= 1e-12:
         return
@@ -296,17 +270,51 @@ def _midpoint_steps(t_a, t_b, dt):
         yield t_a + dt * idx + lengths / 2.0, lengths
 
 
-def _step_propagators(a):
-    """exp of each matrix of the stack `a` of oracle steps.
+def _drive(schedule, times, dim):
+    """The schedule's coefficients at the 1-d array `times`; a result of any shape but (dim, n) raises ValueError."""
+    lam = np.asarray(schedule(times), dtype=float)
+    if lam.shape != (dim, times.size):
+        raise ValueError(f"schedule of {times.size} times gave shape {lam.shape}, not {(dim, times.size)}")
+    return lam
 
-    A batch whose largest infinity-norm theta is at most TAYLOR_THETA takes
-    the Taylor series of the smallest order m whose truncation bound
-    theta^(m+1) / (m+1)! / (1 - theta / (m+2)) is below TAYLOR_TOL; a batch
-    of larger steps goes to `scipy.linalg.expm` (scaling and squaring).
+
+def _magnus_evolution(kgens, schedule, edges, h):
+    """(S at each of edges[1:] from S = 1 at edges[0], steps taken) by fourth-order Magnus steps of at most h.
+
+    Interval k takes m_k = ceil(length / h) equal steps tau; A_1, A_2 = sum_j lambda_j A_j (`kgens`: the real
+    A_j = -i K G_j) at a step's two Gauss-Legendre nodes give Omega = (tau/2)(A_1 + A_2) + (sqrt(3)/12) tau^2
+    [A_2, A_1].  Intervals of one m_k are stepped together, at most ORACLE_BATCH steps a batch: one schedule
+    call on its nodes, one `tensordot`, `_step_propagators`, and `_ordered_product` per interval.
+    """
+    t_a, t_b, d, nodes01 = edges[:-1], edges[1:], kgens.shape[-1], 0.5 + np.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
+    m = np.ceil((t_b - t_a) / h - 1e-9).astype(int)  # a length within rounding of a multiple of h takes that many
+    s = np.broadcast_to(np.eye(d), (t_a.size, d, d)).copy()
+    for mk in np.unique(m[m > 0]):
+        rows, width, per = np.flatnonzero(m == mk), min(mk, ORACLE_BATCH), max(1, ORACLE_BATCH // mk)
+        for r in range(0, rows.size, per):
+            sel = rows[r : r + per]
+            tau = ((t_b[sel] - t_a[sel]) / mk)[:, None, None, None]
+            for i in range(0, mk, width):
+                nodes = t_a[sel, None, None] + tau[..., 0] * (np.arange(i, min(i + width, mk))[:, None] + nodes01)
+                a = np.tensordot(_drive(schedule, nodes.ravel(), len(kgens)), kgens, axes=(0, 0))
+                a1, a2 = np.moveaxis(a.reshape(*nodes.shape, d, d), 2, 0)
+                omega = tau / 2.0 * (a1 + a2) + np.sqrt(3.0) / 12.0 * tau**2 * (a2 @ a1 - a1 @ a2)
+                s[sel] = _ordered_product(_step_propagators(omega)) @ s[sel]
+    for k in range(1, t_a.size):
+        s[k] = s[k] @ s[k - 1]
+    return s, int(m.sum())
+
+
+def _step_propagators(a):
+    """exp of each matrix of the stack `a` of oracle or Magnus steps.
+
+    A batch whose largest infinity-norm theta is at most TAYLOR_THETA takes the Taylor series of the smallest
+    order m whose truncation bound theta^(m+1) / (m+1)! / (1 - theta / (m+2)) is below TAYLOR_TOL; a batch of
+    larger steps goes to `scipy.linalg.expm` (scaling and squaring).
     """
     theta = float(np.abs(a).sum(axis=-1).max())
     if not np.isfinite(theta):
-        raise ValueError("non-finite Hamiltonian in the oracle step")
+        raise ValueError("non-finite Hamiltonian in a propagator step")
     if theta > TAYLOR_THETA:
         return expm(a)
     order, term = 1, theta**2 / 2.0
@@ -321,29 +329,22 @@ def _step_propagators(a):
 
 
 def _ordered_product(mats):
-    """mats[-1] @ ... @ mats[0] (first matrix acts first), by pairwise reduction."""
-    while len(mats) > 1:
-        pairs = len(mats) // 2
-        prod = mats[1 : 2 * pairs : 2] @ mats[0 : 2 * pairs : 2]
-        mats = np.concatenate([prod, mats[2 * pairs :]]) if len(mats) % 2 else prod
-    return mats[0]
+    """mats[..., -1, :, :] @ ... @ mats[..., 0, :, :] (first matrix acts first), by pairwise reduction."""
+    while mats.shape[-3] > 1:
+        pairs = mats.shape[-3] // 2
+        prod = mats[..., 1 : 2 * pairs : 2, :, :] @ mats[..., 0 : 2 * pairs : 2, :, :]
+        mats = np.concatenate([prod, mats[..., 2 * pairs :, :, :]], axis=-3) if mats.shape[-3] % 2 else prod
+    return mats[..., 0, :, :]
 
 
 def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     """Fixed-step midpoint product of exp(-i K H(t) dt): brute-force oracle, in the real quadrature form.
 
-    Steps of `dt` from t_grid[0], each output time ending a shorter step.
-    The real -i K G_j come once from `_to_quadrature` (a basis without its
-    block structure raises ValueError).  Per output interval (in batches of
-    at most ORACLE_BATCH steps) the schedule is called once on the array of
-    the batch's n midpoints (a result of any shape but (dim, n) raises
-    ValueError), the propagators of the steps sum_j lambda_j dt (-i K G_j)
-    come from a Taylor series (small steps) or `scipy.linalg.expm` (large
-    steps), and their ordered product from a pairwise reduction.  Returns
-    Gamma = S Gamma0 S+ at the grid times, S back in the complex form there
-    only (vacuum start by default).  Independent of the product-decomposition
-    machinery: it never touches the factor tables.
-    A `dt` that needs more than ORACLE_MAX_STEPS steps raises ValueError.
+    Steps of `dt` from t_grid[0], each output time ending a shorter step, exponentiated by
+    `_step_propagators` and multiplied by `_ordered_product` in batches of at most ORACLE_BATCH, one
+    schedule call on each batch's midpoints.  Returns Gamma = S Gamma0 S+ at the grid times (complex form,
+    vacuum start by default); it never touches the factor tables.  A basis without the block structure, a
+    schedule result of any shape but (dim, n) and a `dt` of more than ORACLE_MAX_STEPS steps raise ValueError.
     """
     if not (np.isfinite(dt) and dt > 0.0):
         raise ValueError(f"oracle step dt must be finite and positive, got {dt!r}")
@@ -358,9 +359,7 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     for t_a, t_b in zip(t_grid[:-1], t_grid[1:]):
         s.append(s[-1])
         for mids, lengths in _midpoint_steps(t_a, t_b, dt):
-            lam = np.asarray(schedule(mids), dtype=float)
-            if lam.shape != (basis.dim, mids.size):
-                raise ValueError(f"schedule of {mids.size} times gave shape {lam.shape}, not {(basis.dim, mids.size)}")
-            s[-1] = _ordered_product(_step_propagators(np.tensordot(lam * lengths, kgens, axes=(0, 0)))) @ s[-1]
+            lam = _drive(schedule, mids, basis.dim) * lengths
+            s[-1] = _ordered_product(_step_propagators(np.tensordot(lam, kgens, axes=(0, 0)))) @ s[-1]
     s = _to_quadrature(np.array(s), inverse=True)
     return s @ (np.eye(2 * n) if gamma0 is None else gamma0) @ s.conj().swapaxes(-1, -2)

@@ -241,7 +241,7 @@ def test_criterion_09_nonpert_evolution():
     idx = {lab: i for i, lab in enumerate(basis.labels)}
 
     def passive(t):
-        lam = np.zeros(basis.dim)
+        lam = np.zeros((basis.dim, *np.shape(t)))
         lam[idx["bs_re"]] = 0.4 * np.cos(t)
         lam[idx["bs_im"]] = 0.3
         lam[idx["phase[d]"]] = 1.0

@@ -363,7 +363,7 @@ def test_segment_owns_block_limits():
 # single (h, tau) draws around the edges of the block rule: NaN, +-inf, negatives, |h| near 2
 EDGE = st.one_of(
     st.floats(),
-    st.sampled_from([2.0, -2.0, np.nextafter(2.0, 0.0), -np.nextafter(2.0, 0.0), 0.0, -0.0, -5e-324, np.nan]),
+    st.sampled_from([2.0, -2.0, np.nextafter(2.0, 0.0), -np.nextafter(2.0, 0.0), 0.0, -0.0, -5e-324, np.nan, np.inf]),
 )
 
 
@@ -379,12 +379,13 @@ def test_every_path_applies_the_same_block_rule(h, tau):
     messages = set()
     for call in calls:
         try:
-            with np.errstate(all="ignore"):  # an infinite tau gives NaN phases, not an error
+            with np.errstate(all="ignore"):  # a huge finite tau overflows the phases to NaN, not an error
                 call()
             messages.add(None)
         except ValueError as exc:
             messages.add(str(exc))
     assert len(messages) == 1
+    assert (messages == {None}) == (np.isfinite(tau) and tau >= 0 and abs(h) < 2)
 
 
 def test_first_order_entries_refuses_bad_blocks_and_indices():

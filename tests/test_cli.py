@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rqi import boson, boxpair, cli, teleport
+from rqi import boson, boxpair, cli, nonpert, teleport
 
 
 def run(argv):
@@ -278,22 +278,23 @@ GOLDEN_BOX_ROWS = [
     (0.5, 1.0, 0.69301675682996799),
 ]
 
-# nonpert-evolve: (tau, n_d, F1..F10) rows recorded with S(t) integrated by DOP853
-# and F matched to it by Newton.  Against the factor-ODE route at rtol 1e-13,
-# atol 1e-15 the rows lie 0, 6.0e-11 and 6.8e-11 from it (N_d 1.2e-14); the
-# factor-route rows before them lay 4.6e-12 and 7.1e-12 from it.  Compared to 1e-15.
+# nonpert-evolve: (tau, n_d, F1..F10) rows recorded with S(t) integrated by Magnus
+# steps (kept step 0.005) and F matched to it by Newton.  Against S from DOP853 at
+# rtol 1e-13, atol 1e-15, with F matched to that S, the rows lie 0, 6.0e-11 and
+# 6.8e-11 from it (N_d 4.8e-13 and 4.2e-15); the DOP853-route rows before them
+# lay 7.6e-12 from these.  Compared to 1e-15.
 GOLDEN_NONPERT_ARGS = ["--coupling", "0.4", "--t-sq", "4.0", "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"]
 GOLDEN_NONPERT_ROWS = [
     (0.0,) * 12,
     (
-        3.0, 0.0010368924188275397, -0.0027788185154889056, -0.032027724872085828, 0.00022266488375985717,
-        0.001011700069363326, -0.043367235521115974, -0.0029321016043604691, -0.0041877834360824727,
-        -0.031919431323308177, 8.9510428790605834e-05, -0.043790255636951464,
+        3.0, 0.001036892418356583, -0.002778818517636752, -0.03202772486458056, 0.00022266488383390225,
+        0.001011700068865286, -0.04336723552081058, -0.0029321016038660226, -0.004187783437890031,
+        -0.031919431315686975, 8.951042874770463e-05, -0.04379025563667613,
     ),
     (
-        6.0, 3.4948740612605889e-06, 3.840775131646034e-05, -0.0018668532004977021, 2.5970561885272359e-08,
-        3.4906541102477657e-06, -0.048542264556631652, -0.0023673042017936224, -5.2510461864033567e-05,
-        -0.0018665184478701244, 3.3923083254623286e-07, -0.048695864885340744,
+        6.0, 3.494874057707875e-06, 3.840775122532684e-05, -0.0018668531996229613, 2.5970562135972502e-08,
+        3.4906541069246674e-06, -0.048542264557115085, -0.002367304201837499, -5.251046191339011e-05,
+        -0.0018665184469919467, 3.392308322310736e-07, -0.048695864885828694,
     ),
 ]
 
@@ -346,10 +347,24 @@ def test_golden_nonpert_evolve(tmp_path):
     assert rows.shape == (3, 12)
     assert np.abs(rows - np.array(GOLDEN_NONPERT_ROWS)).max() < 1e-15
     summary = json.loads((tmp_path / "g.json").read_text())
-    assert set(summary) == {"command", "newton_iterations", "params", "rhs_calls", "rows", "subdivisions", "zero_factors"}
-    assert isinstance(summary["rhs_calls"], int) and summary["rhs_calls"] > 0
+    assert set(summary) == {
+        "command", "magnus_steps", "newton_iterations", "params", "rows", "step", "step_probe", "subdivisions",
+        "zero_factors",
+    }
+    assert isinstance(summary["magnus_steps"], int) and summary["magnus_steps"] > 0
+    assert summary["step"] == nonpert.MAGNUS_H0 / 2 and 0.0 < summary["step_probe"] <= nonpert.MAGNUS_TOL
     assert isinstance(summary["newton_iterations"], int) and summary["newton_iterations"] >= 3
     assert summary["subdivisions"] == 0
+
+
+def test_nonpert_evolve_halves_the_step_where_the_probe_fails(tmp_path):
+    """At gap 4 pi the steps of MAGNUS_H0 and MAGNUS_H0 / 2 differ by more than MAGNUS_TOL: the step halves again."""
+    out = tmp_path / "g"
+    args = ["--gap", str(4 * np.pi), "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"]
+    assert run(["nonpert-evolve", *args, "--out", str(out)]) == 0
+    summary = json.loads((tmp_path / "g.json").read_text())
+    assert summary["step"] == nonpert.MAGNUS_H0 / 4 and 0.0 < summary["step_probe"] <= nonpert.MAGNUS_TOL
+    assert summary["magnus_steps"] >= 6.0 * (1 + 2 + 4) / nonpert.MAGNUS_H0
 
 
 def test_golden_detector_rate(tmp_path):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rqi import gaussian as g
+from rqi import nonpert
 
 PROPS = settings(max_examples=40, deadline=None, database=None)
 MODES = st.integers(1, 4)
@@ -215,3 +216,21 @@ def test_random_symplectic_certifies_only_the_product(monkeypatch):
     monkeypatch.setattr(g, "symplectic_defect", counted)
     g.random_symplectic(3, np.random.default_rng(7))
     assert calls == [(6, 6)]  # six factors, one certificate
+
+
+@pytest.mark.parametrize(
+    "certify, error",
+    [
+        (lambda m: g.SymplecticMap(2, m), ValueError),
+        (lambda m: g.CovarianceState(2, m), ValueError),
+        (lambda m: nonpert.covariance_trajectory(m[None]), RuntimeError),
+    ],
+    ids=["symplectic-map", "covariance-state", "nonpert-trajectory"],
+)
+def test_certificates_refuse_a_nan_entry(certify, error):
+    """Each certificate compares as `not value <= bound`, so a NaN defect or asymmetry fails it."""
+    m = np.eye(4, dtype=complex)
+    certify(m)  # the identity passes each
+    m[1, 2] = np.nan
+    with pytest.raises(error):
+        certify(m)

@@ -47,6 +47,14 @@ def test_closed_form_command_loads_no_scipy(command, tmp_path):
     assert proc.stdout.split() == ["0", "False"]
 
 
+def test_nonpert_evolve_loads_no_scipy_integrate(tmp_path):
+    argv = ["nonpert-evolve", "--t-end", "1.0", "--tau", "[0.0, 0.5, 1.0]", "--out", "run"]
+    code = f"import sys; from rqi import cli; print(cli.main({argv!r}), 'scipy.integrate' in sys.modules)"
+    proc = python(code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+
+
 def test_every_module_reachable_from_the_package(tmp_path):
     code = (
         "import json, rqi\n"

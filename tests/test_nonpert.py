@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from oracle_nonpert import dop853_evolution
 from rqi import gaussian, nonpert
 
 PROPS = settings(max_examples=60, deadline=None, database=None)
@@ -39,6 +40,12 @@ def expm_product_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     return np.array(out)
 
 
+def closed_form_nd(factors):
+    """N_d = (ch1 ch2 ch3 ch4 - 1) / 2 with ch_j = cosh(2 F_j): the `detector_field_basis` ordering on a vacuum
+    start, where F_1, F_2 belong to the two-mode squeezers and F_3, F_4 to the detector's single-mode squeezers."""
+    return float(np.prod(np.cosh(2.0 * np.asarray(factors[:4]))) - 1.0) / 2.0
+
+
 def call_budget(schedule, budget=2000):
     """`schedule` that fails the test after `budget` calls, so a non-terminating loop cannot hang it."""
     calls = []
@@ -69,13 +76,13 @@ def test_single_generator_drives_are_exact():
     basis = nonpert.detector_field_basis()
     idx = {lab: i for i, lab in enumerate(basis.labels)}
     lam = 0.3
-    sched = lambda t: np.eye(basis.dim)[idx["tms_re"]] * lam
+    sched = lambda t: np.multiply.outer(np.eye(basis.dim)[idx["tms_re"]] * lam, np.ones(np.shape(t)))
     _, factors, _ = nonpert.evolve_state(basis, sched, (0.0, 2.0), t_eval=[2.0])
     assert abs(factors[idx["tms_re"], 0] - lam * 2.0) < 1e-9
     others = np.delete(factors[:, 0], idx["tms_re"])
     assert np.abs(others).max() < 1e-10
     # abelian phase drive
-    sched2 = lambda t: np.eye(basis.dim)[idx["phase[d]"]] * 0.7
+    sched2 = lambda t: np.multiply.outer(np.eye(basis.dim)[idx["phase[d]"]] * 0.7, np.ones(np.shape(t)))
     _, factors2, _ = nonpert.evolve_state(basis, sched2, (0.0, 3.0), t_eval=[3.0])
     assert abs(factors2[idx["phase[d]"], 0] - 2.1) < 1e-9
 
@@ -83,7 +90,7 @@ def test_single_generator_drives_are_exact():
 def test_zero_schedule_leaves_state():
     basis = nonpert.build_generator_basis(2)
     gamma0 = np.diag([1.7, 1.2, 1.7, 1.2]).astype(complex)
-    sched = lambda t: np.zeros(basis.dim)
+    sched = lambda t: np.zeros((basis.dim, *np.shape(t)))
     _, _, gammas = nonpert.evolve_state(basis, sched, (0.0, 5.0), gamma0=gamma0, t_eval=[5.0])
     assert np.abs(gammas[0] - gamma0).max() < 1e-12
 
@@ -93,7 +100,7 @@ def test_closed_form_nd_exact_for_tms_drive():
     idx = {lab: i for i, lab in enumerate(basis.labels)}
 
     def sched(t):
-        lam = np.zeros(basis.dim)
+        lam = np.zeros((basis.dim, *np.shape(t)))
         lam[idx["tms_re"]] = 0.25 * np.cos(2.5 * t)
         lam[idx["tms_im"]] = 0.25 * np.sin(2.5 * t)
         return lam
@@ -101,7 +108,7 @@ def test_closed_form_nd_exact_for_tms_drive():
     times, factors, gammas = nonpert.evolve_state(basis, sched, (0.0, 5.0), t_eval=[1.7, 3.0, 5.0])
     for i in range(times.size):
         nd = nonpert.detector_number_expectation(gammas[i])
-        assert abs(nd - nonpert.detector_number_closed_form(factors[:, i])) < 1e-10
+        assert abs(nd - closed_form_nd(factors[:, i])) < 1e-10
 
 
 def test_example_schedule_against_product_oracle():
@@ -132,7 +139,7 @@ def test_passive_schedule_conserves_total_number():
     idx = {lab: i for i, lab in enumerate(basis.labels)}
 
     def sched(t):
-        lam = np.zeros(basis.dim)
+        lam = np.zeros((basis.dim, *np.shape(t)))
         lam[idx["bs_re"]] = 0.4 * np.cos(t)
         lam[idx["bs_im"]] = 0.3
         lam[idx["phase[d]"]] = 1.0
@@ -148,14 +155,37 @@ def test_passive_schedule_conserves_total_number():
     assert np.ptp(totals) < 1e-8
 
 
-def test_halved_tolerance_consistency():
+def test_halved_step_consistency(monkeypatch):
     basis = nonpert.detector_field_basis()
     sched = nonpert.detector_example_schedule(basis, coupling=0.6, t_mod=2.0, gap=2 * np.pi)
-    _, _, g1 = nonpert.evolve_state(basis, sched, (0.0, 6.0), t_eval=[6.0], rtol=1e-9, atol=1e-11)
-    _, _, g2 = nonpert.evolve_state(basis, sched, (0.0, 6.0), t_eval=[6.0], rtol=5e-10, atol=5e-12)
+    _, _, g1 = nonpert.evolve_state(basis, sched, (0.0, 6.0), t_eval=[6.0])
+    monkeypatch.setattr(nonpert, "MAGNUS_H0", nonpert.MAGNUS_H0 / 2.0)
+    _, _, g2 = nonpert.evolve_state(basis, sched, (0.0, 6.0), t_eval=[6.0])
     nd1 = nonpert.detector_number_expectation(g1[0])
     nd2 = nonpert.detector_number_expectation(g2[0])
     assert abs(nd1 - nd2) < 1e-7
+
+
+def test_magnus_evolution_against_dop853_referee():
+    """The default drive on the CLI's grid: S within 1e-8 max|S| of DOP853 at rtol 1e-13, symplectic to rounding."""
+    basis = nonpert.detector_field_basis()
+    sched = nonpert.detector_example_schedule(basis)
+    grid = np.linspace(0.0, 40.0, 201)
+    sol = nonpert.solve_factors(basis, sched, (0.0, 40.0), t_eval=grid)
+    referee = dop853_evolution(basis, sched, (0.0, 40.0), grid)
+    scale = np.abs(referee).max()
+    assert scale > 100.0  # the drive squeezes: errors are relative to a large S
+    assert np.abs(sol.s - referee).max() <= 1e-8 * scale
+    assert gaussian.symplectic_defect(sol.s) <= 1e-15 * scale**2
+    assert sol.step == nonpert.MAGNUS_H0 / 2 and sol.step_probe <= nonpert.MAGNUS_TOL
+
+
+def test_step_probe_failing_down_to_the_floor_raises(monkeypatch):
+    basis = nonpert.detector_field_basis()
+    sched = nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0)
+    monkeypatch.setattr(nonpert, "MAGNUS_TOL", 0.0)  # no probe passes: the step halves until the next is below the floor
+    with pytest.raises(RuntimeError, match="MAGNUS_TOL"):
+        nonpert.solve_factors(basis, sched, (0.0, 0.5), t_eval=[0.5])
 
 
 def test_hamiltonian_matrix_matches_printed_structure():
@@ -208,7 +238,7 @@ def test_trajectory_stack_matches_per_column_products():
     columns = [nonpert.evolution_operator(basis, f) for f in factors.T]
     assert np.array_equal(stack, columns)
     expect = [s @ gamma0 @ s.conj().T for s in columns]
-    assert np.array_equal(nonpert.covariance_trajectory(basis, factors, gamma0), expect)
+    assert np.array_equal(nonpert.covariance_trajectory(stack, gamma0), expect)
     # the one defect formula: a stack reads the largest of its matrices' defects
     assert gaussian.symplectic_defect(stack) == max(gaussian.symplectic_defect(s) for s in columns)
     nd = nonpert.detector_number_expectation(np.array(expect))
@@ -221,7 +251,7 @@ def test_trajectory_refuses_one_non_symplectic_column():
     factors[:4, 3] = 20.0  # squeezers at cosh(40): S K S+ - K is all rounding, far above 1e-8
     assert gaussian.symplectic_defect(nonpert.evolution_operator(basis, factors[:, :3])) < 1e-12
     with pytest.raises(RuntimeError, match="lost symplecticity"):
-        nonpert.covariance_trajectory(basis, factors)
+        nonpert.covariance_trajectory(nonpert.evolution_operator(basis, factors))
 
 
 def test_generic_hermitian_generator_rejected():
@@ -347,6 +377,16 @@ def test_oracle_rejects_schedule_that_does_not_broadcast():
     basis = nonpert.detector_field_basis()
     with pytest.raises(ValueError, match=r"gave shape \(10,\), not \(10, 10\)"):
         nonpert.product_integrator_oracle(basis, lambda t: np.zeros(basis.dim), [0.0, 0.1], dt=1e-2)
+    with pytest.raises(ValueError, match=r"gave shape \(10,\), not \(10, 20\)"):  # two nodes a Magnus step
+        nonpert.solve_factors(basis, lambda t: np.zeros(basis.dim), (0.0, 0.1))
+
+
+@pytest.mark.parametrize("t_eval", [[1.0, 0.5], [-0.5, 1.0], [0.5, np.nan], [], [[0.5, 1.0]]])
+def test_solve_factors_rejects_bad_output_times(t_eval):
+    basis = nonpert.detector_field_basis()
+    sched = call_budget(nonpert.detector_example_schedule(basis, coupling=0.5, t_mod=2.0), budget=0)
+    with pytest.raises(ValueError):
+        nonpert.solve_factors(basis, sched, (0.0, 1.0), t_eval=t_eval)
 
 
 def test_example_schedule_on_an_array_matches_scalar_calls():
@@ -383,7 +423,7 @@ def test_integrate_and_match_across_chart_singularity():
     grid = np.linspace(0.0, 3.0, 301)
     sol = nonpert.solve_factors(basis, sched, (0.0, 3.0), t_eval=grid)
     oracle = nonpert.product_integrator_oracle(basis, sched, grid, dt=1e-3)
-    assert np.abs(nonpert.covariance_trajectory(basis, sol.y) - oracle).max() < 1e-4
+    assert np.abs(nonpert.covariance_trajectory(sol.s) - oracle).max() < 1e-4
     assert np.abs(nonpert.evolution_operator(basis, sol.y) - sol.s).max() < 1e-8
 
 
@@ -411,7 +451,7 @@ def test_random_drive_of_every_generator_against_oracle(n, drive, t_end):
     grid = np.linspace(0.0, t_end, 5)
     sol = nonpert.solve_factors(basis, sched, (0.0, t_end), t_eval=grid)
     oracle = nonpert.product_integrator_oracle(basis, sched, grid, dt=1e-3)
-    assert np.abs(nonpert.covariance_trajectory(basis, sol.y) - oracle).max() < 1e-6
+    assert np.abs(nonpert.covariance_trajectory(sol.s) - oracle).max() < 1e-6
     assert np.abs(nonpert.evolution_operator(basis, sol.y) - sol.s).max() < 1e-8
 
 
@@ -456,14 +496,14 @@ def test_random_passive_drive_conserves_total_number(n, coeffs, r):
     """Phase and beam-splitter drives a + b cos(3 w t) with random a, b, w conserve sum_i <n_i>."""
     basis = BASES[n - 1]
     passive = [j for j, lab in enumerate(basis.labels) if lab.startswith(("phase", "bs_"))]
-    a, b, w = np.reshape(coeffs, (3, -1))[:, : len(passive)]
+    a, b, w = np.reshape(coeffs, (3, -1))[:, : len(passive), None]
     # weak beam splitters: the product form's coordinates turn singular once a beam-splitter factor nears pi/4
-    scale = np.where([basis.labels[j].startswith("bs_") for j in passive], 0.08, 1.0)
+    scale = np.where([basis.labels[j].startswith("bs_") for j in passive], 0.08, 1.0)[:, None]
 
-    def sched(t):
-        lam = np.zeros(basis.dim)
-        lam[passive] = scale * (a + b * np.cos(3.0 * w * t))
-        return lam
+    def sched(t):  # a float gives (dim,), an array of times (dim, n)
+        lam = np.zeros((basis.dim, np.size(t)))
+        lam[passive] = scale * (a + b * np.cos(3.0 * w * np.atleast_1d(t)))
+        return lam if np.ndim(t) else lam[:, 0]
 
     r = np.array(r[:n])
     gamma0 = np.zeros((2 * n, 2 * n), dtype=complex)
