@@ -70,7 +70,11 @@ class CovarianceState:
         g = np.asarray(self.covariance)
         if g.shape != (2 * self.n_modes, 2 * self.n_modes):
             raise ValueError("dimension mismatch between n_modes and covariance")
-        if not np.linalg.norm(g - g.conj().T) <= 1e-8 * max(1.0, np.linalg.norm(g)):
+        # ||g - g+|| <= 1e-8 max(1, ||g||) taken on u = g / c, c = max(1, max|g_ij|), so that neither norm
+        # overflows; an inf entry fails c < inf, and a NaN one (which leaves c finite) the norm test
+        c = max(1.0, float(np.abs(g).max(initial=0.0)))
+        u = g / c if c < np.inf else g
+        if not (c < np.inf and np.linalg.norm(u - u.conj().T) <= 1e-8 * max(1.0 / c, np.linalg.norm(u))):
             raise ValueError("covariance matrix is not finite and Hermitian")
         object.__setattr__(self, "covariance", g)
 
@@ -244,38 +248,26 @@ def partial_transpose(state, mode=1):
 
 
 def williamson(state):
-    """Williamson normal form Gamma = S D S^T with D = diag(nu_k I_2).
+    """Williamson normal form Gamma = S D S^T with D = diag(nu_k I_2), nu_k ascending.
 
     Works on `real_covariance(state)`, the interleaved quadratures; returns
     (nus, S) with S real symplectic there, so that `S @ D @ S.T`
-    reconstructs that matrix.
+    reconstructs that matrix.  Gamma^(+-1/2) come from one `eigh` of Gamma;
+    each eigenvector v of the Hermitian i Gamma^(-1/2) Omega Gamma^(-1/2)
+    with eigenvalue 1/nu > 0 gives the columns sqrt(2) (Im v, Re v) of the
+    orthogonal Q in S = Gamma^(1/2) Q D^(-1/2).
     """
-    from scipy.linalg import schur, sqrtm
-    g = real_covariance(state)
-    n = state.n_modes
-    if np.linalg.eigvalsh(g).min() <= 0:
+    w, u = np.linalg.eigh(real_covariance(state))
+    if w.min() <= 0:
         raise ValueError("Williamson form requires a positive-definite matrix")
-    root = np.real(sqrtm(g))
-    inv_root = np.linalg.inv(root)
+    n = state.n_modes
+    root, inv_root = (u * np.sqrt(w)) @ u.T, (u / np.sqrt(w)) @ u.T
     omega = np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]])
-    anti = inv_root @ omega @ inv_root
-    anti = (anti - anti.T) / 2
-    t, q = schur(anti)
-    # normalise each 2x2 block to [[0, b], [-b, 0]] with b > 0
-    nus = np.empty(n)
-    for k in range(n):
-        b = t[2 * k, 2 * k + 1]
-        if b < 0:
-            q[:, [2 * k, 2 * k + 1]] = q[:, [2 * k + 1, 2 * k]]
-            b = -b
-        nus[k] = 1.0 / b
-    order = np.argsort(nus)
-    nus = nus[order]
-    cols = np.concatenate([[2 * k, 2 * k + 1] for k in order])
-    q = q[:, cols]
-    scale = np.repeat(1.0 / np.sqrt(nus), 2)
-    s = root @ q @ np.diag(scale)
-    return nus, s
+    b, v = np.linalg.eigh(1j * inv_root @ omega @ inv_root)
+    b, v = b[: n - 1 : -1], v[:, : n - 1 : -1]  # the n positive eigenvalues, largest first: nu ascending
+    q = np.sqrt(2.0) * np.stack([v.imag, v.real], axis=-1).reshape(2 * n, 2 * n)
+    nus = 1.0 / b
+    return nus, root @ q / np.repeat(np.sqrt(nus), 2)
 
 
 def random_symplectic(n_modes, rng):

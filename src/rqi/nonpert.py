@@ -17,8 +17,8 @@ the factor ordering (the basis order); Gamma does not.
 
 A schedule maps a float t to the (dim,) array lambda(t), and an array of n
 times to a (dim, n) array.  The fixed-step oracle (midpoint rule) shares the
-batched exponentials and pairwise product with the Magnus steps and nothing
-with the factor machinery.
+batched exponential `expm` and the pairwise product with the Magnus steps and
+nothing with the factor machinery.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .gaussian import generator_exponentials, generator_tables, kay, quadratic_generator, real_basis_matrix
 from .gaussian import symplectic_defect
@@ -45,9 +44,8 @@ ORACLE_BATCH = 4096
 MAGNUS_H0, MAGNUS_TOL, MAGNUS_H_MIN = 0.01, 1e-7, 1e-4
 # most oracle steps in one call: about ten minutes at the batched rate
 ORACLE_MAX_STEPS = 10**8
-# largest step infinity-norm the oracle's Taylor series takes, and its truncation bound
-TAYLOR_THETA = 0.5
-TAYLOR_TOL = 1e-16
+# `expm`: the infinity-norm a batch is scaled to before its Taylor series, and the series' truncation bound
+TAYLOR_THETA, TAYLOR_TOL = 0.5, 1e-16
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ def solve_factors(basis, schedule, t_span, t_eval=None):
     The step halves from MAGNUS_H0 while the step probe max|S_h - S_{h/2}| / max|S| (the h/2 result kept)
     is above MAGNUS_TOL.  F is matched by Newton from the previous output's F, the Wei-Norman matching
     matrix as Jacobian; a failed match is retried at the interval's midpoint, S there by Magnus steps from
-    the last output.  Returns a `FactorSolution`.  A probe still failing below MAGNUS_H_MIN, and a failed
+    the last matched time.  Returns a `FactorSolution`.  A probe still failing below MAGNUS_H_MIN, and a failed
     match on an interval below SUBDIVIDE_MIN, raise RuntimeError.
     """
     ikg, proj, hyper = basis.factor_tables
@@ -175,21 +173,21 @@ def solve_factors(basis, schedule, t_span, t_eval=None):
         h, (s_half, more) = h / 2.0, _magnus_evolution(kgens, schedule, edges, h / 2.0)
         probe, s_out, steps = float(np.abs(s_out - s_half).max() / np.abs(s_half).max()), s_half, steps + more
     factors, iterations, subdivisions = np.empty((dim, edges.size - 1)), 0, 0
-    t_a, f, s_last = edges[0], np.zeros(dim), eye  # the last matched time and its F; S at the last output
+    t_a, f, s_a = edges[0], np.zeros(dim), eye  # the last matched time, its F and its S
     for k, t in enumerate(edges[1:]):
         target, s_target = t, s_out[k]
         while t_a != t:
             f_new, it, cond = newton(s_target, f)
             iterations += it
             if f_new is not None:  # on to the output from here
-                t_a, f, target, s_target = target, f_new, t, s_out[k]
+                t_a, f, s_a, target, s_target = target, f_new, s_target, t, s_out[k]
             elif abs(target - t_a) < SUBDIVIDE_MIN:
                 raise RuntimeError(f"matching system singular: cond = {cond:.3e}")
-            else:  # S at the midpoint, by Magnus steps from the last output
+            else:  # S at the midpoint, by Magnus steps from the last matched time
                 target = (t_a + target) / 2.0
-                s_mid, more = _magnus_evolution(kgens, schedule, np.array([edges[k], target]), h)
-                s_target, steps, subdivisions = s_mid[0] @ s_last, steps + more, subdivisions + 1
-        factors[:, k], s_last = f, s_out[k]
+                s_mid, more = _magnus_evolution(kgens, schedule, np.array([t_a, target]), h)
+                s_target, steps, subdivisions = s_mid[0] @ s_a, steps + more, subdivisions + 1
+        factors[:, k] = f
     s_out = _to_quadrature(s_out, inverse=True)
     return FactorSolution(edges[1:], factors, s_out, h, probe, steps, iterations, subdivisions)
 
@@ -284,7 +282,7 @@ def _magnus_evolution(kgens, schedule, edges, h):
     Interval k takes m_k = ceil(length / h) equal steps tau; A_1, A_2 = sum_j lambda_j A_j (`kgens`: the real
     A_j = -i K G_j) at a step's two Gauss-Legendre nodes give Omega = (tau/2)(A_1 + A_2) + (sqrt(3)/12) tau^2
     [A_2, A_1].  Intervals of one m_k are stepped together, at most ORACLE_BATCH steps a batch: one schedule
-    call on its nodes, one `tensordot`, `_step_propagators`, and `_ordered_product` per interval.
+    call on its nodes, one `tensordot`, `expm`, and `_ordered_product` per interval.
     """
     t_a, t_b, d, nodes01 = edges[:-1], edges[1:], kgens.shape[-1], 0.5 + np.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
     m = np.ceil((t_b - t_a) / h - 1e-9).astype(int)  # a length within rounding of a multiple of h takes that many
@@ -299,24 +297,23 @@ def _magnus_evolution(kgens, schedule, edges, h):
                 a = np.tensordot(_drive(schedule, nodes.ravel(), len(kgens)), kgens, axes=(0, 0))
                 a1, a2 = np.moveaxis(a.reshape(*nodes.shape, d, d), 2, 0)
                 omega = tau / 2.0 * (a1 + a2) + np.sqrt(3.0) / 12.0 * tau**2 * (a2 @ a1 - a1 @ a2)
-                s[sel] = _ordered_product(_step_propagators(omega)) @ s[sel]
+                s[sel] = _ordered_product(expm(omega)) @ s[sel]
     for k in range(1, t_a.size):
         s[k] = s[k] @ s[k - 1]
     return s, int(m.sum())
 
 
-def _step_propagators(a):
-    """exp of each matrix of the stack `a` of oracle or Magnus steps.
-
-    A batch whose largest infinity-norm theta is at most TAYLOR_THETA takes the Taylor series of the smallest
-    order m whose truncation bound theta^(m+1) / (m+1)! / (1 - theta / (m+2)) is below TAYLOR_TOL; a batch of
-    larger steps goes to `scipy.linalg.expm` (scaling and squaring).
+def expm(a):
+    """exp of each matrix of the stack `a` of oracle or Magnus steps, by scaling and squaring (Higham, SIAM J.
+    Matrix Anal. Appl. 26, 1179 (2005)): the batch is scaled by 2^-q, q the fewest halvings that bring its largest
+    infinity-norm theta to at most TAYLOR_THETA; the Taylor series of the smallest order m whose truncation bound
+    theta^(m+1) / (m+1)! / (1 - theta / (m+2)) is below TAYLOR_TOL is summed by Horner and squared q times.
     """
     theta = float(np.abs(a).sum(axis=-1).max())
     if not np.isfinite(theta):
         raise ValueError("non-finite Hamiltonian in a propagator step")
-    if theta > TAYLOR_THETA:
-        return expm(a)
+    q = int(np.ceil(np.log2(theta / TAYLOR_THETA))) if theta > TAYLOR_THETA else 0
+    a, theta = a / 2.0**q, theta / 2.0**q
     order, term = 1, theta**2 / 2.0
     while term / (1.0 - theta / (order + 2)) >= TAYLOR_TOL:
         order += 1
@@ -325,6 +322,8 @@ def _step_propagators(a):
     out = eye + a / order
     for k in range(order - 1, 0, -1):  # Horner: 1 + a (1 + a/2 (1 + ...))
         out = eye + (a @ out) / k
+    for _ in range(q):
+        out = out @ out
     return out
 
 
@@ -341,7 +340,7 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     """Fixed-step midpoint product of exp(-i K H(t) dt): brute-force oracle, in the real quadrature form.
 
     Steps of `dt` from t_grid[0], each output time ending a shorter step, exponentiated by
-    `_step_propagators` and multiplied by `_ordered_product` in batches of at most ORACLE_BATCH, one
+    `expm` and multiplied by `_ordered_product` in batches of at most ORACLE_BATCH, one
     schedule call on each batch's midpoints.  Returns Gamma = S Gamma0 S+ at the grid times (complex form,
     vacuum start by default); it never touches the factor tables.  A basis without the block structure, a
     schedule result of any shape but (dim, n) and a `dt` of more than ORACLE_MAX_STEPS steps raise ValueError.
@@ -360,6 +359,6 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
         s.append(s[-1])
         for mids, lengths in _midpoint_steps(t_a, t_b, dt):
             lam = _drive(schedule, mids, basis.dim) * lengths
-            s[-1] = _ordered_product(_step_propagators(np.tensordot(lam, kgens, axes=(0, 0)))) @ s[-1]
+            s[-1] = _ordered_product(expm(np.tensordot(lam, kgens, axes=(0, 0)))) @ s[-1]
     s = _to_quadrature(np.array(s), inverse=True)
     return s @ (np.eye(2 * n) if gamma0 is None else gamma0) @ s.conj().swapaxes(-1, -2)

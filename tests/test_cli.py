@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 
 import mpmath
 import numpy as np
@@ -74,6 +75,15 @@ def test_measures_accurate_or_refused(tmp_path_factory, r):
     assert payload["nu_error_estimate"] <= 1e-9
     for key, expect in tmss_closed_forms(r).items():  # relative, with acceptance 01's floor of 1
         assert abs(payload[key] - float(expect)) <= 1e-9 * max(1.0, float(expect)), key
+
+
+def test_measures_refuses_a_huge_r_without_a_warning(tmp_path):
+    """cosh 2r at r = 200 is finite, but the squares in a plain norm of the state overflow: no warning may escape."""
+    out = tmp_path / "m"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["measures", "--r", "200", "--out", str(out)]) == 2
+    assert not out.with_suffix(".json").exists()
 
 
 def test_unknown_config_key_exit_2(tmp_path):
@@ -358,13 +368,18 @@ def test_golden_nonpert_evolve(tmp_path):
 
 
 def test_nonpert_evolve_halves_the_step_where_the_probe_fails(tmp_path):
-    """At gap 4 pi the steps of MAGNUS_H0 and MAGNUS_H0 / 2 differ by more than MAGNUS_TOL: the step halves again."""
+    """At gap 4 pi the steps of MAGNUS_H0 and MAGNUS_H0 / 2 differ by more than MAGNUS_TOL: the step halves again.
+
+    On the outputs [0, 3, 6] the match also fails and intervals are halved 11 times.  Each midpoint S is
+    integrated from the last matched time: 7,975 steps in all, where integrating from the last output took 11,210.
+    """
     out = tmp_path / "g"
     args = ["--gap", str(4 * np.pi), "--t-end", "6.0", "--tau", "[0.0, 3.0, 6.0]"]
     assert run(["nonpert-evolve", *args, "--out", str(out)]) == 0
     summary = json.loads((tmp_path / "g.json").read_text())
     assert summary["step"] == nonpert.MAGNUS_H0 / 4 and 0.0 < summary["step_probe"] <= nonpert.MAGNUS_TOL
-    assert summary["magnus_steps"] >= 6.0 * (1 + 2 + 4) / nonpert.MAGNUS_H0
+    assert summary["subdivisions"] == 11 and summary["newton_iterations"] == 92
+    assert summary["magnus_steps"] == 7975  # 6 (1 + 2 + 4) / MAGNUS_H0 = 4,200 of them before any retry
 
 
 def test_golden_detector_rate(tmp_path):

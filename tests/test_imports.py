@@ -1,8 +1,10 @@
 """The import graph: a launch loads only the modules its command runs.
 
 Each check runs in a fresh interpreter, since this test session has long
-since imported every module and scipy.  Wall times are not tested: on a
-shared host they are too noisy to gate on.
+since imported every module and scipy; where scipy must not be needed, that
+interpreter blocks it (`sys.modules["scipy"] = None`), so any import of it
+fails.  Wall times are not tested: on a shared host they are too noisy to
+gate on.
 """
 
 import json
@@ -17,6 +19,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 MODULES = ["bessel", "boson", "boxpair", "entanglement", "fermion", "gaussian", "nonpert", "teleport", "udw"]
 # commands that need no scipy, each on a tiny grid
 SCIPY_FREE = {
+    "nonpert-evolve": ["--t-end", "1.0", "--tau", "[0.0, 0.5, 1.0]"],
     "measures": [],
     "resonance-sweep": ["--tau1", "[0.5]", "--tau2", "[0.5]"],
     "teleport-fidelity": ["--tau", "[0.5]", "--h", "[0.1]"],
@@ -25,6 +28,7 @@ SCIPY_FREE = {
     "detector-rate": ["--dim", "1+1", "--gap", "[-1, 1]"],
     "box-entangle": ["--h", "[0.5]", "--kappa", "[1]", "--n-cut", "3"],
 }
+BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None\n"
 
 
 def python(code, cwd):
@@ -42,17 +46,23 @@ def test_cli_import_loads_no_scipy(tmp_path):
 @pytest.mark.parametrize("command", SCIPY_FREE)
 def test_closed_form_command_loads_no_scipy(command, tmp_path):
     argv = [command, *SCIPY_FREE[command], "--out", "run"]
-    proc = python(f"import sys; from rqi import cli; print(cli.main({argv!r}), 'scipy' in sys.modules)", tmp_path)
+    proc = python(BLOCK_SCIPY + f"from rqi import cli; print(cli.main({argv!r}))", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["0"]
 
 
-def test_nonpert_evolve_loads_no_scipy_integrate(tmp_path):
-    argv = ["nonpert-evolve", "--t-end", "1.0", "--tau", "[0.0, 0.5, 1.0]", "--out", "run"]
-    code = f"import sys; from rqi import cli; print(cli.main({argv!r}), 'scipy.integrate' in sys.modules)"
+def test_williamson_needs_no_scipy(tmp_path):
+    code = (
+        BLOCK_SCIPY + "import numpy as np\n"
+        "from rqi import gaussian as g\n"
+        "state = g.apply_map(g.two_mode_squeezer(0.4), g.thermal_state([1.5, 2.5]))\n"
+        "nus, s = g.williamson(state)\n"
+        "rebuilt = s @ np.diag(np.repeat(nus, 2)) @ s.T\n"
+        "print(np.abs(nus - [1.5, 2.5]).max() < 1e-12, np.abs(rebuilt - g.real_covariance(state)).max() < 1e-12)\n"
+    )
     proc = python(code, tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "False"]
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_every_module_reachable_from_the_package(tmp_path):
