@@ -20,8 +20,8 @@ Trajectories are built from blocks S_j = Q(h_j)^-1 U(tau_j) Q(h_j): jump to
 the accelerated mode basis, rotate phases for proper time tau_j, jump back.
 Products of blocks approximate arbitrary piecewise inertial/uniformly
 accelerated motion; a single block is the product of a one-block segment.
-`_check_blocks` is the one rule for blocks (finite tau_j >= 0, |h_j| < 2, NaN
-refused).  `TrajectorySegment` (which also refuses an empty segment),
+`_check_blocks` is the one rule for blocks (tau_j >= 0, |h_j| < 2, a finite
+phase rate * T over the total time T, NaN refused).  `TrajectorySegment` (which also refuses an empty segment),
 `BosonCavityConfig` (its h), `first_order_entries`, `closed_form_b_magnitude`
 and `teleport.block_fidelities` apply it; `_check_labels` checks mode labels.
 
@@ -59,10 +59,10 @@ NB_VALIDITY_BOUND = 0.1
 RESONANCE_TOL = 1e-6  # resonant when |1 - exp(i (omega_k + omega_k') T)| is at most this
 
 
-def _check_blocks(h, tau):
-    """Raise ValueError unless every tau is finite and >= 0 and every |h| < 2 (NaN fails both); floats or arrays."""
-    if not np.all((np.asarray(tau) >= 0) & np.isfinite(tau)):
-        raise ValueError("proper times must be finite and non-negative")
+def _check_blocks(h, tau, rate=1.0):
+    """Raise ValueError unless |h| < 2, tau >= 0 and rate * T is finite, T the sum over tau's last axis (NaN fails)."""
+    if not (np.all(np.asarray(tau) >= 0) and np.all(np.isfinite(rate * np.sum(tau, axis=-1)))):
+        raise ValueError("proper times must be non-negative, with finite phases over the total time")
     if not np.all(np.abs(h) < 2.0):
         raise ValueError("physical accelerated segments need |h| < 2")
 
@@ -80,7 +80,7 @@ class BosonCavityConfig:
             raise ValueError("need at least two modes")
         if not math.isfinite(self.mass * self.mass):  # the mode frequencies square it
             raise ValueError("field mass must have a finite square")
-        _check_blocks(self.h, 0.0)
+        _check_blocks(self.h, [0.0])
 
     @cached_property
     def coeffs(self):
@@ -161,8 +161,8 @@ def first_order_entries(config, h, tau, n, m):
     they broadcast against the leading axes of h and tau.
     """
     h, tau = np.asarray(h, dtype=float), np.asarray(tau, dtype=float)
-    _check_blocks(h, tau)
     omega = mode_frequencies(config)
+    _check_blocks(h, tau, 2.0 * omega[-1])  # bounds the phases here and resonance_check's (w_k + w_k') T
     if not all(np.all((0 <= i) & (i < omega.size)) for i in (n, m)):
         raise ValueError(f"mode indices must lie in 0..{omega.size - 1}")  # -1 would read mode n_max
     w_n, w_m = omega[n][..., None], omega[m][..., None]
@@ -315,12 +315,12 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
 
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
     with G_k G_k'(t) = exp(i (omega_k + omega_k') t).  Labels are 1-based.
-    tau1 and tau2 broadcast together; scalars give a float.  The segment's
-    blocks are checked at lam h and the smallest tau1 and tau2.
+    tau1 and tau2 broadcast together; scalars give a float.  The segment's blocks are checked at lam h
+    and the smallest tau1 and tau2, and the phase (omega_k + omega_k') (tau1 + tau2) at the largest.
     """
     s = _pair_frequency(config, k, kp)
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
-    _check_blocks(lam * config.h, [tau1.min(), tau2.min()])
+    _check_blocks(lam * config.h, [[tau1.min(), tau2.min()], [tau1.max(), tau2.max()]], s)
     z1 = 1.0 - np.exp(1j * s * tau1)
     z2 = 1.0 + lam * np.exp(1j * s * (tau1 + tau2))
     scale = abs(config.h * config.coeffs.beta1[k - 1, kp - 1])

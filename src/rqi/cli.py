@@ -12,7 +12,7 @@ payloads are written with 17 significant digits so reruns are bit-identical.
 
 Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
 number, or a value the physics rejects, such as a mode label outside
-1..n_max, a repeated mode label, a negative travel time, a teleportation
+1..n_max, a repeated mode label, a negative travel time or one whose phase overflows, a teleportation
 squeezing r <= 0 or a `measures` r past 1e-9 relative accuracy), 3 numeric
 failure (a non-finite CSV cell among them: that CSV is not written).
 """
@@ -33,24 +33,36 @@ class ConfigError(Exception):
     pass
 
 
-# rows formatted by one % operation: 256 rows run as fast as 2,048 and keep the
-# chunk's temporary strings and floats near 55 kB, off the peak of a large write
+# rows formatted by one % operation, and the most distinct values of a grid column: 256 rows run as fast as 2,048
+# and keep the chunk's temporary strings and floats near 55 kB, off the peak of a large write
 CSV_CHUNK_ROWS = 256
 
 
 def write_csv(path, header, rows):
     """Header line, then each row of the 2-D float array `rows` as %.17g cells.
 
-    "%.17g" % x and format(x, ".17g") share one float formatter, so a chunk of
-    rows is formatted at once with the same bytes as cell by cell.
+    "%.17g" % x and format(x, ".17g") share one float formatter, so a chunk of rows is formatted at once with the same
+    bytes as cell by cell.  A grid column (fewer distinct values than rows, at most CSV_CHUNK_ROWS, told apart by bit
+    pattern so -0.0 prints -0) is formatted once per value, into %s fields.
     """
     rows = np.asarray(rows, dtype=float)
-    line = ",".join(["%.17g"] * len(header)) + "\n"
+    grids = {}
+    for j in range(len(header)):  # distinct values by sorted slices: small copies, and np.unique is many times slower
+        distinct, start = np.empty(0, dtype=np.int64), 0
+        while start < len(rows) and distinct.size <= CSV_CHUNK_ROWS:
+            bits = np.sort(np.concatenate((distinct, rows[start : start + 16 * CSV_CHUNK_ROWS, j].view(np.int64))))
+            distinct, start = bits[np.concatenate(([True], bits[1:] != bits[:-1]))], start + 16 * CSV_CHUNK_ROWS
+        if distinct.size <= CSV_CHUNK_ROWS and distinct.size < len(rows):
+            grids[j] = distinct, np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)
+    line = ",".join("%s" if j in grids else "%.17g" for j in range(len(header))) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), CSV_CHUNK_ROWS):
             chunk = rows[start : start + CSV_CHUNK_ROWS]
-            fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
+            cells = chunk.astype(object) if grids else chunk
+            for j, (distinct, text) in grids.items():
+                cells[:, j] = text[np.searchsorted(distinct, chunk[:, j].view(np.int64))]
+            fh.write(line * len(chunk) % tuple(cells.ravel().tolist()))
 
 
 def write_summary(path, payload):
@@ -185,13 +197,13 @@ def cmd_resonance_sweep(
 def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=grid(0.0, 0.245, 20)):
     from . import boson, teleport
     taus, hs = grid_values(tau), grid_values(h)
-    with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 over the whole grid
+    with _user_input():  # n_max, then r, k', |h| < 2 and tau >= 0 with finite phases over the whole grid
         cfg = boson.BosonCavityConfig(n_max=n_max)
         fid, opt, correction = teleport.block_fidelities(r, kp, cfg, taus[:, None], hs[None, :])
+        # truncation probe: the optimal fidelity over the grid with n_max doubled (its phases run faster)
+        doubled = boson.BosonCavityConfig(n_max=2 * n_max)
+        shift = float(np.max(np.abs(teleport.block_fidelities(r, kp, doubled, taus[:, None], hs[None, :])[1] - opt)))
     t, a = np.meshgrid(taus, hs, indexing="ij")
-    # truncation probe: the optimal fidelity over the grid with n_max doubled
-    doubled = boson.BosonCavityConfig(n_max=2 * n_max)
-    shift = float(np.max(np.abs(teleport.block_fidelities(r, kp, doubled, taus[:, None], hs[None, :])[1] - opt)))
     # points whose relative h^2 correction reaches the bound resonance-sweep counts against
     flagged = int(np.count_nonzero(correction >= boson.NB_VALIDITY_BOUND))
     extras = {"validity_warnings": flagged, "largest_correction": float(np.max(correction)), "perturbative_ok": flagged == 0}

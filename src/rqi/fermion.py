@@ -13,10 +13,10 @@ The acceleration expansion of the mode-matching matrix A reads
 with the closed-form entries `a1_entry` and `a2_entry`; nothing caches the
 matrices.  The degradation sums `f_k` and `oneway_f` read one row of A1 over
 the mode window [-n_side, n_side]; they take a scalar or an array of travel
-times (the window is broadcast on a last axis), refuse a negative one and
-give a float or an array of the same shape.  Each phase weight is real,
-|E(t)^(k-p) - 1|^2 = (2 sin(pi t (k-p) / 2))^2 with E(t) = exp(i pi t), so
-no complex power is formed and every term is a non-negative square.  The
+times (the window is broadcast on a last axis), refuse a negative one or one whose phase
+overflows, and give a float or an array of the same shape.  Each phase weight is real,
+|E(t)^(k-p) - 1|^2 = (2 sin(pi t (k-p) / 2))^2 with E(t) = exp(i pi t), a non-negative
+square; where A1[k, p] = 0 (even k - p) no sine is taken and the term is an exact +0.0.  The
 negativities take the same arrays and warn where the relative h^2 correction
 |1 - 2N| reaches `boson.NB_VALIDITY_BOUND`, the bound of the boson results.
 
@@ -110,19 +110,22 @@ def _degradation_terms(config, k, travel_times):
 
     E(t) = exp(i pi t) and t_j is the sum of the first j travel times, each
     a scalar or an array (they broadcast together) and never negative.  The
-    weights are taken in sine form (see the module docstring).
+    weights are taken in sine form, at odd k - p only (see the module docstring).
     """
     config.index(k)  # the mode must lie in the window
-    p = config.modes
-    half_q = 0.5 * np.pi * (k - p)
+    odd = slice((k + config.n_side + 1) % 2, None, 2)  # A1[k, p] = 0 at even k - p
+    p = config.modes[odd]
+    half_q, edge = 0.5 * np.pi * (k - p), 0.5 * np.pi * (config.n_side + abs(k))
     weights, t = 1.0, 0.0
     for tau in travel_times:
         tau = np.asarray(tau, dtype=float)
-        if not np.all(tau >= 0.0):  # NaN is refused too
-            raise ValueError("travel times must be non-negative")
         t = t + tau
+        if not np.all((tau >= 0.0) & np.isfinite(t * edge)):  # NaN is refused too
+            raise ValueError("travel times must be non-negative, with a finite phase pi t (k - p) / 2 in the window")
         weights = weights * (2.0 * np.sin(t[..., None] * half_q)) ** 2
-    return weights * np.abs(a1_entry(k, p, config.s)) ** 2
+    terms = np.zeros(np.shape(t) + (config.modes.size,))
+    terms[..., odd] = weights * np.abs(a1_entry(k, p, config.s)) ** 2
+    return terms
 
 
 def _converged_terms(config, tau1, k, refuse=True):

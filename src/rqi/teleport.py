@@ -172,12 +172,12 @@ def block_fidelities(r, kp, config, tau, h):
     from its h = 0 value relative to that value.  Like `TeleportScenario`,
     it refuses r <= 0 and a label k' outside 1..n_max with ValueError, and
     applies `TrajectorySegment`'s block rule (tau >= 0, |h| < 2, NaN refused)
-    over the whole arrays.
+    over the whole arrays, and `first_order_entries` refuses overflowing phases.
     """
     tau, h = np.asarray(tau, dtype=float), np.asarray(h, dtype=float)
     if not np.all(np.asarray(r) > 0):
         raise ValueError("squeezing must be positive")
-    boson._check_blocks(h, tau)
+    boson._check_blocks(h, tau[..., None])  # each tau is a one-block segment
     f_alpha, f_beta = f_sums(config, kp, [1.0], tau[..., None])  # checks k' before it indexes the frequencies
     f0, f2, nu = _series(r, boson.mode_frequencies(config)[kp - 1] * tau, f_alpha * h * h, f_beta * h * h)
     opt = 1.0 / (1.0 + nu)

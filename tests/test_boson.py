@@ -377,15 +377,41 @@ def test_every_path_applies_the_same_block_rule(h, tau):
         lambda: boson.closed_form_b_magnitude(c, tau, tau, h, 1, 2),
     )
     messages = set()
-    for call in calls:
+    for i, call in enumerate(calls):
         try:
-            with np.errstate(all="ignore"):  # a huge finite tau overflows the phases to NaN, not an error
-                call()
+            with np.errstate(all="ignore"):  # the phase check of a huge tau overflows on its way to refusing it
+                out = call()
             messages.add(None)
+            assert i == 0 or np.all(np.isfinite(np.asarray(out, dtype=float)))  # refused, never NaN
         except ValueError as exc:
             messages.add(str(exc))
-    assert len(messages) == 1
-    assert (messages == {None}) == (np.isfinite(tau) and tau >= 0 and abs(h) < 2)
+    if not tau > 1e300:  # no phase of this cavity overflows: one verdict and one message on every path
+        assert len(messages) == 1
+        assert (messages == {None}) == (np.isfinite(tau) and tau >= 0 and abs(h) < 2)
+    else:  # the segment knows no frequency; each cavity path refuses where its own phases overflow
+        assert (None in messages) <= (np.isfinite(tau) and abs(h) < 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_huge_finite_times_are_refused_not_nan():
+    c = cfg(n_max=20, h=0.01)
+    huge = boson.TrajectorySegment(((1e-4, 1e308),))  # T is finite, so the segment itself is accepted
+    calls = (
+        lambda: boson.first_order_entries(c, *huge.arrays, 0, 1),
+        lambda: boson.resonance_check(c, huge, 1, 2),
+        lambda: boson.resonance_negativity(c, huge, 1, 2, 3),
+        lambda: boson.closed_form_b_magnitude(c, 1e308, 1e308, 0.3, 1, 2),
+        lambda: boson.closed_form_b_magnitude(c, np.array([0.5, 1e308]), 0.5, 1.0, 1, 2),  # at any grid point
+        lambda: teleport.block_fidelities(0.5, 3, c, 1e308, 0.01),
+        lambda: teleport.block_fidelities(0.5, 3, c, np.array([[0.5], [1e308]]), np.array([0.0, 0.01])),
+        lambda: boson.TrajectorySegment(((1e-4, 1e308), (0.0, 1e308))),  # T itself overflows
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="finite phases"):
+            call()
+    # the rule sits at the overflow of the largest phase, not below it
+    s = boson._pair_frequency(c, 1, 2)
+    assert np.isfinite(boson.closed_form_b_magnitude(c, 0.4 * np.finfo(float).max / s, 0.0, 1.0, 1, 2))
 
 
 def test_first_order_entries_refuses_bad_blocks_and_indices():

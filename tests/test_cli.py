@@ -533,16 +533,35 @@ def test_teleport_truncation_probe(tmp_path):
 
 
 def test_write_csv_matches_per_cell_format(tmp_path):
+    # grid columns (fewer distinct values than rows, at most CSV_CHUNK_ROWS of them) are formatted once per
+    # value and gathered; every other column is formatted cell by cell.  Both must give per-cell bytes.
+    n = cli.CSV_CHUNK_ROWS
+    nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000], dtype=np.int64).view(float)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, float("inf"), float("-inf"), *nans, 2.0**53, -1.0 / 3.0]
     awkward = [-0.0, 5e-324, 1e308, 3.0, 2.0**53, -1.0 / 3.0, float("inf"), float("nan")]
-    rows = [
-        (np.float64(awkward[i % 8]), awkward[(3 * i + 1) % 8], float(i)) for i in range(2 * cli.CSV_CHUNK_ROWS + 5)
-    ]
+    t1, t2 = np.meshgrid(np.linspace(0.01, 2.0, 200), np.linspace(0.0, 2.0, 200), indexing="ij")
+    tables = {
+        # grid, grid and distinct columns, over two chunk boundaries
+        "mixed": [(np.float64(awkward[i % 8]), awkward[(3 * i + 1) % 8], float(i)) for i in range(2 * n + 5)],
+        # exactly CSV_CHUNK_ROWS distinct values (a grid column) beside CSV_CHUNK_ROWS + 1 (not one)
+        "limit": [((i % n) / 7.0, (i % (n + 1)) / 7.0) for i in range(2 * n + 2)],
+        # -0.0 beside 0.0, NaN payloads, +-inf and subnormals, in a grid column and in a distinct one
+        "special": [(x, x if i < len(special) else i / 3.0) for i, x in enumerate(special * n)],
+        "signed zeros": [(z,) for z in (-0.0, 0.0, 0.0, -0.0, 2.5)] * 3,
+        "one row": [(-0.0, float("nan"), 1.0 / 3.0)],
+        # the resonance-sweep layout: two grid columns whose values change inside chunks
+        "sweep": np.column_stack([t1.ravel(), t2.ravel(), np.random.default_rng(3).random(t1.size)]),
+    }
     path = tmp_path / "w.csv"
-    cli.write_csv(str(path), ["a", "b", "c"], rows)
-    expect = "a,b,c\n" + "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
-    assert path.read_text(encoding="utf-8") == expect
+    for name, rows in tables.items():
+        header = [f"c{j}" for j in range(len(rows[0]))]
+        cli.write_csv(str(path), header, rows)
+        cells = "".join(",".join(format(float(x), ".17g") for x in row) + "\n" for row in rows)
+        assert path.read_bytes() == (",".join(header) + "\n" + cells).encode(), name
     cli.write_csv(str(path), ["a"], [])
     assert path.read_text(encoding="utf-8") == "a\n"
+    cli.write_csv(str(path), ["a", "b"], np.empty((0, 2)))
+    assert path.read_text(encoding="utf-8") == "a,b\n"
 
 
 def test_resonance_validity_warnings_count_rows(tmp_path):
@@ -596,6 +615,12 @@ OUT_OF_RANGE = [
     # the grid is checked at its largest |h| and smallest tau only
     ["teleport-fidelity", "--h", "[0.01, -2.5]", "--tau", "[0.5]"],
     ["teleport-fidelity", "--h", "[0.01]", "--tau", "[0.5, -0.1]"],
+    # a finite time whose largest phase overflows is bad input, not a grid of NaN cells (exit 3)
+    ["resonance-sweep", "--tau1", "[1e308]"],
+    ["teleport-fidelity", "--tau", "[1e308]"],
+    ["teleport-fidelity", "--tau", "[1e306]"],  # only the doubled-n_max probe's phases overflow
+    ["oneway-surface", "--u", "[1e308]", "--v", "[0]"],
+    ["fermion-negativity", "--u", "[1e308]"],
 ]
 
 
@@ -603,6 +628,13 @@ OUT_OF_RANGE = [
 def test_out_of_range_input_exit_2(tmp_path, argv):
     assert run([*argv, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_fermion_window_too_small_stays_exit_3(tmp_path, capsys):
+    # u = 0.9995 is a grid point where the default window's edge terms are not negligible: a numeric failure
+    assert run(["fermion-negativity", "--u", "[0.9995]", "--out", str(tmp_path / "f")]) == 3
+    assert "mode window too small" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 @pytest.mark.parametrize("n_max", ["abc", 20.5, [20], "20.5", True], ids=["text", "float", "list", "float-text", "bool"])

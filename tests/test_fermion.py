@@ -530,3 +530,68 @@ def test_degradation_terms_are_the_boson_segment_kernel(tau1, tau2, k, s, n_side
             phase = np.pi * (n_side + 1) * (2 * tau1 + tau2)
             bound = (1e-14 + 16 * np.finfo(float).eps * phase) * 16 * a1[:, c.index(k)] ** 2
             assert np.all(np.abs(np.abs(a_seg) ** 2 - terms) <= bound)
+
+
+def full_window_terms(config, k, travel_times):
+    """Referee: the degradation terms with a sine taken at every p of the window, as before the odd-only slice."""
+    p = config.modes
+    half_q = 0.5 * np.pi * (k - p)
+    weights, t = 1.0, 0.0
+    for tau in travel_times:
+        t = t + np.asarray(tau, dtype=float)
+        weights = weights * (2.0 * np.sin(t[..., None] * half_q)) ** 2
+    return weights * np.abs(fermion.a1_entry(k, p, config.s)) ** 2
+
+
+@st.composite
+def travel_times(draw):
+    """One or two travel times, each a scalar or an array; the values include 0, even integers and generic times."""
+    value = st.one_of(st.sampled_from([0.0, 2.0, 4.0, 8.0]), st.floats(0.0, 10.0))
+    size = draw(st.integers(1, 5))
+    shapes = draw(st.sampled_from([((),), ((size,),), ((), ()), ((size,), ()), ((), (size,)), ((size, 1), (size,))]))
+    return tuple(
+        np.reshape(draw(st.lists(value, min_size=size, max_size=size)), shape) if shape else draw(value)
+        for shape in shapes
+    )
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(
+    s=st.sampled_from([0.0, 0.25, 0.5, 0.75]),
+    n_side=st.sampled_from([2, 3, 60, 200]),
+    data=st.data(),
+    travel=travel_times(),
+)
+def test_odd_only_sines_are_bit_identical_to_the_full_window(s, n_side, data, travel):
+    c = cfg(s=s, n_side=n_side)
+    k = data.draw(st.integers(-n_side, n_side), label="k")
+    got, ref = fermion._degradation_terms(c, k, travel), full_window_terms(c, k, travel)
+    assert got.shape == ref.shape
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert np.array_equal(np.sum(got, axis=-1).view(np.int64), np.sum(ref, axis=-1).view(np.int64))
+    even = (k - c.modes) % 2 == 0
+    assert np.all(got[..., even].view(np.int64) == 0)  # +0.0, never -0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_huge_travel_times_are_refused_not_nan():
+    c = cfg(n_side=20)
+    calls = [
+        lambda: fermion.f_k(c, 1e308, 1),
+        lambda: fermion.f_k(c, np.array([0.5, np.inf]), 1),
+        lambda: fermion.f_k_split(c, 1e308, 1),
+        lambda: fermion.oneway_f(c, 1e308, 0.0, 1),
+        lambda: fermion.oneway_f(c, 0.5, np.array([0.3, 1e308]), 1),
+        lambda: fermion.oneway_f(c, 1e306, 1e308, 1),  # the first stretch's phase is finite, the sum's is not
+        lambda: fermion.negativity_two_mode(c, 1e308, 1),
+        lambda: fermion.negativity_charge_state(c, 1e308, 1, -2),
+        lambda: fermion.oneway_negativities(c, 0.5, 1e308, 1, -2),
+        lambda: fermion.two_mode_density_matrix(c, 1e308, 1),
+        lambda: fermion.charge_density_matrix(c, 1e308, 1, -2),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite phase"):
+            call()
+    # the refusal sits at the overflow of the window's largest phase pi t (n_side + |k|) / 2, not below it
+    edge = 0.5 * np.pi * (c.n_side + 1)
+    assert np.isfinite(fermion.oneway_f(c, 0.4 * np.finfo(float).max / edge, 0.0, 1))
