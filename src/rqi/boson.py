@@ -20,10 +20,10 @@ Trajectories are built from blocks S_j = Q(h_j)^-1 U(tau_j) Q(h_j): jump to
 the accelerated mode basis, rotate phases for proper time tau_j, jump back.
 Products of blocks approximate arbitrary piecewise inertial/uniformly
 accelerated motion; a single block is the product of a one-block segment.
-`_check_blocks` is the one rule for blocks (tau_j >= 0, |h_j| < 2, a finite
-phase rate * T over the total time T, NaN refused).  `TrajectorySegment` (which also refuses an empty segment),
-`BosonCavityConfig` (its h), `first_order_entries`, `closed_form_b_magnitude`
-and `teleport.block_fidelities` apply it; `_check_labels` checks mode labels.
+`_check_blocks` is the one rule for blocks (tau_j >= 0, |h_j| < 2, NaN refused, a finite total time T and, in a
+cavity, a finite largest phase 2 omega_{n_max} T).  `TrajectorySegment` (which also refuses an empty segment) and
+`BosonCavityConfig` (its h) apply it without a cavity; `first_order_entries`, `closed_form_b_magnitude` (on the
+standard segment's blocks) and `teleport.block_fidelities` in theirs.  `_check_labels` checks mode labels.
 
 The first-order matrices are a pure function of the cavity config: they live
 on it as `config.coeffs`, built by `bogo_first_order` on first use.
@@ -59,9 +59,10 @@ NB_VALIDITY_BOUND = 0.1
 RESONANCE_TOL = 1e-6  # resonant when |1 - exp(i (omega_k + omega_k') T)| is at most this
 
 
-def _check_blocks(h, tau, rate=1.0):
-    """Raise ValueError unless |h| < 2, tau >= 0 and rate * T is finite, T the sum over tau's last axis (NaN fails)."""
-    if not (np.all(np.asarray(tau) >= 0) and np.all(np.isfinite(rate * np.sum(tau, axis=-1)))):
+def _check_blocks(h, tau, config=None):
+    """Raise ValueError unless |h| < 2, tau >= 0 and T = sum(tau, axis=-1), or 2 omega_{n_max} T in a cavity, is finite."""
+    limit = np.finfo(float).max / (1.0 if config is None else 2.0 * mode_frequencies(config)[-1])  # summed in its units
+    if not (np.all(np.asarray(tau) >= 0) and np.all(np.sum(np.divide(tau, limit), axis=-1) <= 1.0)):
         raise ValueError("proper times must be non-negative, with finite phases over the total time")
     if not np.all(np.abs(h) < 2.0):
         raise ValueError("physical accelerated segments need |h| < 2")
@@ -162,7 +163,7 @@ def first_order_entries(config, h, tau, n, m):
     """
     h, tau = np.asarray(h, dtype=float), np.asarray(tau, dtype=float)
     omega = mode_frequencies(config)
-    _check_blocks(h, tau, 2.0 * omega[-1])  # bounds the phases here and resonance_check's (w_k + w_k') T
+    _check_blocks(h, tau, config)  # bounds the phases here and resonance_check's (w_k + w_k') T
     if not all(np.all((0 <= i) & (i < omega.size)) for i in (n, m)):
         raise ValueError(f"mode indices must lie in 0..{omega.size - 1}")  # -1 would read mode n_max
     w_n, w_m = omega[n][..., None], omega[m][..., None]
@@ -315,12 +316,12 @@ def closed_form_b_magnitude(config, tau1, tau2, lam, k, kp):
 
     |B| = h beta1_kk' |1 - G_k G_k'(tau1)| |1 + lam G_k G_k'(tau1 + tau2)|
     with G_k G_k'(t) = exp(i (omega_k + omega_k') t).  Labels are 1-based.
-    tau1 and tau2 broadcast together; scalars give a float.  The segment's blocks are checked at lam h
-    and the smallest tau1 and tau2, and the phase (omega_k + omega_k') (tau1 + tau2) at the largest.
+    tau1 and tau2 broadcast together; scalars give a float.  The standard segment's blocks are checked
+    at lam h and the smallest and the largest tau1 and tau2, as `first_order_entries` would check them.
     """
     s = _pair_frequency(config, k, kp)
     tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
-    _check_blocks(lam * config.h, [[tau1.min(), tau2.min()], [tau1.max(), tau2.max()]], s)
+    _check_blocks(lam * config.h, [[tau1.min(), tau2.min()] * 2, [tau1.max(), tau2.max()] * 2], config)
     z1 = 1.0 - np.exp(1j * s * tau1)
     z2 = 1.0 + lam * np.exp(1j * s * (tau1 + tau2))
     scale = abs(config.h * config.coeffs.beta1[k - 1, kp - 1])

@@ -33,25 +33,24 @@ class ConfigError(Exception):
     pass
 
 
-# rows formatted by one % operation, and the most distinct values of a grid column: 256 rows run as fast as 2,048
-# and keep the chunk's temporary strings and floats near 55 kB, off the peak of a large write
+# rows per % operation (256 run as fast as 2,048; the chunk's strings and floats stay near 55 kB, off a large write's
+# peak), and the cap on a grid column's distinct values, so their strings never outnumber one chunk's cells either
 CSV_CHUNK_ROWS = 256
 
 
 def write_csv(path, header, rows):
     """Header line, then each row of the 2-D float array `rows` as %.17g cells.
 
-    "%.17g" % x and format(x, ".17g") share one float formatter, so a chunk of rows is formatted at once with the same
-    bytes as cell by cell.  A grid column (fewer distinct values than rows, at most CSV_CHUNK_ROWS, told apart by bit
-    pattern so -0.0 prints -0) is formatted once per value, into %s fields.
+    "%.17g" % x and format(x, ".17g") share one float formatter: a chunk formatted at once matches cell by cell.  A grid
+    column (fewer distinct bit patterns than rows, at most CSV_CHUNK_ROWS) is formatted once per value, into %s fields.
     """
     rows = np.asarray(rows, dtype=float)
-    grids = {}
+    grids, step = {}, 4096  # rows per sort below: it sets the search's speed and memory, not which columns qualify
     for j in range(len(header)):  # distinct values by sorted slices: small copies, and np.unique is many times slower
         distinct, start = np.empty(0, dtype=np.int64), 0
         while start < len(rows) and distinct.size <= CSV_CHUNK_ROWS:
-            bits = np.sort(np.concatenate((distinct, rows[start : start + 16 * CSV_CHUNK_ROWS, j].view(np.int64))))
-            distinct, start = bits[np.concatenate(([True], bits[1:] != bits[:-1]))], start + 16 * CSV_CHUNK_ROWS
+            bits = np.sort(np.concatenate((distinct, rows[start : start + step, j].view(np.int64))))
+            distinct, start = bits[np.concatenate(([True], bits[1:] != bits[:-1]))], start + step
         if distinct.size <= CSV_CHUNK_ROWS and distinct.size < len(rows):
             grids[j] = distinct, np.array(["%.17g" % x for x in distinct.view(float).tolist()], dtype=object)
     line = ",".join("%s" if j in grids else "%.17g" for j in range(len(header))) + "\n"
@@ -76,11 +75,11 @@ def grid(lo, hi, steps):
     return {"min": lo, "max": hi, "steps": steps}
 
 
-def grid_values(spec):
-    """A grid checked by `merge_config`: {"min": a, "max": b, "steps": n} -> inclusive linspace, a list -> array."""
-    if isinstance(spec, dict):
-        return np.linspace(float(spec["min"]), float(spec["max"]), spec["steps"])
-    return np.asarray(spec, dtype=float)
+def grid_values(spec, scale=1.0):
+    """A `merge_config` grid ({min, max, steps} -> inclusive linspace, list -> array) times scale (inf on overflow)."""
+    values = np.linspace(float(spec["min"]), float(spec["max"]), spec["steps"]) if isinstance(spec, dict) else spec
+    with np.errstate(over="ignore"):
+        return scale * np.asarray(values, dtype=float)
 
 
 def parameters(run):
@@ -214,11 +213,11 @@ def cmd_teleport_fidelity(*, r=0.5, kp=3, n_max=20, tau=grid(0.0, 2.0, 41), h=gr
 
 def cmd_fermion_negativity(*, u=grid(0.0, 1.0, 101), n_side=200):
     from . import fermion
-    us = grid_values(u)
+    us, times = grid_values(u), grid_values(u, 2.0)  # travel times 2u
     header = ["u"] + [f"f_s{si}_k{k}" for si in range(4) for k in (1, -1)]
     with _user_input():  # the window and the travel times
         cfgs = [fermion.FermionCavityConfig(s=s, n_side=n_side) for s in (0.0, 0.25, 0.5, 0.75)]
-        rows = np.column_stack([us, *(fermion.f_k(cfg, 2.0 * us, k) for cfg in cfgs for k in (1, -1))])
+        rows = np.column_stack([us, *(fermion.f_k(cfg, times, k) for cfg in cfgs for k in (1, -1))])
     # convergence probe: window doubling at a generic point (cfgs[0] has s = 0)
     probe_small = fermion.f_k(cfgs[0], 0.9, 1)
     probe_big = fermion.f_k(fermion.FermionCavityConfig(s=0.0, n_side=2 * n_side), 0.9, 1)
@@ -228,11 +227,11 @@ def cmd_fermion_negativity(*, u=grid(0.0, 1.0, 101), n_side=200):
 
 def cmd_oneway_surface(*, s=0.0, k=1, n_side=200, u=grid(0.0, 1.0, 64), v=grid(0.0, 1.0, 64)):
     from . import fermion
-    us, vs = grid_values(u), grid_values(v)
-    with _user_input():  # the window, the mode label and the travel times
+    us, vs, times = grid_values(u), grid_values(v), grid_values(v, 2.0)
+    with _user_input():  # the window, the mode label and the travel times 2u and 2v
         cfg = fermion.FermionCavityConfig(s=s, n_side=n_side)
         # one call per u: a single (u, v, window) broadcast would hold tens of MB per temporary
-        f = np.array([fermion.oneway_f(cfg, 2 * ui, 2 * vs, k) for ui in us])
+        f = np.array([fermion.oneway_f(cfg, tu, times, k) for tu in grid_values(u, 2.0)])
     ug, vg = np.meshgrid(us, vs, indexing="ij")
     return ["u", "v", "f_oneway"], np.column_stack([ug.ravel(), vg.ravel(), f.ravel()]), {}
 

@@ -115,13 +115,13 @@ def _degradation_terms(config, k, travel_times):
     config.index(k)  # the mode must lie in the window
     odd = slice((k + config.n_side + 1) % 2, None, 2)  # A1[k, p] = 0 at even k - p
     p = config.modes[odd]
-    half_q, edge = 0.5 * np.pi * (k - p), 0.5 * np.pi * (config.n_side + abs(k))
+    half_q, limit = 0.5 * np.pi * (k - p), np.finfo(float).max / (0.5 * np.pi * (config.n_side + abs(k)))
     weights, t = 1.0, 0.0
     for tau in travel_times:
         tau = np.asarray(tau, dtype=float)
-        t = t + tau
-        if not np.all((tau >= 0.0) & np.isfinite(t * edge)):  # NaN is refused too
+        if not np.all((tau >= 0.0) & (tau <= limit - t)):  # NaN is refused too; t stays at most limit
             raise ValueError("travel times must be non-negative, with a finite phase pi t (k - p) / 2 in the window")
+        t = t + tau
         weights = weights * (2.0 * np.sin(t[..., None] * half_q)) ** 2
     terms = np.zeros(np.shape(t) + (config.modes.size,))
     terms[..., odd] = weights * np.abs(a1_entry(k, p, config.s)) ** 2

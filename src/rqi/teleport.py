@@ -171,13 +171,13 @@ def block_fidelities(r, kp, config, tau, h):
     relative h^2 term at each point: F2 / F0, or the drop of 1 / (1 + nu-)
     from its h = 0 value relative to that value.  Like `TeleportScenario`,
     it refuses r <= 0 and a label k' outside 1..n_max with ValueError, and
-    applies `TrajectorySegment`'s block rule (tau >= 0, |h| < 2, NaN refused)
-    over the whole arrays, and `first_order_entries` refuses overflowing phases.
+    applies the block rule of a one-block segment in this cavity (tau >= 0
+    with finite phases, |h| < 2, NaN refused) over the whole arrays.
     """
     tau, h = np.asarray(tau, dtype=float), np.asarray(h, dtype=float)
     if not np.all(np.asarray(r) > 0):
         raise ValueError("squeezing must be positive")
-    boson._check_blocks(h, tau[..., None])  # each tau is a one-block segment
+    boson._check_blocks(h, tau[..., None], config)  # each tau is a one-block segment
     f_alpha, f_beta = f_sums(config, kp, [1.0], tau[..., None])  # checks k' before it indexes the frequencies
     f0, f2, nu = _series(r, boson.mode_frequencies(config)[kp - 1] * tau, f_alpha * h * h, f_beta * h * h)
     opt = 1.0 / (1.0 + nu)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -367,35 +369,49 @@ EDGE = st.one_of(
 )
 
 
+def verdict(call):
+    """None if the call is accepted, else its ValueError message; an accepted cavity path never gives NaN."""
+    try:
+        out = call()
+    except ValueError as exc:
+        return str(exc)
+    assert np.all(np.isfinite(np.asarray(getattr(out, "blocks", out), dtype=complex)))
+    return None
+
+
 @settings(max_examples=100, deadline=None, database=None)
 @given(h=EDGE, tau=EDGE)
+@example(h=0.01, tau=2e306)  # n_max = 4: the one block's phase is finite, the standard segment's is not
+@example(h=0.01, tau=1e308)
+@example(h=3.0, tau=1e308)
 def test_every_path_applies_the_same_block_rule(h, tau):
     c = cfg(n_max=4, h=1.0)  # lam = h enters closed_form_b_magnitude as lam * config.h = h
-    calls = (
-        lambda: boson.TrajectorySegment(((h, tau),)),
-        lambda: teleport.block_fidelities(0.5, 3, c, tau, h),
-        lambda: boson.closed_form_b_magnitude(c, tau, tau, h, 1, 2),
-    )
-    messages = set()
-    for i, call in enumerate(calls):
-        try:
-            with np.errstate(all="ignore"):  # the phase check of a huge tau overflows on its way to refusing it
-                out = call()
-            messages.add(None)
-            assert i == 0 or np.all(np.isfinite(np.asarray(out, dtype=float)))  # refused, never NaN
-        except ValueError as exc:
-            messages.add(str(exc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refusing a huge tau may not overflow on the way
+        segment = verdict(lambda: boson.TrajectorySegment(((h, tau),)))
+        one_block = {
+            verdict(lambda: boson.first_order_entries(c, [h], [tau], 0, 1)),
+            verdict(lambda: teleport.block_fidelities(0.5, 3, c, tau, h)),
+        }
+        standard = {  # the standard segment (c.h, tau), (0, tau), (h, tau), (0, tau): what resonance-sweep plots
+            verdict(lambda: boson.first_order_entries(c, [1.0, 0.0, h, 0.0], [tau] * 4, 0, 1)),
+            verdict(lambda: boson.closed_form_b_magnitude(c, tau, tau, h, 1, 2)),
+        }
+    # the cavity paths of one segment share one verdict and message at every (h, tau), refusing where the segment's
+    # largest phase 2 omega_{n_max} T overflows: T = tau for the one block, 4 tau for the standard segment
+    assert len(one_block) == 1 and len(standard) == 1
+    limit = np.finfo(float).max / (2.0 * boson.mode_frequencies(c)[-1])
+    assert (one_block == {None}) == (tau >= 0 and tau / limit <= 1.0 and abs(h) < 2)
+    assert (standard == {None}) <= (one_block == {None}) <= (segment is None)  # the segment knows no frequency
     if not tau > 1e300:  # no phase of this cavity overflows: one verdict and one message on every path
-        assert len(messages) == 1
-        assert (messages == {None}) == (np.isfinite(tau) and tau >= 0 and abs(h) < 2)
-    else:  # the segment knows no frequency; each cavity path refuses where its own phases overflow
-        assert (None in messages) <= (np.isfinite(tau) and abs(h) < 2)
+        assert one_block == standard == {segment}
+        assert (segment is None) == (np.isfinite(tau) and tau >= 0 and abs(h) < 2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_huge_finite_times_are_refused_not_nan():
     c = cfg(n_max=20, h=0.01)
     huge = boson.TrajectorySegment(((1e-4, 1e308),))  # T is finite, so the segment itself is accepted
+    limit = np.finfo(float).max / (2.0 * boson.mode_frequencies(c)[-1])  # the cavity's largest T
     calls = (
         lambda: boson.first_order_entries(c, *huge.arrays, 0, 1),
         lambda: boson.resonance_check(c, huge, 1, 2),
@@ -405,13 +421,18 @@ def test_huge_finite_times_are_refused_not_nan():
         lambda: teleport.block_fidelities(0.5, 3, c, 1e308, 0.01),
         lambda: teleport.block_fidelities(0.5, 3, c, np.array([[0.5], [1e308]]), np.array([0.0, 0.01])),
         lambda: boson.TrajectorySegment(((1e-4, 1e308), (0.0, 1e308))),  # T itself overflows
+        # the standard segment's T = 2 (tau1 + tau2) = 1.2 limit: refused by the closed form and the segment path alike
+        lambda: boson.closed_form_b_magnitude(c, 0.3 * limit, 0.3 * limit, 1.0, 1, 2),
+        lambda: boson.resonance_check(c, boson.standard_segment(c.h, 0.3 * limit, 0.3 * limit), 1, 2),
     )
-    for call in calls:
-        with pytest.raises(ValueError, match="finite phases"):
-            call()
-    # the rule sits at the overflow of the largest phase, not below it
-    s = boson._pair_frequency(c, 1, 2)
-    assert np.isfinite(boson.closed_form_b_magnitude(c, 0.4 * np.finfo(float).max / s, 0.0, 1.0, 1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any phase overflows
+        for call in calls:
+            with pytest.raises(ValueError, match="finite phases"):
+                call()
+        # and accepted, with finite results, at T = 0.8 limit on both paths
+        assert np.isfinite(boson.closed_form_b_magnitude(c, 0.2 * limit, 0.2 * limit, 1.0, 1, 2))
+        assert np.isfinite(boson.resonance_check(c, boson.standard_segment(c.h, 0.2 * limit, 0.2 * limit), 1, 2)[1])
 
 
 def test_first_order_entries_refuses_bad_blocks_and_indices():

@@ -617,16 +617,20 @@ OUT_OF_RANGE = [
     ["teleport-fidelity", "--h", "[0.01]", "--tau", "[0.5, -0.1]"],
     # a finite time whose largest phase overflows is bad input, not a grid of NaN cells (exit 3)
     ["resonance-sweep", "--tau1", "[1e308]"],
+    ["resonance-sweep", "--tau1", "[4e305]", "--tau2", "[4e305]"],  # only the standard segment's 2 omega_20 T overflows
     ["teleport-fidelity", "--tau", "[1e308]"],
     ["teleport-fidelity", "--tau", "[1e306]"],  # only the doubled-n_max probe's phases overflow
     ["oneway-surface", "--u", "[1e308]", "--v", "[0]"],
+    ["oneway-surface", "--u", "[0]", "--v", "[1e308]"],
     ["fermion-negativity", "--u", "[1e308]"],
 ]
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda a: " ".join(a[:3]))
 def test_out_of_range_input_exit_2(tmp_path, argv):
-    assert run([*argv, "--out", str(tmp_path / "x")]) == 2
+    with warnings.catch_warnings():  # bad input is refused before any arithmetic on it can overflow or warn
+        warnings.simplefilter("error")
+        assert run([*argv, "--out", str(tmp_path / "x")]) == 2
     assert not (tmp_path / "x.csv").exists()
 
 

@@ -573,7 +573,6 @@ def test_odd_only_sines_are_bit_identical_to_the_full_window(s, n_side, data, tr
     assert np.all(got[..., even].view(np.int64) == 0)  # +0.0, never -0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_huge_travel_times_are_refused_not_nan():
     c = cfg(n_side=20)
     calls = [
@@ -589,9 +588,13 @@ def test_huge_travel_times_are_refused_not_nan():
         lambda: fermion.two_mode_density_matrix(c, 1e308, 1),
         lambda: fermion.charge_density_matrix(c, 1e308, 1, -2),
     ]
-    for call in calls:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any phase overflows
+        for call in calls:
+            with pytest.raises(ValueError, match="finite phase"):
+                call()
+        # the refusal sits at the overflow of the window's largest phase pi t (n_side + |k|) / 2, not below it
+        edge = 0.5 * np.pi * (c.n_side + 1)
+        assert np.isfinite(fermion.oneway_f(c, 0.4 * np.finfo(float).max / edge, 0.0, 1))
         with pytest.raises(ValueError, match="finite phase"):
-            call()
-    # the refusal sits at the overflow of the window's largest phase pi t (n_side + |k|) / 2, not below it
-    edge = 0.5 * np.pi * (c.n_side + 1)
-    assert np.isfinite(fermion.oneway_f(c, 0.4 * np.finfo(float).max / edge, 0.0, 1))
+            fermion.oneway_f(c, 0.6 * np.finfo(float).max / edge, 0.6 * np.finfo(float).max / edge, 1)
