@@ -22,8 +22,9 @@ Products of blocks approximate arbitrary piecewise inertial/uniformly
 accelerated motion; a single block is the product of a one-block segment.
 `_check_blocks` is the one rule for blocks (tau_j >= 0, |h_j| < 2, NaN refused, a finite total time T and, in a
 cavity, a finite largest phase 2 omega_{n_max} T).  `TrajectorySegment` (which also refuses an empty segment) and
-`BosonCavityConfig` (its h) apply it without a cavity; `first_order_entries`, `closed_form_b_magnitude` (on the
-standard segment's blocks) and `teleport.block_fidelities` in theirs.  `_check_labels` checks mode labels.
+`BosonCavityConfig` (its h) apply it without a cavity; `compose_segment`, `first_order_entries`,
+`closed_form_b_magnitude` (on the standard segment's blocks) and `teleport.block_fidelities` in theirs.
+`_check_labels` checks mode labels.
 
 The first-order matrices are a pure function of the cavity config: they live
 on it as `config.coeffs`, built by `bogo_first_order` on first use.
@@ -34,11 +35,14 @@ its B entry for the standard segment, factored.
 Resonance is decided in closed form, from the segment's total time T and
 B1_kk'; the dense composed map is built only for the exact matrix power.
 `compose_segment` certifies the map it returns; the blocks inside a
-composition and powers of a composed map are not re-checked.
+composition and powers of a composed map are not re-checked.  It keeps the
+last (config, segment) map, read-only, so N repetitions of one segment
+compose it once, and inverts Q(h) once per distinct h of the segment.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -178,42 +182,43 @@ def first_order_entries(config, h, tau, n, m):
     return entries(config.coeffs.alpha1, w_m), entries(config.coeffs.beta1, -w_m)
 
 
-def _block(config, h_j, tau_j):
-    """Uncertified building block of a checked segment: (matrix, defect bound; O((n_max h)^2) at first order)."""
-    n = config.n_max
-    g = np.exp(1j * mode_frequencies(config) * tau_j)
-    u = np.diag(np.concatenate([g.conj(), g]))
-    if h_j == 0.0:
-        return u, 1e-10
-    if config.n_max * abs(h_j) > 0.05:
-        warnings.warn(
-            f"n_max*|h| = {config.n_max * abs(h_j):.3g}; first-order block may be inaccurate",
-            PerturbativeValidityWarning,
-            stacklevel=3,
-        )
-    coeffs = config.coeffs
-    alpha = np.eye(n) + coeffs.alpha1 * h_j
-    beta = coeffs.beta1 * h_j
-    q = np.block([[alpha, -beta], [-beta, alpha]]).astype(complex)
-    scale = max(np.abs(coeffs.alpha1).max(), np.abs(coeffs.beta1).max())
-    return np.linalg.inv(q) @ u @ q, max(1e-10, 50.0 * (n * scale * h_j) ** 2)
-
-
 def compose_segment(config, segment):
     """Ordered product of building blocks (first block acts first).
 
     The zero-order part is the phase rotation by the total proper time T;
     phases accumulate left-to-right in segment order.  Only the product is certified.
-    Blocks are first order in h_j, so a PerturbativeValidityWarning is emitted
-    when n_max * |h_j| is not small.
+    Blocks are first order in h_j, so a PerturbativeValidityWarning is emitted, on every call,
+    when n_max * |h_j| is not small.  The segment is checked in the cavity first.
     """
-    total = np.eye(2 * config.n_max, dtype=complex)
-    tol = 1e-10
+    _check_blocks(*segment.arrays, config)
+    for h_j, _ in segment.blocks:
+        if config.n_max * abs(h_j) > 0.05:
+            msg = f"n_max*|h| = {config.n_max * abs(h_j):.3g}; first-order block may be inaccurate"
+            warnings.warn(msg, PerturbativeValidityWarning, stacklevel=2)
+    return _composed(config, segment)
+
+
+@functools.lru_cache(maxsize=1)
+def _composed(config, segment):
+    """`compose_segment`'s certified map of the last (config, segment) met, read-only.  A block of h_j != 0 is
+    Q(h_j)^-1 U(tau_j) Q(h_j), Q^-1 inverted once per distinct h_j; its defect bound is O((n_max h_j)^2)."""
+    n, coeffs, omega = config.n_max, config.coeffs, mode_frequencies(config)
+    scale = max(np.abs(coeffs.alpha1).max(), np.abs(coeffs.beta1).max())
+    total, tol, jumps = np.eye(2 * n, dtype=complex), 1e-10, {}  # jumps: h_j -> (Q^-1, Q)
     for h_j, tau_j in segment.blocks:
-        s, bound = _block(config, h_j, tau_j)
-        tol = max(tol, bound)
+        g = np.exp(1j * omega * tau_j)
+        s = np.diag(np.concatenate([g.conj(), g]))
+        if h_j != 0.0:
+            if h_j not in jumps:
+                q = np.empty((2 * n, 2 * n), dtype=complex)
+                q[:n, :n] = q[n:, n:] = np.eye(n) + coeffs.alpha1 * h_j
+                q[:n, n:] = q[n:, :n] = -(coeffs.beta1 * h_j)
+                jumps[h_j] = np.linalg.inv(q), q
+            s = jumps[h_j][0] @ s @ jumps[h_j][1]
+            tol = max(tol, 50.0 * (n * scale * h_j) ** 2)
         total = s @ total
-    return SymplecticMap(config.n_max, total, defect_tol=10 * tol * len(segment.blocks))
+    total.flags.writeable = False
+    return SymplecticMap(n, total, defect_tol=10 * tol * len(segment.blocks))
 
 
 def segment_blocks(smap):
@@ -261,11 +266,16 @@ def resonance_check(config, segment, k, kp):
     beta1_kk' = 0 (every even k + k': B1_kk' vanishes at any T) or |1 - exp(i s T)| <= RESONANCE_TOL,
     i.e. T s = 2 pi n.
     """
+    return _resonance(config, segment, k, kp)[:2]
+
+
+def _resonance(config, segment, k, kp):
+    """`resonance_check`'s verdict and residual, and the |B1_kk'| they are read from."""
     s = _pair_frequency(config, k, kp)
     _, b = first_order_entries(config, *segment.arrays, k - 1, kp - 1)
     detuning = abs(1.0 - np.exp(1j * s * segment.total_time))
     resonant = config.coeffs.beta1[k - 1, kp - 1] == 0 or detuning <= RESONANCE_TOL
-    return bool(resonant), float(detuning * abs(b))
+    return bool(resonant), float(detuning * abs(b)), abs(b)
 
 
 def resonant_times(config, k, kp, count=5):
@@ -294,8 +304,7 @@ def resonance_negativity(config, segment, k, kp, repetitions):
     """
     if repetitions < 0:
         raise ValueError("repetitions must be non-negative")
-    resonant, residual = resonance_check(config, segment, k, kp)
-    b_kkp = abs(first_order_entries(config, *segment.arrays, k - 1, kp - 1)[1])
+    resonant, residual, b_kkp = _resonance(config, segment, k, kp)
     if repetitions * b_kkp >= NB_VALIDITY_BOUND:
         warnings.warn(
             f"N |B^(1)| h = {repetitions * b_kkp:.3g} >= {NB_VALIDITY_BOUND}; perturbative result unreliable",

@@ -524,9 +524,81 @@ def test_exact_negativity_certifies_only_the_composed_map(monkeypatch):
         return original(matrix)
 
     monkeypatch.setattr(gaussian, "symplectic_defect", counted)
-    # four blocks and a third power: only the product is checked
+    boson._composed.cache_clear()
+    # four blocks and a third power, composed cold: only the product is checked
     assert boson.segment_negativity_exact(c, seg, 1, 2, 3) == expected
     assert len(calls) == 1
+    # a repeat reads the kept map, certified once already
+    assert boson.segment_negativity_exact(c, seg, 1, 2, 3) == expected
+    assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    segments=st.lists(
+        st.lists(st.tuples(st.sampled_from([0.0, 1e-4, -3e-4, 2e-3]), st.floats(0.0, 4.0)), min_size=1, max_size=5),
+        min_size=1,
+        max_size=3,
+    ),
+    labels=st.lists(st.integers(1, 8), min_size=2, max_size=2, unique=True),
+)
+def test_kept_map_gives_the_cold_values(segments, labels):
+    c = cfg(n_max=8, h=1e-4)
+    segs = [boson.TrajectorySegment(tuple(blocks)) for blocks in segments]
+    cold = {}
+    for i, seg in enumerate(segs):
+        for n in range(6):
+            boson._composed.cache_clear()
+            cold[i, n] = boson.segment_negativity_exact(c, seg, *labels, n)
+    # repetitions of one segment in a row, then the segments interleaved: every warm value is the cold one
+    warm = {(i, n): boson.segment_negativity_exact(c, seg, *labels, n) for i, seg in enumerate(segs) for n in range(6)}
+    warm |= {(i, n): boson.segment_negativity_exact(c, seg, *labels, n) for n in range(6) for i, seg in enumerate(segs)}
+    assert warm == cold
+
+
+def test_kept_map_is_read_only():
+    c = cfg(n_max=8, h=1e-4)
+    smap = boson.compose_segment(c, boson.standard_segment(c.h, 0.7, 0.4))
+    assert not smap.matrix.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        smap.matrix[0, 0] = 0.0
+    assert boson.compose_segment(c, boson.standard_segment(c.h, 0.7, 0.4)).matrix[0, 0] != 0.0
+
+
+def test_validity_warning_fires_on_every_call():
+    c = cfg(n_max=20, h=0.01)
+    seg = boson.standard_segment(c.h, 0.5, 0.5, -1.0)
+    for _ in range(2):  # the second call reads the kept map
+        with pytest.warns(boson.PerturbativeValidityWarning) as record:
+            boson.compose_segment(c, seg)
+        assert len(record) == 2  # one per accelerated block
+
+
+def test_one_map_is_kept(monkeypatch):
+    c = cfg(n_max=8, h=1e-4)
+    first, second = boson.standard_segment(c.h, 0.7, 0.4), boson.standard_segment(c.h, 0.7, 0.5)
+    calls = []
+    original = gaussian.symplectic_defect
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return original(matrix)
+
+    monkeypatch.setattr(gaussian, "symplectic_defect", counted)
+    boson._composed.cache_clear()
+    maps = [boson.compose_segment(c, seg) for seg in (first, first, second, second, first)]
+    assert len(calls) == 3  # first, second, and first again: the second segment replaced it
+    assert maps[1] is maps[0] and maps[3] is maps[2] and maps[4] is not maps[0]
+    assert np.array_equal(maps[4].matrix, maps[0].matrix)
+    assert boson._composed.cache_info().currsize == 1
+
+
+def test_composed_route_applies_the_cavity_block_rule():
+    huge = boson.TrajectorySegment(((1e-4, 1e308),))  # T is finite, so the segment itself is accepted
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any phase overflows, not by the certificate as "defect nan"
+        with pytest.raises(ValueError, match="finite phases"):
+            boson.segment_negativity_exact(cfg(n_max=8, h=1e-4), huge, 1, 2)
 
 
 def test_block_validity_warning_points_at_the_caller():
