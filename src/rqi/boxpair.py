@@ -222,7 +222,11 @@ def rob_overlap_quadrature(scenario, spectrum=None):
     eps = scenario.epsilon * np.sin(2.0 * np.pi * vg * tau) ** 2
     m = np.arange(1, scenario.n_cut + 1)[:, None]
     lam = -1j * eps * np.sin(m * np.pi * (vg * tau - 0.5)) * np.exp(-1j * scenario.gap * tau)  # (m, node)
-    integrand = lam * u * np.exp(1j * spectrum.omegas[..., None] * phase_arg)
+    theta = spectrum.omegas[..., None] * phase_arg
+    rotation = np.empty(theta.shape, dtype=complex)  # exp(i theta), its parts written in place of a complex exp
+    np.cos(theta, out=rotation.real)
+    np.sin(theta, out=rotation.imag)
+    integrand = lam * u * rotation
     return spectrum.norms * (integrand @ w)
 
 

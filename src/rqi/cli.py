@@ -14,7 +14,9 @@ Exit codes: 0 ok, 2 config error (unknown key, wrong type, non-finite
 number, or a value the physics rejects, such as a mode label outside
 1..n_max, a repeated mode label, a negative travel time or one whose phase overflows, a teleportation
 squeezing r <= 0 or a `measures` r past 1e-9 relative accuracy), 3 numeric
-failure (a non-finite CSV cell among them: that CSV is not written).
+failure (an ArithmeticError, ValueError or RuntimeError; a non-finite CSV cell
+is one, and that CSV is not written).  Any other exception, such as a
+TypeError, an ImportError or an OSError, propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -305,10 +307,12 @@ COMMANDS = {
 }
 
 
-def build_parser():
+def build_parser(command=None):
+    """The `rqi` parser: given a command's name, with that command's subparser alone (usage still lists them all)."""
+    one = command in COMMANDS
     parser = argparse.ArgumentParser(prog="rqi", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, run in COMMANDS.items():
+    sub = parser.add_subparsers(dest="command", required=True, metavar="{%s}" % ",".join(COMMANDS) if one else None)
+    for name, run in [(command, COMMANDS[command])] if one else COMMANDS.items():
         p = sub.add_parser(name, allow_abbrev=False)  # no prefix of one flag may set another
         p.add_argument("--config", default=None, help="JSON parameter file")
         p.add_argument("--out", default=None, help="output prefix (default: the command name)")
@@ -318,7 +322,8 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     run = COMMANDS[args.command]
     out_prefix = args.out or args.command.replace("-", "_")
     try:
@@ -335,9 +340,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ImportError:  # a broken install, not a numeric failure
-        raise
-    except Exception as exc:  # noqa: BLE001 - numeric failure path
+    except (ArithmeticError, ValueError, RuntimeError) as exc:  # numeric failures; anything else is a bug and raises
         print(f"{args.command} failed: {exc}", file=sys.stderr)
         return 3
     return 0

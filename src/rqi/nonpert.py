@@ -16,9 +16,10 @@ exponential is closed-form (`gaussian.generator_exponentials`).  F depends on
 the factor ordering (the basis order); Gamma does not.
 
 A schedule maps a float t to the (dim,) array lambda(t), and an array of n
-times to a (dim, n) array.  The fixed-step oracle (midpoint rule) shares the
-batched exponential `expm` and the pairwise product with the Magnus steps and
-nothing with the factor machinery.
+times to a (dim, n) array.  The fixed-step oracle (midpoint rule) shares with
+the Magnus steps the batching (output intervals grouped by step count), the
+batched exponential `expm` and the pairwise product, and nothing with the
+factor machinery.
 """
 
 from __future__ import annotations
@@ -253,21 +254,6 @@ def detector_example_schedule(basis, coupling=1.0, t_mod=np.sqrt(80.0), gap=2.0 
     return schedule
 
 
-def _midpoint_steps(t_a, t_b, dt):
-    """(midpoints, lengths) of the fixed steps from t_a to t_b, in batches of at most ORACLE_BATCH: steps of dt
-    while more than dt remains, then one shorter step onto t_b (a remainder below 1e-12 counts as arrived)."""
-    span = t_b - t_a
-    if span <= 1e-12:
-        return
-    full = int(np.ceil(span / dt)) - 1
-    rest = span - full * dt
-    count = full + (rest > 1e-12)
-    for i in range(0, count, ORACLE_BATCH):
-        idx = np.arange(i, min(i + ORACLE_BATCH, count))
-        lengths = np.where(idx < full, dt, rest)
-        yield t_a + dt * idx + lengths / 2.0, lengths
-
-
 def _drive(schedule, times, dim):
     """The schedule's coefficients at the 1-d array `times`; a result of any shape but (dim, n) raises ValueError."""
     lam = np.asarray(schedule(times), dtype=float)
@@ -281,26 +267,38 @@ def _magnus_evolution(kgens, schedule, edges, h):
 
     Interval k takes m_k = ceil(length / h) equal steps tau; A_1, A_2 = sum_j lambda_j A_j (`kgens`: the real
     A_j = -i K G_j) at a step's two Gauss-Legendre nodes give Omega = (tau/2)(A_1 + A_2) + (sqrt(3)/12) tau^2
-    [A_2, A_1].  Intervals of one m_k are stepped together, at most ORACLE_BATCH steps a batch: one schedule
-    call on its nodes, one `tensordot`, `expm`, and `_ordered_product` per interval.
+    [A_2, A_1], one schedule call and one `tensordot` a batch of `_stepped_evolution`.
     """
     t_a, t_b, d, nodes01 = edges[:-1], edges[1:], kgens.shape[-1], 0.5 + np.sqrt(3.0) / 6.0 * np.array([-1.0, 1.0])
     m = np.ceil((t_b - t_a) / h - 1e-9).astype(int)  # a length within rounding of a multiple of h takes that many
-    s = np.broadcast_to(np.eye(d), (t_a.size, d, d)).copy()
-    for mk in np.unique(m[m > 0]):
-        rows, width, per = np.flatnonzero(m == mk), min(mk, ORACLE_BATCH), max(1, ORACLE_BATCH // mk)
+
+    def omega(sel, steps):
+        tau = ((t_b[sel] - t_a[sel]) / m[sel[0]])[:, None, None, None]
+        nodes = t_a[sel, None, None] + tau[..., 0] * (steps[:, None] + nodes01)
+        a = np.tensordot(_drive(schedule, nodes.ravel(), len(kgens)), kgens, axes=(0, 0))
+        a1, a2 = np.moveaxis(a.reshape(*nodes.shape, d, d), 2, 0)
+        return tau / 2.0 * (a1 + a2) + np.sqrt(3.0) / 12.0 * tau**2 * (a2 @ a1 - a1 @ a2)
+
+    return _stepped_evolution(m, omega, d), int(m.sum())
+
+
+def _stepped_evolution(counts, exponent, d):
+    """S at the end of each interval from S = 1 at the first's start, interval k taking counts[k] steps.
+
+    `exponent(sel, steps)` gives the (len(sel), len(steps), d, d) exponents of the steps `steps` (indices from 0) of
+    the intervals `sel`.  Intervals of one count are stepped together, at most ORACLE_BATCH steps a batch: one
+    `expm` and one `_ordered_product` a batch.
+    """
+    s = np.broadcast_to(np.eye(d), (counts.size, d, d)).copy()
+    for mk in np.unique(counts[counts > 0]):
+        rows, width, per = np.flatnonzero(counts == mk), min(mk, ORACLE_BATCH), max(1, ORACLE_BATCH // mk)
         for r in range(0, rows.size, per):
             sel = rows[r : r + per]
-            tau = ((t_b[sel] - t_a[sel]) / mk)[:, None, None, None]
             for i in range(0, mk, width):
-                nodes = t_a[sel, None, None] + tau[..., 0] * (np.arange(i, min(i + width, mk))[:, None] + nodes01)
-                a = np.tensordot(_drive(schedule, nodes.ravel(), len(kgens)), kgens, axes=(0, 0))
-                a1, a2 = np.moveaxis(a.reshape(*nodes.shape, d, d), 2, 0)
-                omega = tau / 2.0 * (a1 + a2) + np.sqrt(3.0) / 12.0 * tau**2 * (a2 @ a1 - a1 @ a2)
-                s[sel] = _ordered_product(expm(omega)) @ s[sel]
-    for k in range(1, t_a.size):
+                s[sel] = _ordered_product(expm(exponent(sel, np.arange(i, min(i + width, mk))))) @ s[sel]
+    for k in range(1, counts.size):
         s[k] = s[k] @ s[k - 1]
-    return s, int(m.sum())
+    return s
 
 
 def expm(a):
@@ -319,11 +317,14 @@ def expm(a):
         order += 1
         term *= theta / (order + 1)
     eye = np.eye(a.shape[-1])
-    out = eye + a / order
-    for k in range(order - 1, 0, -1):  # Horner: 1 + a (1 + a/2 (1 + ...))
-        out = eye + (a @ out) / k
+    out, tmp = eye + a / order, np.empty_like(a)
+    for k in range(order - 1, 0, -1):  # Horner: 1 + a (1 + a/2 (1 + ...)), into the two buffers in turn
+        np.matmul(a, out, out=tmp)
+        tmp /= k
+        tmp += eye
+        out, tmp = tmp, out
     for _ in range(q):
-        out = out @ out
+        out, tmp = np.matmul(out, out, out=tmp), out
     return out
 
 
@@ -339,9 +340,9 @@ def _ordered_product(mats):
 def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
     """Fixed-step midpoint product of exp(-i K H(t) dt): brute-force oracle, in the real quadrature form.
 
-    Steps of `dt` from t_grid[0], each output time ending a shorter step, exponentiated by
-    `expm` and multiplied by `_ordered_product` in batches of at most ORACLE_BATCH, one
-    schedule call on each batch's midpoints.  Returns Gamma = S Gamma0 S+ at the grid times (complex form,
+    Steps of `dt` from t_grid[0], each output time ending a shorter step; output intervals of one step count are
+    stepped together by `_stepped_evolution`, as the Magnus steps are, one schedule call on each batch's
+    midpoints.  Returns Gamma = S Gamma0 S+ at the grid times (complex form,
     vacuum start by default); it never touches the factor tables.  A basis without the block structure, a
     schedule result of any shape but (dim, n) and a `dt` of more than ORACLE_MAX_STEPS steps raise ValueError.
     """
@@ -352,13 +353,16 @@ def product_integrator_oracle(basis, schedule, t_grid, dt=1e-4, gamma0=None):
         raise ValueError("oracle t_grid must be a non-empty, finite, non-decreasing 1-d sequence")
     if (t_grid[-1] - t_grid[0]) / dt > ORACLE_MAX_STEPS:
         raise ValueError(f"oracle step dt = {dt!r} needs more than ORACLE_MAX_STEPS = {ORACLE_MAX_STEPS} steps")
-    n = basis.n_modes
+    n, span = basis.n_modes, np.diff(t_grid)
     kgens = _to_quadrature(-1j * (kay(n) @ np.stack(basis.generators)))  # the real -i K G_j
-    s = [np.eye(2 * n)]
-    for t_a, t_b in zip(t_grid[:-1], t_grid[1:]):
-        s.append(s[-1])
-        for mids, lengths in _midpoint_steps(t_a, t_b, dt):
-            lam = _drive(schedule, mids, basis.dim) * lengths
-            s[-1] = _ordered_product(expm(np.tensordot(lam, kgens, axes=(0, 0)))) @ s[-1]
-    s = _to_quadrature(np.array(s), inverse=True)
+    full = np.ceil(span / dt).astype(int) - 1  # steps of dt, then one of length rest onto the output
+    rest = span - full * dt
+    counts = np.where(span > 1e-12, full + (rest > 1e-12), 0)  # a remainder below 1e-12 counts as arrived
+
+    def exponent(sel, steps):
+        lengths = np.where(steps < full[sel, None], dt, rest[sel, None])
+        lam = _drive(schedule, (t_grid[sel, None] + dt * steps + lengths / 2.0).ravel(), basis.dim) * lengths.ravel()
+        return np.tensordot(lam, kgens, axes=(0, 0)).reshape(*lengths.shape, 2 * n, 2 * n)
+
+    s = _to_quadrature(np.concatenate([np.eye(2 * n)[None], _stepped_evolution(counts, exponent, 2 * n)]), inverse=True)
     return s @ (np.eye(2 * n) if gamma0 is None else gamma0) @ s.conj().swapaxes(-1, -2)

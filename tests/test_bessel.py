@@ -96,10 +96,16 @@ def fresh_trapezoid(nu, x):
     ),
 )
 def test_kept_nodes_give_the_fresh_trapezoid_bit_for_bit(orders, calls):
-    # orders repeat and alternate, arguments shrink (the support grows) and grow (it is sliced)
+    # orders repeat and alternate, arguments shrink (the support grows) and grow (it is sliced); each kept-node value
+    # also equals a cold call's, from nodes and work buffer built anew, so the reused buffer carries nothing over
     for i, log_x in calls:
         nu, x = orders[i % len(orders)], math.exp(log_x)
-        assert b.bessel_K_imag_order(nu, x) == fresh_trapezoid(nu, x)
+        warm, kept = b.bessel_K_imag_order(nu, x), dict(b._NODES)
+        b._NODES.update(nu=math.nan, cosh=np.empty(0), cos=np.empty(0), work=np.empty(0))
+        try:
+            assert warm == b.bessel_K_imag_order(nu, x) == fresh_trapezoid(nu, x)
+        finally:
+            b._NODES.update(kept)
 
 
 def test_k_returns_a_python_float():

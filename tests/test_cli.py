@@ -1,5 +1,7 @@
+import argparse
 import hashlib
 import json
+import sys
 import warnings
 
 import mpmath
@@ -688,3 +690,64 @@ def test_unknown_flag_exit_2(argv):
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
+
+
+def subcommand_flags(parser, name):
+    """(option strings, dest, default) of each action of the parser's subparser `name`."""
+    (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return sorted((action.option_strings, action.dest, action.default) for action in sub.choices[name]._actions)
+
+
+def test_one_command_parser_matches_the_full_parser():
+    full = cli.build_parser()
+    for name in cli.COMMANDS:
+        one = cli.build_parser(name)
+        assert subcommand_flags(one, name) == subcommand_flags(full, name)
+        assert one.format_usage() == full.format_usage()  # an unrecognised flag's error names every command
+
+
+def test_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["-h"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in cli.COMMANDS)
+    for name in cli.COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            run([name, "-h"])
+        assert exc.value.code == 0
+        assert f"usage: rqi {name} [-h]" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["measurs"], ["bogus", "--r", "1"], []], ids=["misspelt", "unknown", "none"])
+def test_unknown_command_exit_2_names_the_choices(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["rqi", *argv])  # main() reads sys.argv
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "{" + ",".join(cli.COMMANDS) + "}" in err
+    if argv:  # the choices' quoting varies across Python versions
+        assert f"rqi: error: argument command: invalid choice: '{argv[0]}' (choose from " in err
+        assert all(name in err.split("choose from")[1] for name in cli.COMMANDS)
+
+
+@pytest.mark.parametrize("error", [FloatingPointError, np.linalg.LinAlgError, RuntimeError])
+def test_numeric_failure_exit_3(tmp_path, capsys, monkeypatch, error):
+    def fails(*, r=0.5):
+        raise error("no convergence")
+
+    monkeypatch.setitem(cli.COMMANDS, "measures", fails)
+    assert run(["measures", "--out", str(tmp_path / "m")]) == 3
+    assert "measures failed: no convergence" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("error", [TypeError, IndexError, KeyError])
+def test_a_bug_is_raised_not_exit_3(tmp_path, monkeypatch, error):
+    def fails(*, r=0.5):
+        raise error("a bug")
+
+    monkeypatch.setitem(cli.COMMANDS, "measures", fails)
+    with pytest.raises(error):
+        run(["measures", "--out", str(tmp_path / "m")])

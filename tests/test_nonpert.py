@@ -294,6 +294,9 @@ def test_factor_tables_built_once_per_basis(monkeypatch):
         (0.5, [0.0, 0.37, 1.05, 1.05, 2.2, 3.0], 1e-2),  # spacings not multiples of dt
         (1.0, [0.0, 1.3, 4.0, 5.5], 0.3),  # Taylor steps of norm up to 0.44, near TAYLOR_THETA
         (1.0, [0.0, 1.3, 4.0, 5.5], 0.9),  # ||K H dt|| > 1 > TAYLOR_THETA: scaling and squaring
+        # dt = 2^-10, grid times exact: 4,608 steps (over ORACLE_BATCH) to 4.5, 22 intervals of 192 steps (21 to a
+        # batch), then 379 steps, a repeated time (0 steps) and 313 steps
+        (0.5, [0.0, *(4.5 + 0.1875 * np.arange(23)), 8.995, 8.995, 9.3], 2.0**-10),
     ],
 )
 def test_batched_oracle_matches_sequential_referee(coupling, grid, dt):
@@ -307,6 +310,8 @@ def test_batched_oracle_matches_sequential_referee(coupling, grid, dt):
     batched = nonpert.product_integrator_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
     referee = expm_product_oracle(basis, sched, grid, dt=dt, gamma0=gamma0)
     assert batched.shape == referee.shape == (len(grid), 4, 4)
+    repeated = np.flatnonzero(np.diff(grid) == 0.0)  # a repeated output time takes no step
+    assert np.array_equal(batched[repeated], batched[repeated + 1])
     assert np.abs(batched - referee).max() < 1e-12 * np.abs(referee).max()
 
 
